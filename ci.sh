@@ -15,6 +15,13 @@ go build ./...
 echo '== sdfvet ./...'
 go run ./cmd/sdfvet ./...
 
+echo '== servebench: vet + short tests against the tree'
+# servebench/ is its own module (it imports this one through a replace
+# directive), so the ./... patterns of this script never reach it: a
+# break in the serve, analysis or fleet API it imports would otherwise
+# show only when the benchmark runs.
+(cd servebench && go vet . && go test -short .)
+
 echo '== go test -race ./...'
 # Hard wall-clock cap on top of go test's own -timeout, so a scheduler
 # hang can never wedge the gate.

@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,7 +49,12 @@ func cmdBatch(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, raw, err := postBatch(strings.TrimRight(*server, "/"), body, *deadline)
+	// Batch-level refusals (a draining router, a dark fleet, malformed
+	// batch JSON) arrive as error payloads and map onto the usual
+	// exit-code table; a processed batch is always HTTP 200 with per-item
+	// outcomes inside.
+	var res serve.BatchResultPayload
+	raw, err := post(strings.TrimRight(*server, "/"), "/v1/batch", body, *deadline, &res)
 	if err != nil {
 		return err
 	}
@@ -58,8 +62,8 @@ func cmdBatch(args []string, out io.Writer) error {
 		_, err := out.Write(raw)
 		return err
 	}
-	printBatch(out, *server, res)
-	if code := worstExitCode(res); code != 0 {
+	printBatch(out, *server, &res)
+	if code := worstExitCode(&res); code != 0 {
 		return &batchError{code: code, ok: res.OK, errs: res.Errors}
 	}
 	return nil
@@ -150,35 +154,6 @@ func splitGraphsText(data string) []string {
 	}
 	flush()
 	return chunks
-}
-
-// postBatch performs the wire round trip. Batch-level refusals (a
-// draining router, a dark fleet, malformed batch JSON) arrive as error
-// payloads and map onto the usual exit-code table via remoteError; a
-// processed batch is always HTTP 200 with per-item outcomes inside.
-func postBatch(server string, body []byte, deadline time.Duration) (*serve.BatchResultPayload, []byte, error) {
-	client := &http.Client{Timeout: deadline + 60*time.Second}
-	resp, err := client.Post(server+"/v1/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, nil, &transportError{addr: server, err: err}
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<24))
-	if err != nil {
-		return nil, nil, &transportError{addr: server, err: err}
-	}
-	if resp.StatusCode != http.StatusOK {
-		var ep serve.ErrorPayload
-		if err := json.Unmarshal(data, &ep); err != nil || ep.Kind == "" {
-			return nil, nil, fmt.Errorf("server: http %d: %s", resp.StatusCode, bytes.TrimSpace(data))
-		}
-		return nil, nil, &remoteError{status: resp.StatusCode, kind: ep.Kind, msg: ep.Error}
-	}
-	var res serve.BatchResultPayload
-	if err := json.Unmarshal(data, &res); err != nil {
-		return nil, nil, fmt.Errorf("server: malformed batch result: %w", err)
-	}
-	return &res, data, nil
 }
 
 // printBatch renders the per-item table.

@@ -39,13 +39,12 @@ func (e *remoteError) Error() string {
 // brownout ladder refusing an -exact-only request (retry when the
 // pressure clears). "too-large" is a permanent verdict on this request
 // — shrink the graph, retrying cannot help — so it shares code 1 with
-// the other request-shaped failures.
+// the other request-shaped failures, as does "sadf-model", a
+// structurally broken model; "sadf-scenario", a scenario failing the
+// analysis preconditions, is a model precondition (2).
 func (e *remoteError) exitCode() int {
-	if code, ok := sadfExitCode(e.kind); ok {
-		return code
-	}
 	switch e.kind {
-	case "precondition":
+	case "precondition", "sadf-scenario":
 		return 2
 	case "budget", "deadline", "canceled":
 		return 3
@@ -55,7 +54,7 @@ func (e *remoteError) exitCode() int {
 		return 5
 	case "overloaded", "draining", "breaker-open", "unavailable", "degraded":
 		return 6
-	case "bad-request", "injection-disabled", "too-large":
+	case "bad-request", "injection-disabled", "too-large", "sadf-model":
 		return 1
 	default: // unknown kinds
 		return 1
@@ -141,11 +140,11 @@ func cmdQuery(args []string, out io.Writer) error {
 	// A single -server target keeps its plain transport error (exit 1:
 	// likely a typo or a stopped daemon); only the -addr replica list
 	// has fallthrough-then-unavailable semantics.
-	var res *serve.ResultPayload
+	var res serve.ResultPayload
 	if *addrs != "" {
-		res, err = postThroughputAny(servers, body, *timeout)
+		err = postThroughputAny(servers, body, *timeout, &res)
 	} else {
-		res, err = postThroughput(servers[0], body, *timeout)
+		_, err = post(servers[0], "/v1/throughput", body, *timeout, &res)
 	}
 	if err != nil {
 		return err
@@ -195,36 +194,41 @@ func cmdQuery(args []string, out io.Writer) error {
 // replica that answered is alive and deterministic failures would
 // repeat anywhere. An exhausted list is an unavailability: every
 // configured replica was down, which maps to exit code 6.
-func postThroughputAny(servers []string, body []byte, timeout time.Duration) (*serve.ResultPayload, error) {
+func postThroughputAny(servers []string, body []byte, timeout time.Duration, res *serve.ResultPayload) error {
 	var last *transportError
 	for _, s := range servers {
-		res, err := postThroughput(s, body, timeout)
+		_, err := post(s, "/v1/throughput", body, timeout, res)
 		if errors.As(err, &last) {
 			continue
 		}
-		return res, err
+		return err
 	}
-	return nil, &remoteError{
+	return &remoteError{
 		kind: "unavailable",
 		msg:  fmt.Sprintf("no replica reachable (%d tried; last: %v)", len(servers), last),
 	}
 }
 
-// postThroughput performs the wire round trip and converts error
-// payloads into remoteError.
-func postThroughput(server string, body []byte, timeout time.Duration) (*serve.ResultPayload, error) {
+// post performs one wire round trip — query, sadf and batch alike — and
+// decodes a 200 answer into res, returning the raw answer too. Error
+// payloads become remoteError, failures to reach the server at all
+// transportError.
+func post(server, path string, body []byte, timeout time.Duration, res any) ([]byte, error) {
 	// The client deadline covers the server's analysis deadline plus
 	// generous transport slack; it exists so a dead server cannot hang
 	// the tool forever.
 	client := &http.Client{Timeout: timeout + 60*time.Second}
-	resp, err := client.Post(server+"/v1/throughput", "application/json", bytes.NewReader(body))
+	resp, err := client.Post(server+path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, &transportError{addr: server, err: err}
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<22))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, serve.MaxResponseBytes+1))
 	if err != nil {
 		return nil, &transportError{addr: server, err: err}
+	}
+	if len(data) > serve.MaxResponseBytes {
+		return nil, fmt.Errorf("server: answer exceeds the %d-byte response cap", serve.MaxResponseBytes)
 	}
 	if resp.StatusCode != http.StatusOK {
 		var ep serve.ErrorPayload
@@ -233,11 +237,10 @@ func postThroughput(server string, body []byte, timeout time.Duration) (*serve.R
 		}
 		return nil, &remoteError{status: resp.StatusCode, kind: ep.Kind, msg: ep.Error}
 	}
-	var res serve.ResultPayload
-	if err := json.Unmarshal(data, &res); err != nil {
+	if err := json.Unmarshal(data, res); err != nil {
 		return nil, fmt.Errorf("server: malformed result: %w", err)
 	}
-	return &res, nil
+	return data, nil
 }
 
 // queryMetrics scrapes the daemon's Prometheus exposition and prints a

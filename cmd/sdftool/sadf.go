@@ -1,14 +1,12 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,22 +16,6 @@ import (
 	"repro/internal/sdfio"
 	"repro/internal/serve"
 )
-
-// sadfExitCode maps the sadf endpoint's own error kinds onto the
-// documented exit codes: a structurally broken model is a request-shaped
-// failure (1, like any malformed input), a scenario failing the analysis
-// preconditions is a model precondition (2). Every kind SADFKindOf can
-// mint needs an explicit case here — the sdfvet kindmap check enforces
-// it. All other kinds fall through to the shared table.
-func sadfExitCode(kind string) (int, bool) {
-	switch kind {
-	case "sadf-model":
-		return 1, true
-	case "sadf-scenario":
-		return 2, true
-	}
-	return 0, false
-}
 
 // loadSADFModel reads an FSM-SADF model from a file ("-" = stdin), in
 // the native text format or JSON by extension (-format overrides).
@@ -154,26 +136,9 @@ func sadfRemote(out io.Writer, m *sadf.Model, server string, timeout time.Durati
 	if err != nil {
 		return err
 	}
-	client := &http.Client{Timeout: timeout + 60*time.Second}
-	resp, err := client.Post(server+"/v1/sadf", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return &transportError{addr: server, err: err}
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<24))
-	if err != nil {
-		return &transportError{addr: server, err: err}
-	}
-	if resp.StatusCode != http.StatusOK {
-		var ep serve.ErrorPayload
-		if err := json.Unmarshal(data, &ep); err != nil || ep.Kind == "" {
-			return fmt.Errorf("server: http %d: %s", resp.StatusCode, bytes.TrimSpace(data))
-		}
-		return &remoteError{status: resp.StatusCode, kind: ep.Kind, msg: ep.Error}
-	}
 	var res serve.SADFResultPayload
-	if err := json.Unmarshal(data, &res); err != nil {
-		return fmt.Errorf("server: malformed result: %w", err)
+	if _, err := post(server, "/v1/sadf", body, timeout, &res); err != nil {
+		return err
 	}
 
 	// The client-side certificate check: rebuild the server's witness

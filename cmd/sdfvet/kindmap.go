@@ -10,7 +10,8 @@ import (
 
 // kindMap is the cross-package wire-contract check: every error kind the
 // serving layer can put on the wire (a string literal returned by
-// serve.KindOf) must have an explicit case in sdftool's exit-code table
+// serve.KindOf, the one classification of every endpoint, sadf kinds
+// included) must have an explicit case in sdftool's exit-code table
 // (a case literal in an exitCode function under cmd/sdftool). The
 // default-to-1 fallback in that table exists for kinds from *future*
 // servers, not as a dumping ground for kinds the repository already
@@ -22,11 +23,6 @@ import (
 // (serve.BatchKindOf) must have an explicit case in sdftool's
 // batchExitCode table, so a new item outcome cannot ship without a
 // documented worst-item exit code.
-//
-// The sadf wire contract is the third mapping: every sadf-specific kind
-// (a literal returned by serve.SADFKindOf; the kinds it defers to
-// KindOf are covered by the first mapping) must have an explicit case
-// in sdftool's sadfExitCode table.
 //
 // The check is cross-directory, so it accumulates over the whole run and
 // only fires when both sides were actually seen: analysing a single
@@ -41,17 +37,12 @@ type kindMap struct {
 	batchKinds map[string]token.Position // batch status/kind -> its return
 	batchCases map[string]bool           // statuses with an explicit batchExitCode case
 	sawBatchFn bool                      // a batchExitCode function was harvested
-
-	sadfKinds map[string]token.Position // sadf kind -> its return in SADFKindOf
-	sadfCases map[string]bool           // kinds with an explicit sadfExitCode case
-	sawSadfFn bool                      // a sadfExitCode function was harvested
 }
 
 func newKindMap() *kindMap {
 	return &kindMap{
 		kinds: make(map[string]token.Position), cases: make(map[string]bool),
 		batchKinds: make(map[string]token.Position), batchCases: make(map[string]bool),
-		sadfKinds: make(map[string]token.Position), sadfCases: make(map[string]bool),
 	}
 }
 
@@ -82,8 +73,6 @@ func (km *kindMap) collectKinds(fset *token.FileSet, file *ast.File) {
 			harvestReturns(fset, fn, km.kinds)
 		case "ItemStatusOf", "BatchKindOf":
 			harvestReturns(fset, fn, km.batchKinds)
-		case "SADFKindOf":
-			harvestReturns(fset, fn, km.sadfKinds)
 		}
 	}
 }
@@ -122,9 +111,6 @@ func (km *kindMap) collectCases(file *ast.File) {
 		case "batchExitCode":
 			km.sawBatchFn = true
 			harvestCases(fn, km.batchCases)
-		case "sadfExitCode":
-			km.sawSadfFn = true
-			harvestCases(fn, km.sadfCases)
 		}
 	}
 }
@@ -157,10 +143,6 @@ func (km *kindMap) findings() []finding {
 	if len(km.batchKinds) > 0 && km.sawBatchFn {
 		out = append(out, unmapped(km.batchKinds, km.batchCases,
 			"batch wire status %s returned by serve.ItemStatusOf/BatchKindOf has no case in sdftool's batchExitCode table; map it to a documented exit code")...)
-	}
-	if len(km.sadfKinds) > 0 && km.sawSadfFn {
-		out = append(out, unmapped(km.sadfKinds, km.sadfCases,
-			"sadf wire kind %s returned by serve.SADFKindOf has no case in sdftool's sadfExitCode table; map it to a documented exit code")...)
 	}
 	return out
 }

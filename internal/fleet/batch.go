@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -24,10 +23,6 @@ import (
 // latency), and items no replica could answer come back as synthesized
 // item-error entries — the merged array always has exactly one entry
 // per requested item.
-
-// maxBatchBytes mirrors the replicas' own batch wire cap: the router
-// never accepts a batch it could not forward.
-const maxBatchBytes = 8 << 20
 
 // minStragglerDelay floors the p99-derived straggler hedge so a burst
 // of microsecond sub-batches cannot talk the router into hedging
@@ -123,18 +118,18 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	}
 	defer r.finish()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxBatchBytes))
-	if err != nil {
-		outcome = "failed"
-		writeError(w, http.StatusBadRequest, "bad-request", "fleet: "+err.Error())
-		return
+	body, err := serve.ReadBody(w, req, serve.MaxBatchRequestBytes)
+	var breq *serve.BatchRequest
+	if err == nil {
+		breq, err = serve.DecodeBatchRequest(body)
 	}
-	breq, err := serve.DecodeBatchRequest(body)
 	if err != nil {
-		// Batch-level refusal: malformed JSON, empty or oversized batch.
-		// Per-item decode failures are inside breq and stay per-item.
+		// Batch-level refusal, classified as a replica would: oversized
+		// body, malformed JSON, empty batch. Per-item decode failures are
+		// inside breq and stay per-item.
 		outcome = "failed"
-		writeError(w, http.StatusBadRequest, serve.KindOf(err), err.Error())
+		kind := serve.KindOf(err)
+		writeError(w, serve.StatusOf(kind), kind, err.Error())
 		return
 	}
 

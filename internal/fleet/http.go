@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -12,14 +11,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
-
-// maxRequestBytes mirrors the replicas' own wire cap: the router never
-// accepts a request it could not forward.
-const maxRequestBytes = 1 << 20
-
-// maxSADFRequestBytes mirrors the replicas' sadf wire cap (a model
-// carries several scenario graphs).
-const maxSADFRequestBytes = 4 << 20
 
 // Health is the router's self-report, served by /healthz.
 type Health struct {
@@ -30,9 +21,10 @@ type Health struct {
 
 // NewHandler wraps a Router in its HTTP surface:
 //
-//	POST /v1/throughput — decode + validate the request, route it by
-//	     its canonical hash, relay the winning replica's answer
-//	     verbatim (plus an X-SDF-Replica header naming it).
+//	POST /v1/throughput, POST /v1/sadf — decode + validate the
+//	     request, route it by its canonical hash, relay the winning
+//	     replica's answer verbatim (plus an X-SDF-Replica header naming
+//	     it).
 //	POST /v1/batch — decode the batch, split it by ring ownership so
 //	     each item lands on its cache-warm replica, fan the sub-batches
 //	     out, re-dispatch the items of failed or straggling replicas to
@@ -47,8 +39,22 @@ type Health struct {
 //	     404 when the router was built without one.
 func NewHandler(r *Router) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/throughput", r.handleThroughput)
-	mux.HandleFunc("POST /v1/sadf", r.handleSADF)
+	mux.HandleFunc("POST /v1/throughput", r.relay("/v1/throughput", serve.MaxRequestBytes,
+		func(body []byte) (string, time.Duration, error) {
+			req, err := serve.DecodeRequest(body)
+			if err != nil {
+				return "", 0, err
+			}
+			return req.Key(), req.Timeout, nil
+		}))
+	mux.HandleFunc("POST /v1/sadf", r.relay("/v1/sadf", serve.MaxSADFRequestBytes,
+		func(body []byte) (string, time.Duration, error) {
+			req, err := serve.DecodeSADFRequest(body)
+			if err != nil {
+				return "", 0, err
+			}
+			return req.Key(), req.Timeout, nil
+		}))
 	mux.HandleFunc("POST /v1/batch", r.handleBatch)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, req *http.Request) {
 		writeJSON(w, http.StatusOK, Health{
@@ -89,167 +95,87 @@ func NewHandler(r *Router) http.Handler {
 	return mux
 }
 
-// handleThroughput is the proxy path: validate, hash, route, relay.
-func (r *Router) handleThroughput(w http.ResponseWriter, req *http.Request) {
-	start := r.reg.Now()
-	outcome := "ok"
-	defer func() {
-		r.reg.Histogram(obs.MetricFleetRequestSeconds, "outcome", outcome).
-			Observe(r.reg.Now().Sub(start))
-	}()
+// relay is the proxy path of the single-answer endpoints: read the
+// body under the endpoint's cap and decode it exactly as the replicas
+// do — a malformed request bounces here with the replicas' own kind and
+// status instead of consuming fleet attempts — then route by the
+// decoded request's canonical key and relay the winning answer.
+func (r *Router) relay(path string, limit int64, decode func([]byte) (key string, timeout time.Duration, err error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, req *http.Request) {
+		start := r.reg.Now()
+		outcome := "ok"
+		defer func() {
+			r.reg.Histogram(obs.MetricFleetRequestSeconds, "outcome", outcome).
+				Observe(r.reg.Now().Sub(start))
+		}()
 
-	if !r.admit() {
-		outcome = "unavailable"
-		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, "draining", "fleet: router draining")
-		return
-	}
-	defer r.finish()
+		if !r.admit() {
+			outcome = "unavailable"
+			w.Header().Set("Retry-After", "5")
+			writeError(w, http.StatusServiceUnavailable, "draining", "fleet: router draining")
+			return
+		}
+		defer r.finish()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxRequestBytes))
-	if err != nil {
-		outcome = "error"
-		writeError(w, http.StatusBadRequest, "bad-request", "fleet: "+err.Error())
-		return
-	}
-	// Decode with the replicas' own decoder: malformed requests bounce
-	// here instead of consuming fleet attempts, and the decoded request
-	// yields the canonical cache key the ring routes on.
-	decoded, err := serve.DecodeRequest(body)
-	if err != nil {
-		outcome = "error"
-		writeError(w, http.StatusBadRequest, "bad-request", err.Error())
-		return
-	}
+		body, err := serve.ReadBody(w, req, limit)
+		var key string
+		var budget time.Duration
+		if err == nil {
+			key, budget, err = decode(body)
+		}
+		if err != nil {
+			outcome = "error"
+			kind := serve.KindOf(err)
+			writeError(w, serve.StatusOf(kind), kind, err.Error())
+			return
+		}
 
-	// The end-to-end budget: the request's own analysis deadline (or
-	// the router default) plus transport slack, carved per attempt
-	// inside route.
-	budget := decoded.Timeout
-	if budget <= 0 {
-		budget = r.opts.DefaultTimeout
-	}
-	ctx, cancel := context.WithTimeout(req.Context(), budget+2*time.Second)
-	defer cancel()
+		// The end-to-end budget: the request's own analysis deadline (or
+		// the router default) plus transport slack, carved per attempt
+		// inside routeOn.
+		if budget <= 0 {
+			budget = r.opts.DefaultTimeout
+		}
+		ctx, cancel := context.WithTimeout(req.Context(), budget+2*time.Second)
+		defer cancel()
 
-	out, err := r.route(ctx, decoded.Key(), body)
-	switch {
-	case errors.Is(err, errNoReplicas):
-		outcome = "unavailable"
-		w.Header().Set("Retry-After", strconv.Itoa(r.unavailableRetryAfter()))
-		writeError(w, http.StatusServiceUnavailable, "unavailable",
-			"fleet: no alive replicas (all ejected; probes will re-admit recovering ones)")
-		return
-	case err != nil:
-		outcome = "error"
-		writeError(w, http.StatusBadGateway, "unavailable", "fleet: "+err.Error())
-		return
-	case out.err != nil:
-		// Exhausted failover, last failure was transport-level: the
-		// fleet as a whole could not be reached.
-		outcome = "unavailable"
-		w.Header().Set("Retry-After", strconv.Itoa(r.unavailableRetryAfter()))
-		writeError(w, http.StatusBadGateway, "unavailable", "fleet: "+out.err.Error())
-		return
+		out, _, err := r.routeOn(ctx, path, key, r.opts.HedgeDelay, body)
+		switch {
+		case errors.Is(err, errNoReplicas):
+			outcome = "unavailable"
+			w.Header().Set("Retry-After", strconv.Itoa(r.unavailableRetryAfter()))
+			writeError(w, http.StatusServiceUnavailable, "unavailable",
+				"fleet: no alive replicas (all ejected; probes will re-admit recovering ones)")
+			return
+		case err != nil:
+			outcome = "error"
+			writeError(w, http.StatusBadGateway, "unavailable", "fleet: "+err.Error())
+			return
+		case out.err != nil:
+			// Exhausted failover, last failure was transport-level: the
+			// fleet as a whole could not be reached.
+			outcome = "unavailable"
+			w.Header().Set("Retry-After", strconv.Itoa(r.unavailableRetryAfter()))
+			writeError(w, http.StatusBadGateway, "unavailable", "fleet: "+out.err.Error())
+			return
+		}
+		// A completed exchange — success or a replica's own error payload
+		// — is relayed verbatim: the replica's status, kind and
+		// Retry-After survive the hop so clients see one consistent wire
+		// contract, and the brownout marker tells the client its answer
+		// was degraded even through the fleet.
+		if !out.ok() {
+			outcome = "error"
+		}
+		for _, h := range []string{"Retry-After", "Content-Type", "X-SDF-Degradation"} {
+			if v := out.header.Get(h); v != "" {
+				w.Header().Set(h, v)
+			}
+		}
+		w.Header().Set("X-SDF-Replica", out.m.addr)
+		w.WriteHeader(out.status)
+		_, _ = w.Write(out.body)
 	}
-	// A completed exchange — success or a replica's own error payload —
-	// is relayed verbatim: the replica's status, kind and Retry-After
-	// survive the hop so clients see one consistent wire contract.
-	if !out.ok() {
-		outcome = "error"
-	}
-	if ra := out.header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	if ct := out.header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	if dg := out.header.Get("X-SDF-Degradation"); dg != "" {
-		// The brownout marker survives the hop: the client learns its
-		// answer was degraded even through the fleet.
-		w.Header().Set("X-SDF-Degradation", dg)
-	}
-	w.Header().Set("X-SDF-Replica", out.m.addr)
-	w.WriteHeader(out.status)
-	_, _ = w.Write(out.body)
-}
-
-// handleSADF proxies the scenario-aware analysis path with the same
-// discipline as handleThroughput: decode with the replicas' own decoder
-// (malformed models bounce at the router), route by the model's
-// canonical key so identical models land on their cache-warm replica,
-// and relay the winning answer — certificate, degradation marker and
-// all — verbatim.
-func (r *Router) handleSADF(w http.ResponseWriter, req *http.Request) {
-	start := r.reg.Now()
-	outcome := "ok"
-	defer func() {
-		r.reg.Histogram(obs.MetricFleetRequestSeconds, "outcome", outcome).
-			Observe(r.reg.Now().Sub(start))
-	}()
-
-	if !r.admit() {
-		outcome = "unavailable"
-		w.Header().Set("Retry-After", "5")
-		writeError(w, http.StatusServiceUnavailable, "draining", "fleet: router draining")
-		return
-	}
-	defer r.finish()
-
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxSADFRequestBytes))
-	if err != nil {
-		outcome = "error"
-		writeError(w, http.StatusBadRequest, "bad-request", "fleet: "+err.Error())
-		return
-	}
-	decoded, err := serve.DecodeSADFRequest(body)
-	if err != nil {
-		outcome = "error"
-		kind := serve.SADFKindOf(err)
-		writeError(w, http.StatusBadRequest, kind, err.Error())
-		return
-	}
-
-	budget := decoded.Timeout
-	if budget <= 0 {
-		budget = r.opts.DefaultTimeout
-	}
-	ctx, cancel := context.WithTimeout(req.Context(), budget+2*time.Second)
-	defer cancel()
-
-	out, _, err := r.routeOn(ctx, "/v1/sadf", decoded.Key(), r.opts.HedgeDelay, body)
-	switch {
-	case errors.Is(err, errNoReplicas):
-		outcome = "unavailable"
-		w.Header().Set("Retry-After", strconv.Itoa(r.unavailableRetryAfter()))
-		writeError(w, http.StatusServiceUnavailable, "unavailable",
-			"fleet: no alive replicas (all ejected; probes will re-admit recovering ones)")
-		return
-	case err != nil:
-		outcome = "error"
-		writeError(w, http.StatusBadGateway, "unavailable", "fleet: "+err.Error())
-		return
-	case out.err != nil:
-		outcome = "unavailable"
-		w.Header().Set("Retry-After", strconv.Itoa(r.unavailableRetryAfter()))
-		writeError(w, http.StatusBadGateway, "unavailable", "fleet: "+out.err.Error())
-		return
-	}
-	if !out.ok() {
-		outcome = "error"
-	}
-	if ra := out.header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
-	if ct := out.header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	if dg := out.header.Get("X-SDF-Degradation"); dg != "" {
-		w.Header().Set("X-SDF-Degradation", dg)
-	}
-	w.Header().Set("X-SDF-Replica", out.m.addr)
-	w.WriteHeader(out.status)
-	_, _ = w.Write(out.body)
 }
 
 // unavailableRetryAfter sizes the Retry-After hint for a fleet with no

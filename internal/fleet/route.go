@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // errNoReplicas marks a request that found no alive replica to try.
@@ -94,22 +96,16 @@ func outcomeLabel(o attemptOutcome) string {
 	}
 }
 
-// route drives one request across the fleet: primary attempt on the
-// key's ring owner, a hedged attempt after HedgeDelay, and
+// routeOn drives one request across the fleet: primary attempt on the
+// key's ring owner at path, a hedged attempt after hedgeDelay, and
 // backoff-paced failover through the remaining alive replicas. The
 // first good answer wins and every other in-flight attempt is cancelled
 // through its context. The returned outcome is the winner's — or, after
-// exhaustion, the most recent failure's.
-func (r *Router) route(ctx context.Context, key string, body []byte) (attemptOutcome, error) {
-	out, _, err := r.routeOn(ctx, "/v1/throughput", key, r.opts.HedgeDelay, body)
-	return out, err
-}
-
-// routeOn is route generalized over the replica path and the hedge
-// delay; batch sub-dispatch reuses the whole failover machine with its
-// own straggler-hedge pacing. The extra return value counts attempts
-// launched beyond the primary (hedges plus failover retries) — the
-// batch layer turns it into its re-dispatched-items counter.
+// exhaustion, the most recent failure's. Batch sub-dispatch reuses the
+// whole failover machine with its own straggler-hedge pacing. The extra
+// return value counts attempts launched beyond the primary (hedges plus
+// failover retries) — the batch layer turns it into its
+// re-dispatched-items counter.
 func (r *Router) routeOn(ctx context.Context, path, key string, hedgeDelay time.Duration, body []byte) (attemptOutcome, int, error) {
 	order := r.aliveOrder(key)
 	if len(order) == 0 {
@@ -263,7 +259,7 @@ func (r *Router) settleHedge(winner attemptOutcome, hedgeLaunched bool) {
 }
 
 // attempt performs one proxied POST exchange against the given replica
-// path (/v1/throughput or /v1/batch).
+// path.
 func (r *Router) attempt(ctx context.Context, path string, m *member, hedged bool, body []byte) attemptOutcome {
 	out := attemptOutcome{m: m, hedged: hedged}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
@@ -284,7 +280,7 @@ func (r *Router) attempt(ctx context.Context, path string, m *member, hedged boo
 		return out
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<22))
+	data, err := io.ReadAll(io.LimitReader(resp.Body, serve.MaxResponseBytes+1))
 	if err != nil {
 		out.err = fmt.Errorf("fleet: reading %s response: %w", m.addr, err)
 		return out
@@ -295,5 +291,16 @@ func (r *Router) attempt(ctx context.Context, path string, m *member, hedged boo
 	out.status = resp.StatusCode
 	out.header = resp.Header
 	out.body = data
+	if len(data) > serve.MaxResponseBytes {
+		// Relaying a prefix would hand the client a 200 that does not
+		// parse. The size is a verdict on the request — every replica
+		// answers the same — so it is relayed as a deterministic error.
+		const kind = "too-large"
+		out.status = serve.StatusOf(kind)
+		out.header = http.Header{"Content-Type": {"application/json"}}
+		// Two strings always marshal.
+		out.body, _ = json.Marshal(serve.ErrorPayload{Kind: kind, Error: fmt.Sprintf(
+			"fleet: the answer of %s exceeds the %d-byte response cap", m.addr, serve.MaxResponseBytes)})
+	}
 	return out
 }

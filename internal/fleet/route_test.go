@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -306,5 +307,28 @@ func TestRouteExhaustionRelaysLastFailure(t *testing.T) {
 	}
 	if rec.Header().Get("Retry-After") != "1" {
 		t.Errorf("Retry-After = %q, want the replica's own 1 relayed", rec.Header().Get("Retry-After"))
+	}
+}
+
+// TestOversizedAnswerIsStructuredError: an answer past the response cap
+// is never relayed as a truncated 200; the client gets a too-large error
+// payload, and the replica, which answered, is not held for dead.
+func TestOversizedAnswerIsStructuredError(t *testing.T) {
+	defer noLeaks(t)
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write(bytes.Repeat([]byte(" "), serve.MaxResponseBytes+1))
+	}))
+	defer backend.Close()
+	r := New(Options{Replicas: []string{backend.URL}})
+	defer r.Close()
+
+	rec := post(t, NewHandler(r), requestBody(t, 1))
+	var ep serve.ErrorPayload
+	if err := json.Unmarshal(rec.Body.Bytes(), &ep); err != nil || ep.Kind != "too-large" ||
+		rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized answer relayed as %d %.200s (err %v), want 413 too-large", rec.Code, rec.Body, err)
+	}
+	if h := r.MembersHealth()[0]; h.State != "alive" || h.FailStreak != 0 {
+		t.Errorf("an oversized answer counted against the replica: %+v", h)
 	}
 }

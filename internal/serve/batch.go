@@ -4,16 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/guard"
-	"repro/internal/lint"
 	"repro/internal/obs"
-	"repro/internal/passes"
 )
 
 // Batch serving: POST /v1/batch analyses many graphs under one shared
@@ -25,11 +22,6 @@ import (
 // same passes-reduced EstimateCost admission uses, runs cheap items
 // first, and carves the shared deadline into per-item budgets so a blown
 // deadline strands the fewest answers.
-
-// maxBatchRequestBytes caps the wire size of one batch; roomier than the
-// single-request cap because a batch legitimately carries many graphs,
-// but still bounded before the decoder allocates anything.
-const maxBatchRequestBytes = 8 << 20
 
 // maxBatchItems bounds the item count of one batch: admission control
 // prices work, not list lengths, so the count needs its own cap.
@@ -106,9 +98,9 @@ func DecodeBatchRequest(data []byte) (*BatchRequest, error) {
 	bad := func(format string, args ...any) (*BatchRequest, error) {
 		return nil, fmt.Errorf("%w: %s", ErrBadRequest, fmt.Sprintf(format, args...))
 	}
-	if len(data) > maxBatchRequestBytes {
+	if len(data) > MaxBatchRequestBytes {
 		return nil, fmt.Errorf("%w: batch of %d bytes exceeds the %d-byte limit",
-			ErrTooLarge, len(data), maxBatchRequestBytes)
+			ErrTooLarge, len(data), MaxBatchRequestBytes)
 	}
 	var p BatchRequestPayload
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -167,15 +159,13 @@ func BatchKindOf(items []BatchItemResult) string {
 	return "complete"
 }
 
-// plannedItem is one batch item after the planning pass: prechecked,
-// reduced and priced — or already failed with a terminal error that
-// skips execution entirely.
+// plannedItem is one batch item after the planning pass: a prepared
+// graphJob — or an item already failed with a terminal error that skips
+// execution entirely.
 type plannedItem struct {
 	index int
-	req   *Request
 	err   error
-	red   *passes.Reduction
-	cost  int64
+	graphJob
 }
 
 // AnalyzeBatch admits, plans and executes one batch. The returned error
@@ -203,14 +193,7 @@ func (s *Server) analyzeBatch(ctx context.Context, breq *BatchRequest) (*BatchRe
 	}
 	defer s.finish()
 
-	deadline := breq.Deadline
-	if deadline <= 0 {
-		deadline = s.opts.DefaultTimeout
-	}
-	if deadline > s.opts.MaxTimeout {
-		deadline = s.opts.MaxTimeout
-	}
-	expiry := time.Now().Add(deadline)
+	expiry := time.Now().Add(s.clampTimeout(breq.Deadline))
 	bctx, cancel := context.WithDeadline(ctx, expiry)
 	defer cancel()
 
@@ -303,38 +286,20 @@ func (s *Server) analyzeBatch(ctx context.Context, breq *BatchRequest) (*BatchRe
 	return out, nil
 }
 
-// planBatch prices and orders the batch: per item it runs the injection
-// gate, the structural prechecks and the reduction fixpoint (all under
-// panic isolation — a hostile graph fails its own entry, nothing else),
-// then sorts by the reduced admission cost so the cheap items run first
-// and a blown deadline strands the fewest answers.
+// planBatch prices and orders the batch: per item it runs the single
+// request's prepare — injection gate, structural prechecks, reduction
+// fixpoint, pricing — under panic isolation (a hostile graph fails its
+// own entry, nothing else), then sorts by the reduced admission cost so
+// the cheap items run first and a blown deadline strands the fewest
+// answers.
 func (s *Server) planBatch(breq *BatchRequest) []*plannedItem {
 	plan := make([]*plannedItem, len(breq.Items))
 	for i, it := range breq.Items {
-		pi := &plannedItem{index: i, req: it.Req, err: it.Err}
+		pi := &plannedItem{index: i, err: it.Err, graphJob: graphJob{req: it.Req}}
 		plan[i] = pi
-		if pi.err != nil {
-			continue
+		if pi.err == nil {
+			pi.err = guard.Protect("batch", "plan", func() error { return pi.prepare(s) })
 		}
-		if len(pi.req.Faults) > 0 && !s.opts.AllowInjection {
-			pi.err = ErrInjectionDisabled
-			continue
-		}
-		pi.err = guard.Protect("batch", "plan", func() error {
-			facts := passes.NewFacts(pi.req.Graph)
-			sp := s.reg.StartSpan("analysis.precheck")
-			err := lint.PrecheckWith(facts)
-			sp.Finish()
-			if err != nil {
-				return err
-			}
-			pi.cost = facts.Cost()
-			if red := s.reduceFor(pi.req); red != nil {
-				pi.red = red
-				pi.cost = EstimateCost(red.Final)
-			}
-			return nil
-		})
 	}
 	ordered := make([]*plannedItem, len(plan))
 	copy(ordered, plan)
@@ -377,33 +342,27 @@ func carveBudget(remaining time.Duration, left, workers int) time.Duration {
 }
 
 // runBatchItem executes one planned item under its carved budget via
-// the same admitted path single requests take, with one extra layer of
+// the same admitted step single requests take, with one extra layer of
 // panic isolation so a bug anywhere in the item's pipeline becomes that
 // item's error entry.
 func (s *Server) runBatchItem(ctx context.Context, pi *plannedItem, budget time.Duration) BatchItemResult {
-	req := *pi.req
+	job, req := pi.graphJob, *pi.req
 	if req.Timeout <= 0 || req.Timeout > budget {
 		req.Timeout = budget
 	}
+	job.req = &req
 	level := s.ctrl.current()
 	start := s.reg.Now()
 	var res *ResultPayload
 	err := guard.Protect("batch", "item", func() error {
 		var ierr error
-		res, ierr = s.analyzeAdmitted(ctx, &req, pi.red, level)
+		res, ierr = serveAdmitted[*ResultPayload](ctx, s, &job, req.ExactOnly, level)
 		return ierr
 	})
-	elapsed := s.reg.Now().Sub(start)
 	// Batch items feed the same pressure signal as single requests:
 	// they hold the same worker slots.
-	s.ctrl.observe(elapsed)
-	if err != nil {
-		if !errors.Is(err, ErrDegraded) {
-			s.failed.Add(1)
-		}
-	} else {
-		s.served.Add(1)
-	}
+	s.ctrl.observe(s.reg.Now().Sub(start))
+	s.settle(err)
 	return s.batchItemResult(pi, res, err)
 }
 

@@ -161,7 +161,7 @@ func TestDecodeBatchRequest(t *testing.T) {
 				t.Errorf("%s: err = %v, want a bad-request batch refusal", name, err)
 			}
 		}
-		big := make([]byte, maxBatchRequestBytes+1)
+		big := make([]byte, MaxBatchRequestBytes+1)
 		if _, err := DecodeBatchRequest(big); err == nil || KindOf(err) != "too-large" {
 			t.Errorf("oversized batch: KindOf = %q, want too-large", KindOf(err))
 		}

@@ -109,7 +109,7 @@ func (c *resultCache) getStale(key string) (res *answer, stale, ok bool) {
 	}
 	c.order.MoveToFront(el)
 	out := *e.res
-	out.cached = true
+	out.cached, out.stale = true, stale
 	return &out, stale, true
 }
 

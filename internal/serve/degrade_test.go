@@ -269,7 +269,7 @@ func TestExactOnlyRefusal(t *testing.T) {
 	if kind := KindOf(err); kind != "degraded" {
 		t.Fatalf("kind = %q, want degraded", kind)
 	}
-	if status := statusOf("degraded"); status != http.StatusTooManyRequests {
+	if status := StatusOf("degraded"); status != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", status)
 	}
 	if !retryable("degraded") {
@@ -485,14 +485,14 @@ func TestHTTPDegradation(t *testing.T) {
 	}
 }
 
-// TestHTTPTooLarge: a body past maxRequestBytes answers 413 with the
+// TestHTTPTooLarge: a body past MaxRequestBytes answers 413 with the
 // stable too-large kind, not a generic 400.
 func TestHTTPTooLarge(t *testing.T) {
 	defer noLeaks(t)
 	s := New(Options{})
 	defer s.Close()
 	h := NewHandler(s)
-	rec := postJSON(t, h, "/v1/throughput", strings.Repeat(" ", maxRequestBytes+1))
+	rec := postJSON(t, h, "/v1/throughput", strings.Repeat(" ", MaxRequestBytes+1))
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status = %d, want 413", rec.Code)
 	}

@@ -18,10 +18,45 @@ import (
 	"repro/internal/verify"
 )
 
-// KindOf classifies an Analyze error into the stable wire string of
-// ErrorPayload.Kind. The order matters: the most specific, most
-// actionable classification wins (a budget-caused engine error reports
-// the budget, matching the sdftool exit-code policy).
+// Wire caps of the analysis endpoints. Replicas and the fleet router
+// read request bodies through ReadBody under the same cap, so both
+// refuse an oversized body alike; clients and the router read answers
+// under MaxResponseBytes.
+const (
+	// MaxRequestBytes caps a POST /v1/throughput body.
+	MaxRequestBytes = 1 << 20
+	// MaxSADFRequestBytes caps a POST /v1/sadf body: a model carries
+	// several scenario graphs, so the cap is a few of the single-graph
+	// cap.
+	MaxSADFRequestBytes = 4 << 20
+	// MaxBatchRequestBytes caps a POST /v1/batch body; roomier because a
+	// batch legitimately carries many graphs, but still bounded before
+	// the decoder allocates anything.
+	MaxBatchRequestBytes = 8 << 20
+	// MaxResponseBytes caps an analysis answer read off the wire. A
+	// certified sadf answer ships its matrices (16 scenarios over a
+	// 128-token ring answer about 4 MiB), a batch up to 1024 answers.
+	MaxResponseBytes = 16 << 20
+)
+
+// ReadBody reads a request body under the endpoint's byte cap. A body
+// past the cap is ErrTooLarge; any other read failure ErrBadRequest.
+func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
+	var mbe *http.MaxBytesError
+	switch {
+	case errors.As(err, &mbe):
+		return nil, fmt.Errorf("%w: body exceeds the %d-byte limit", ErrTooLarge, mbe.Limit)
+	case err != nil:
+		return nil, errors.Join(ErrBadRequest, err)
+	}
+	return body, nil
+}
+
+// KindOf classifies an analysis error — of any endpoint — into the
+// stable wire string of ErrorPayload.Kind. The order matters: the most
+// specific, most actionable classification wins (a budget-caused engine
+// error reports the budget, matching the sdftool exit-code policy).
 func KindOf(err error) string {
 	var pre *lint.PrecheckError
 	switch {
@@ -31,6 +66,10 @@ func KindOf(err error) string {
 		return "too-large"
 	case errors.Is(err, ErrBadRequest):
 		return "bad-request"
+	case errors.Is(err, ErrBadModel):
+		return "sadf-model"
+	case errors.Is(err, ErrBadScenario):
+		return "sadf-scenario"
 	case errors.Is(err, ErrInjectionDisabled):
 		return "injection-disabled"
 	case errors.Is(err, ErrDegraded):
@@ -68,10 +107,10 @@ func KindOf(err error) string {
 	}
 }
 
-// statusOf maps an error kind to its HTTP status code.
-func statusOf(kind string) int {
+// StatusOf maps an error kind to its HTTP status code.
+func StatusOf(kind string) int {
 	switch kind {
-	case "bad-request":
+	case "bad-request", "sadf-model":
 		return http.StatusBadRequest
 	case "too-large":
 		return http.StatusRequestEntityTooLarge
@@ -81,7 +120,7 @@ func statusOf(kind string) int {
 		return http.StatusTooManyRequests
 	case "draining", "breaker-open":
 		return http.StatusServiceUnavailable
-	case "precondition", "budget":
+	case "precondition", "sadf-scenario", "budget":
 		return http.StatusUnprocessableEntity
 	case "deadline", "canceled":
 		return http.StatusGatewayTimeout
@@ -146,8 +185,9 @@ func (s *Server) retryAfter(kind string) int {
 
 // NewHandler wraps a Server in its HTTP surface:
 //
-//	POST /v1/throughput — analyse the request body (RequestPayload),
-//	     answering ResultPayload or ErrorPayload.
+//	POST /v1/throughput, /v1/sadf, /v1/batch — analyse the request
+//	     body (RequestPayload, SADFRequestPayload, BatchRequestPayload),
+//	     answering its result payload or ErrorPayload.
 //	GET  /healthz — full Health report, always 200 while the process
 //	     lives.
 //	GET  /readyz — 200 while admitting, 503 once draining, so load
@@ -162,87 +202,15 @@ func (s *Server) retryAfter(kind string) int {
 //	     unless the event ring was enabled.
 func NewHandler(s *Server) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/throughput", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
-		if err != nil {
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				s.writeError(w, fmt.Errorf("%w: body exceeds the %d-byte limit", ErrTooLarge, mbe.Limit))
-				return
-			}
-			s.writeError(w, errors.Join(ErrBadRequest, err))
-			return
-		}
-		req, err := DecodeRequest(body)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		res, err := s.Analyze(r.Context(), req)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		if res.Degradation != "" {
-			// The marker rides a header too, so the fleet router can
-			// relay it without parsing the body.
-			w.Header().Set("X-SDF-Degradation", res.Degradation)
-		}
-		writeJSON(w, http.StatusOK, res)
-	})
-	mux.HandleFunc("POST /v1/sadf", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxSADFRequestBytes))
-		if err != nil {
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				s.writeSADFError(w, fmt.Errorf("%w: sadf body exceeds the %d-byte limit", ErrTooLarge, mbe.Limit))
-				return
-			}
-			s.writeSADFError(w, errors.Join(ErrBadRequest, err))
-			return
-		}
-		req, err := DecodeSADFRequest(body)
-		if err != nil {
-			s.writeSADFError(w, err)
-			return
-		}
-		res, err := s.AnalyzeSADF(r.Context(), req)
-		if err != nil {
-			s.writeSADFError(w, err)
-			return
-		}
-		if res.Degradation != "" {
-			w.Header().Set("X-SDF-Degradation", res.Degradation)
-		}
-		writeJSON(w, http.StatusOK, res)
-	})
-	mux.HandleFunc("POST /v1/batch", func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBatchRequestBytes))
-		if err != nil {
-			var mbe *http.MaxBytesError
-			if errors.As(err, &mbe) {
-				s.writeError(w, fmt.Errorf("%w: batch body exceeds the %d-byte limit", ErrTooLarge, mbe.Limit))
-				return
-			}
-			s.writeError(w, errors.Join(ErrBadRequest, err))
-			return
-		}
-		breq, err := DecodeBatchRequest(body)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		res, err := s.AnalyzeBatch(r.Context(), breq)
-		if err != nil {
-			// Batch-level refusal (draining): item failures never land
-			// here — a processed batch is always 200 with per-item
-			// entries.
-			s.writeError(w, err)
-			return
-		}
-		w.Header().Set("X-SDF-Batch", res.Kind)
-		writeJSON(w, http.StatusOK, res)
-	})
+	mux.HandleFunc("POST /v1/throughput", post(s, MaxRequestBytes, DecodeRequest, s.Analyze,
+		func(res *ResultPayload) (string, string) { return "X-SDF-Degradation", res.Degradation }))
+	mux.HandleFunc("POST /v1/sadf", post(s, MaxSADFRequestBytes, DecodeSADFRequest, s.AnalyzeSADF,
+		func(res *SADFResultPayload) (string, string) { return "X-SDF-Degradation", res.Degradation }))
+	// A batch-level refusal (draining) is the only error AnalyzeBatch
+	// returns: item failures never land there — a processed batch is
+	// always 200 with per-item entries.
+	mux.HandleFunc("POST /v1/batch", post(s, MaxBatchRequestBytes, DecodeBatchRequest, s.AnalyzeBatch,
+		func(res *BatchResultPayload) (string, string) { return "X-SDF-Batch", res.Kind }))
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Health())
 	})
@@ -325,23 +293,43 @@ func NewHandler(s *Server) http.Handler {
 	return mux
 }
 
+// post is the handler of one POST analysis endpoint: read the body
+// under the endpoint's cap, decode, analyse, and answer the payload —
+// with the header marker names when its value is set — or the error
+// payload of the failure's kind.
+func post[Q, R any](s *Server, limit int64, decode func([]byte) (Q, error),
+	analyze func(context.Context, Q) (R, error), marker func(R) (string, string)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, err := ReadBody(w, r, limit)
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
+		req, err := decode(body)
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
+		res, err := analyze(r.Context(), req)
+		if err != nil {
+			s.writeError(w, err)
+			return
+		}
+		// The marker rides a header too, so the fleet router can relay
+		// it without parsing the body.
+		if name, v := marker(res); v != "" {
+			w.Header().Set(name, v)
+		}
+		writeJSON(w, http.StatusOK, res)
+	}
+}
+
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	kind := KindOf(err)
 	if retryable(kind) {
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter(kind)))
 	}
-	writeJSON(w, statusOf(kind), ErrorPayload{Error: err.Error(), Kind: kind})
-}
-
-// writeSADFError is writeError under the sadf error taxonomy: the two
-// sadf-specific kinds map through sadfStatusOf, everything else is the
-// shared classification.
-func (s *Server) writeSADFError(w http.ResponseWriter, err error) {
-	kind := SADFKindOf(err)
-	if retryable(kind) {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter(kind)))
-	}
-	writeJSON(w, sadfStatusOf(kind), ErrorPayload{Error: err.Error(), Kind: kind})
+	writeJSON(w, StatusOf(kind), ErrorPayload{Error: err.Error(), Kind: kind})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

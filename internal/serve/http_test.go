@@ -272,8 +272,8 @@ func TestStatusOfRetryable(t *testing.T) {
 		"internal":           500,
 	}
 	for kind, want := range cases {
-		if got := statusOf(kind); got != want {
-			t.Errorf("statusOf(%s) = %d, want %d", kind, got, want)
+		if got := StatusOf(kind); got != want {
+			t.Errorf("StatusOf(%s) = %d, want %d", kind, got, want)
 		}
 	}
 	for _, kind := range []string{"overloaded", "draining", "breaker-open"} {

@@ -309,7 +309,9 @@ func TestSingleflightLeaderFailure(t *testing.T) {
 	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := s.dispatch(context.Background(), req)
+		_, err := s.dispatch(context.Background(), key, func() (*answer, error) {
+			return nil, errors.New("the follower led the flight")
+		})
 		errc <- err
 	}()
 	// Wait until the follower has joined the flight before failing it.

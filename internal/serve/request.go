@@ -20,15 +20,11 @@ import (
 // unknown method, an invalid graph. It maps to HTTP 400.
 var ErrBadRequest = errors.New("serve: bad request")
 
-// ErrTooLarge marks a request whose body blew through maxRequestBytes
-// at the HTTP layer. It maps to HTTP 413 with its own stable error
-// kind, so clients can tell "shrink the graph" from "fix the JSON".
+// ErrTooLarge marks a request whose body blew through its endpoint's
+// wire cap (MaxRequestBytes and its siblings). It maps to HTTP 413 with
+// its own stable error kind, so clients can tell "shrink the graph"
+// from "fix the JSON".
 var ErrTooLarge = errors.New("serve: request body too large")
-
-// maxRequestBytes caps the wire size of one request; the HTTP layer
-// additionally enforces it with http.MaxBytesReader before the decoder
-// ever sees the payload.
-const maxRequestBytes = 1 << 20
 
 // RequestPayload is the JSON wire form of an analysis request. Exactly
 // one of Graph (the sdfio JSON graph object) and GraphText (the native
@@ -149,8 +145,8 @@ func DecodeRequest(data []byte) (*Request, error) {
 	bad := func(format string, args ...any) (*Request, error) {
 		return nil, fmt.Errorf("%w: %s", ErrBadRequest, fmt.Sprintf(format, args...))
 	}
-	if len(data) > maxRequestBytes {
-		return bad("payload of %d bytes exceeds the %d-byte limit", len(data), maxRequestBytes)
+	if len(data) > MaxRequestBytes {
+		return bad("payload of %d bytes exceeds the %d-byte limit", len(data), MaxRequestBytes)
 	}
 	var p RequestPayload
 	dec := json.NewDecoder(bytes.NewReader(data))

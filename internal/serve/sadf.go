@@ -22,10 +22,6 @@ import (
 	"repro/internal/verify"
 )
 
-// maxSADFRequestBytes caps the /v1/sadf request body: a model carries
-// several scenario graphs, so the cap is a few of the single-graph cap.
-const maxSADFRequestBytes = 4 << 20
-
 var (
 	// ErrBadModel marks a request whose FSM-SADF model is structurally
 	// invalid: unparsable, dangling cross-references, unreachable
@@ -36,33 +32,6 @@ var (
 	// rates, deadlock cycles).
 	ErrBadScenario = errors.New("serve: sadf scenario fails preconditions")
 )
-
-// SADFKindOf classifies an AnalyzeSADF error into the stable wire
-// string of ErrorPayload.Kind. The sadf endpoint adds two kinds of its
-// own — "sadf-model" for structural model errors and "sadf-scenario"
-// for scenario graphs failing analysis preconditions — and defers
-// everything else to the single-request taxonomy.
-func SADFKindOf(err error) string {
-	switch {
-	case errors.Is(err, ErrBadModel):
-		return "sadf-model"
-	case errors.Is(err, ErrBadScenario):
-		return "sadf-scenario"
-	}
-	return KindOf(err)
-}
-
-// sadfStatusOf maps the sadf-specific kinds to HTTP statuses and defers
-// the rest to statusOf.
-func sadfStatusOf(kind string) int {
-	switch kind {
-	case "sadf-model":
-		return 400
-	case "sadf-scenario":
-		return 422
-	}
-	return statusOf(kind)
-}
 
 // SADFRequestPayload is the JSON wire form of a /v1/sadf request. The
 // model arrives either as the JSON document of sdfio.ReadSADFJSON or as
@@ -87,8 +56,8 @@ type SADFRequest struct {
 // model errors wrap ErrBadModel; transport-shape errors wrap
 // ErrBadRequest.
 func DecodeSADFRequest(data []byte) (*SADFRequest, error) {
-	if len(data) > maxSADFRequestBytes {
-		return nil, fmt.Errorf("%w: request body is %d bytes, limit %d", ErrTooLarge, len(data), maxSADFRequestBytes)
+	if len(data) > MaxSADFRequestBytes {
+		return nil, fmt.Errorf("%w: request body is %d bytes, limit %d", ErrTooLarge, len(data), MaxSADFRequestBytes)
 	}
 	var p SADFRequestPayload
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -313,220 +282,72 @@ type sadfAnswer struct {
 	cert *verify.SADFCert
 }
 
-// AnalyzeSADF serves one FSM-SADF worst-case throughput request with
-// the full production discipline of the single-graph path: admission
-// control and the bounded queue, per-scenario prechecks, admission
-// pricing by the summed per-scenario *reduced* cost, the result cache
-// with singleflight dedup, and the brownout ladder.
+// AnalyzeSADF serves one FSM-SADF worst-case throughput request through
+// the same driver as Analyze: admission control and the bounded queue,
+// per-scenario prechecks, admission pricing by the summed per-scenario
+// *reduced* cost, the result cache with singleflight dedup, and the
+// brownout ladder.
 func (s *Server) AnalyzeSADF(ctx context.Context, req *SADFRequest) (*SADFResultPayload, error) {
-	start := s.reg.Now()
-	res, err := s.analyzeSADF(ctx, req)
-	elapsed := s.reg.Now().Sub(start)
-	outcome := outcomeOf(err)
-	s.reg.Histogram(obs.MetricSADFSeconds, "outcome", outcome).Observe(elapsed)
-	if outcome == "served" || outcome == "failed" {
-		s.ctrl.observe(elapsed)
-	}
-	s.reg.Counter(obs.MetricSADFRequests, "outcome", outcome).Inc()
-	return res, err
+	return serveRequest[*SADFResultPayload](ctx, s, &sadfJob{req: req}, req.ExactOnly)
 }
 
-func (s *Server) analyzeSADF(ctx context.Context, req *SADFRequest) (*SADFResultPayload, error) {
-	if err := s.admit(); err != nil {
-		return nil, err
-	}
-	defer s.finish()
+// sadfJob is the FSM-SADF workload: one model.
+type sadfJob struct {
+	req  *SADFRequest
+	cost int64
+}
 
-	select {
-	case s.slots <- struct{}{}:
-	default:
-		s.ctrl.update(cap(s.slots))
-		s.overloaded.Add(1)
-		return nil, fmt.Errorf("%w: all %d request slots taken", ErrOverloaded, cap(s.slots))
-	}
-	defer func() { <-s.slots }()
-	s.admitted.Add(1)
-
-	level := s.ctrl.update(len(s.slots))
-
-	// Per-scenario structural prechecks: an inconsistent or deadlocked
-	// scenario fails the whole model for almost nothing, before any
-	// budget is reserved.
+// prepare runs the lint prechecks on every scenario graph — an
+// inconsistent or deadlocked scenario fails the whole model for almost
+// nothing — and prices the model by the sum of per-scenario reduced
+// costs: each scenario runs through the reduction fixpoint and is
+// charged at its reduced size, so the paper's reduction techniques
+// price this workload too. The sum saturates instead of overflowing.
+func (j *sadfJob) prepare(s *Server) error {
 	sp := s.reg.StartSpan("sadf.precheck")
-	err := s.precheckScenarios(req.Model)
-	sp.Finish()
-	if err != nil {
-		s.failed.Add(1)
-		return nil, err
-	}
-
-	// Admission pricing: the sum of per-scenario reduced costs — each
-	// scenario runs through the reduction fixpoint and is charged at
-	// its reduced size, so the paper's reduction techniques price this
-	// workload too.
-	cost := s.sadfCost(req.Model)
-
-	res, err := s.sadfAdmitted(ctx, req, cost, level)
-	if err != nil {
-		if !errors.Is(err, ErrDegraded) {
-			s.failed.Add(1)
-		}
-		return nil, err
-	}
-	s.served.Add(1)
-	return res, nil
-}
-
-// precheckScenarios runs the lint prechecks on every scenario graph.
-func (s *Server) precheckScenarios(m *sadf.Model) error {
-	for _, sc := range m.Scenarios {
+	for _, sc := range j.req.Model.Scenarios {
 		if err := lint.PrecheckWith(passes.NewFacts(sc.Graph)); err != nil {
+			sp.Finish()
 			return fmt.Errorf("%w: scenario %q: %v", ErrBadScenario, sc.Name, err)
 		}
+	}
+	sp.Finish()
+	rctx := obs.WithRegistry(s.baseCtx, s.reg)
+	for _, sc := range j.req.Model.Scenarios {
+		next, ok := rat.AddChecked(j.cost, passes.ReducedCost(rctx, sc.Graph))
+		if !ok {
+			// The running total is already far past any pool capacity,
+			// so the request is refused either way.
+			break
+		}
+		j.cost = next
 	}
 	return nil
 }
 
-// sadfCost prices the model by the summed per-scenario reduced cost,
-// saturating instead of overflowing.
-func (s *Server) sadfCost(m *sadf.Model) int64 {
-	rctx := obs.WithRegistry(s.baseCtx, s.reg)
-	total := int64(0)
-	for _, sc := range m.Scenarios {
-		next, ok := rat.AddChecked(total, passes.ReducedCost(rctx, sc.Graph))
-		if !ok {
-			// Saturate at the running total: it is already far past any
-			// pool capacity, so the request is refused either way.
-			return total
-		}
-		total = next
-	}
-	return total
-}
+// key covers the model's canonical text rendering, in a key space of
+// its own.
+func (j *sadfJob) key() string { return "sadf|" + j.req.Key() }
 
-// sadfAdmitted executes one admitted, prechecked sadf request at the
-// given degradation level, mirroring analyzeAdmitted.
-func (s *Server) sadfAdmitted(ctx context.Context, req *SADFRequest, cost int64, level Level) (*SADFResultPayload, error) {
-	if req.ExactOnly && level > LevelExact {
-		s.reg.Counter(obs.MetricDegraded, "level", "exact-only").Inc()
-		return nil, fmt.Errorf("%w: serving at level %s and the request is exact-only", ErrDegraded, level)
-	}
-	if level > LevelExact {
-		return s.sadfDegraded(ctx, req, level)
-	}
-	ans, err := s.dispatchWith(ctx, "sadf|"+req.Key(), func() (*answer, error) {
-		return s.executeSADF(req, cost)
+// execute runs the full automaton analysis.
+func (j *sadfJob) execute(s *Server) (*answer, error) {
+	return s.execute(j.cost, j.req.Timeout, func(ctx context.Context) (*answer, error) {
+		ctx = guard.WithBudget(ctx, guard.BudgetFrom(ctx))
+		res, cert, err := sadf.Analyze(ctx, j.req.Model)
+		if err != nil {
+			return nil, err
+		}
+		s.reg.Counter(obs.MetricSADFAutomatonNodes).Add(int64(res.AutomatonNodes))
+		return &answer{engine: "sadf", sadf: &sadfAnswer{res: res, cert: cert}}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return s.renderSADF(req.Model, ans)
 }
 
-// sadfDegraded is the brownout ladder of the sadf path: a fresh cache
-// hit is full-fidelity at any level; at stale-cache and shed an expired
-// exact answer is served marked stale with a background refresh; what
-// remains is answered with the cheap certified-by-construction
-// per-scenario-worst bound, and refused outright at shed.
-func (s *Server) sadfDegraded(ctx context.Context, req *SADFRequest, level Level) (*SADFResultPayload, error) {
-	key := "sadf|" + req.Key()
-	if ans, stale, ok := s.cache.getStale(key); ok {
-		serveIt := !stale || level >= LevelStale
-		if serveIt {
-			res, err := s.renderSADF(req.Model, ans)
-			if err == nil {
-				if stale {
-					res.Degradation = LevelStale.String()
-					res.Stale = true
-					s.reg.Counter(obs.MetricDegraded, "level", LevelStale.String()).Inc()
-					s.spawnSADFRefresh(req, key)
-				}
-				return res, nil
-			}
-		}
-	}
-	if level >= LevelShed {
-		s.reg.Counter(obs.MetricDegraded, "level", LevelShed.String()).Inc()
-		return nil, fmt.Errorf("%w: shedding fresh work and no cached answer exists", ErrDegraded)
-	}
-	res, err := s.sadfBounded(req.Model)
-	if err != nil {
-		return nil, err
-	}
-	s.reg.Counter(obs.MetricDegraded, "level", LevelBounded.String()).Inc()
-	return res, nil
-}
-
-// spawnSADFRefresh recomputes a stale sadf cache entry in the
-// background, singleflighted and drain-tracked like spawnRefresh.
-func (s *Server) spawnSADFRefresh(req *SADFRequest, key string) {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return
-	}
-	s.refreshWG.Add(1)
-	s.mu.Unlock()
-	go func() {
-		defer s.refreshWG.Done()
-		f, leader := s.flights.join(key)
-		if !leader {
-			return
-		}
-		res, err := s.executeSADF(req, s.sadfCost(req.Model))
-		if err == nil {
-			s.cache.put(key, res)
-		}
-		s.flights.finish(key, f, res, err)
-	}()
-}
-
-// executeSADF reserves pool cost and a worker slot, then runs the full
-// automaton analysis under the request deadline.
-func (s *Server) executeSADF(req *SADFRequest, cost int64) (*answer, error) {
-	if !s.pool.TryAcquire(cost) {
-		s.overloaded.Add(1)
-		return nil, fmt.Errorf("%w: request cost %d exceeds pool headroom %d",
-			ErrOverloaded, cost, s.pool.Headroom())
-	}
-	defer s.pool.Release(cost)
-
-	timeout := req.Timeout
-	if timeout <= 0 {
-		timeout = s.opts.DefaultTimeout
-	}
-	if timeout > s.opts.MaxTimeout {
-		timeout = s.opts.MaxTimeout
-	}
-	actx, cancel := context.WithTimeout(s.baseCtx, timeout)
-	defer cancel()
-	actx = guard.WithBudget(actx, guard.BudgetFrom(actx))
-	actx = obs.WithRegistry(actx, s.reg)
-
-	select {
-	case s.work <- struct{}{}:
-	case <-actx.Done():
-		return nil, fmt.Errorf("%w: queued past the deadline: %w", guard.ErrCanceled, context.Cause(actx))
-	}
-	defer func() { <-s.work }()
-	s.running.Add(1)
-	defer s.running.Add(-1)
-
-	res, cert, err := sadf.Analyze(actx, req.Model)
-	if err != nil {
-		return nil, err
-	}
-	s.reg.Counter(obs.MetricSADFAutomatonNodes).Add(int64(res.AutomatonNodes))
-	return &answer{engine: "sadf", sadf: &sadfAnswer{res: res, cert: cert}}, nil
-}
-
-// renderSADF turns a sadf answer into the wire payload. The certificate
-// is re-checked against the requesting model's own scenario graphs on
-// every serve — cached and deduplicated entries included — before the
-// payload claims Verified, and ships on the wire so clients can repeat
-// the check behind any proxy.
-func (s *Server) renderSADF(m *sadf.Model, ans *answer) (*SADFResultPayload, error) {
-	sa := ans.sadf
+// render re-checks the certificate against the requesting model's own
+// scenario graphs on every serve — cached and deduplicated entries
+// included — before the payload claims Verified, and ships it on the
+// wire so clients can repeat the check behind any proxy.
+func (j *sadfJob) render(ans *answer) (*SADFResultPayload, error) {
+	m, sa := j.req.Model, ans.sadf
 	if sa == nil {
 		return nil, fmt.Errorf("serve: cached entry is not a sadf answer")
 	}
@@ -547,16 +368,23 @@ func (s *Server) renderSADF(m *sadf.Model, ans *answer) (*SADFResultPayload, err
 		Cert:           NewSADFCertPayload(sa.cert, m.Graphs()),
 		Cached:         ans.cached,
 		Deduped:        ans.deduped,
+		Stale:          ans.stale,
+	}
+	if ans.stale {
+		res.Degradation = LevelStale.String()
 	}
 	if !sa.res.Unbounded {
-		res.Period = sa.res.Period.String()
-		res.PeriodNum = sa.res.Period.Num()
-		res.PeriodDen = sa.res.Period.Den()
+		res.Period, res.PeriodNum, res.PeriodDen = ratWire(sa.res.Period)
 	}
 	return res, nil
 }
 
-// sadfBounded answers with the certified-by-construction
+func (j *sadfJob) record(reg *obs.Registry, outcome string, elapsed time.Duration) {
+	reg.Histogram(obs.MetricSADFSeconds, "outcome", outcome).Observe(elapsed)
+	reg.Counter(obs.MetricSADFRequests, "outcome", outcome).Inc()
+}
+
+// bounded answers with the certified-by-construction
 // per-scenario-worst bound: the worst scenario's serial makespan
 // Σ q_a·exec_a bounds every automaton matrix entry from above (all
 // tokens available at time zero, self-timed execution finishes no later
@@ -565,7 +393,8 @@ func (s *Server) renderSADF(m *sadf.Model, ans *answer) (*SADFResultPayload, err
 // FSM lets a state repeat immediately, that scenario's period floor
 // anchors the answer from below. The bound is re-derived from the model
 // on every serve, never cached: re-derivation is the check.
-func (s *Server) sadfBounded(m *sadf.Model) (*SADFResultPayload, error) {
+func (j *sadfJob) bounded(context.Context, *Server) (*SADFResultPayload, error) {
+	m := j.req.Model
 	res := &SADFResultPayload{
 		Model:       m.Name,
 		Scenarios:   len(m.Scenarios),
@@ -604,13 +433,9 @@ func (s *Server) sadfBounded(m *sadf.Model) (*SADFResultPayload, error) {
 			}
 		}
 	}
-	res.Period = upper.String()
-	res.PeriodNum = upper.Num()
-	res.PeriodDen = upper.Den()
+	res.Period, res.PeriodNum, res.PeriodDen = ratWire(upper)
 	if hasLower && !lower.IsZero() {
-		res.PeriodLower = lower.String()
-		res.PeriodLowerNum = lower.Num()
-		res.PeriodLowerDen = lower.Den()
+		res.PeriodLower, res.PeriodLowerNum, res.PeriodLowerDen = ratWire(lower)
 	}
 	return res, nil
 }

@@ -132,8 +132,8 @@ func TestSADFErrorKinds(t *testing.T) {
 
 	// Unknown scenario reference: a structural model error.
 	_, err := DecodeSADFRequest([]byte(`{"model_text":"sadf x\nscenario a\nactor A 1\nchan A A 1 1 1\nstate s nosuch\ninitial s\n"}`))
-	if kind := SADFKindOf(err); kind != "sadf-model" || sadfStatusOf(kind) != http.StatusBadRequest {
-		t.Errorf("dangling scenario ref: kind %q status %d, want sadf-model 400", kind, sadfStatusOf(kind))
+	if kind := KindOf(err); kind != "sadf-model" || StatusOf(kind) != http.StatusBadRequest {
+		t.Errorf("dangling scenario ref: kind %q status %d, want sadf-model 400", kind, StatusOf(kind))
 	}
 
 	// Rate-inconsistent scenario: passes model validation (structure is
@@ -149,7 +149,7 @@ trans s s
 initial s
 `)
 	_, err = s.AnalyzeSADF(context.Background(), req)
-	if kind := SADFKindOf(err); kind != "sadf-scenario" || sadfStatusOf(kind) != http.StatusUnprocessableEntity {
+	if kind := KindOf(err); kind != "sadf-scenario" || StatusOf(kind) != http.StatusUnprocessableEntity {
 		t.Errorf("inconsistent scenario: err %v kind %q, want sadf-scenario 422", err, kind)
 	}
 
@@ -160,8 +160,8 @@ initial s
 		"bad json":   `{`,
 		"neg timeout": `{"model_text":"x","timeout_ms":-1}`,
 	} {
-		if _, err := DecodeSADFRequest([]byte(body)); SADFKindOf(err) != "bad-request" {
-			t.Errorf("%s: kind = %q, want bad-request", name, SADFKindOf(err))
+		if _, err := DecodeSADFRequest([]byte(body)); KindOf(err) != "bad-request" {
+			t.Errorf("%s: kind = %q, want bad-request", name, KindOf(err))
 		}
 	}
 }
@@ -286,7 +286,7 @@ initial slo
 	// Exact-only refuses the degraded answer.
 	exact := sadfRequestOf(t, sadfModelText)
 	exact.ExactOnly = true
-	if _, err := s.AnalyzeSADF(context.Background(), exact); SADFKindOf(err) != "degraded" {
+	if _, err := s.AnalyzeSADF(context.Background(), exact); KindOf(err) != "degraded" {
 		t.Errorf("exact-only under brownout: err %v, want degraded", err)
 	}
 
@@ -313,7 +313,7 @@ state s only
 trans s s
 initial s
 `)
-	if _, err := s.AnalyzeSADF(context.Background(), cold); SADFKindOf(err) != "degraded" {
+	if _, err := s.AnalyzeSADF(context.Background(), cold); KindOf(err) != "degraded" {
 		t.Errorf("cold key under shed: err %v, want degraded refusal", err)
 	}
 }

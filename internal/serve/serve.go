@@ -238,10 +238,44 @@ func outcomeOf(err error) string {
 // runs under the server's base context and the request deadline, so a
 // deduplicated computation is never killed by one impatient client.
 func (s *Server) Analyze(ctx context.Context, req *Request) (*ResultPayload, error) {
+	return serveRequest[*ResultPayload](ctx, s, &graphJob{req: req}, req.ExactOnly)
+}
+
+// workload is what the request driver needs from one kind of analysis
+// request; R is its wire payload. The two implementations are graphJob
+// (one SDF graph: /v1/throughput and every batch item) and sadfJob (one
+// FSM-SADF model: /v1/sadf). Everything else — admission, the bounded
+// queue, exact-only gating, the brownout ladder, the cache and
+// singleflight, stale refresh, the pool/worker/deadline scaffold, the
+// served/failed accounting — is the driver's, once.
+type workload[R any] interface {
+	// prepare runs the cheap structural prechecks, the reduction and the
+	// admission pricing, before any pool budget is reserved.
+	prepare(s *Server) error
+	// key is the cache and singleflight key of the exact answer. "" marks
+	// a deliberately sick request: it bypasses the cache, singleflight and
+	// the brownout ladder, so its faults fire in the engine it names.
+	key() string
+	// execute computes the exact answer inside Server.execute.
+	execute(s *Server) (*answer, error)
+	// bounded is the brownout answer of the bounded and stale-cache
+	// levels.
+	bounded(ctx context.Context, s *Server) (R, error)
+	// render turns an exact answer — fresh, cached, deduplicated or
+	// stale — into the payload, re-checking its certificate on every
+	// serve.
+	render(ans *answer) (R, error)
+	// record lands one finished request in the workload's metrics.
+	record(reg *obs.Registry, outcome string, elapsed time.Duration)
+}
+
+// serveRequest drives one request of any workload through admission,
+// the bounded queue, prepare and the degradation ladder, and records
+// its outcome.
+func serveRequest[R any](ctx context.Context, s *Server, w workload[R], exactOnly bool) (R, error) {
 	start := s.reg.Now()
-	res, err := s.analyze(ctx, req)
+	res, err := admitRequest(ctx, s, w, exactOnly)
 	elapsed := s.reg.Now().Sub(start)
-	s.reg.Histogram(obs.MetricRequestSeconds, "method", req.Method).Observe(elapsed)
 	outcome := outcomeOf(err)
 	// The pressure signal samples only requests that did real work:
 	// refusals return in microseconds and would talk the p99 and the
@@ -249,16 +283,13 @@ func (s *Server) Analyze(ctx context.Context, req *Request) (*ResultPayload, err
 	if outcome == "served" || outcome == "failed" {
 		s.ctrl.observe(elapsed)
 	}
-	s.reg.Counter(obs.MetricRequests, "outcome", outcome).Inc()
+	w.record(s.reg, outcome, elapsed)
 	return res, err
 }
 
-func (s *Server) analyze(ctx context.Context, req *Request) (*ResultPayload, error) {
-	if len(req.Faults) > 0 && !s.opts.AllowInjection {
-		return nil, ErrInjectionDisabled
-	}
+func admitRequest[R any](ctx context.Context, s *Server, w workload[R], exactOnly bool) (res R, err error) {
 	if err := s.admit(); err != nil {
-		return nil, err
+		return res, err
 	}
 	defer s.finish()
 
@@ -272,7 +303,7 @@ func (s *Server) analyze(ctx context.Context, req *Request) (*ResultPayload, err
 		// the ladder is already at shed for the next arrival.
 		s.ctrl.update(cap(s.slots))
 		s.overloaded.Add(1)
-		return nil, fmt.Errorf("%w: all %d request slots taken", ErrOverloaded, cap(s.slots))
+		return res, fmt.Errorf("%w: all %d request slots taken", ErrOverloaded, cap(s.slots))
 	}
 	defer func() { <-s.slots }()
 	s.admitted.Add(1)
@@ -281,139 +312,89 @@ func (s *Server) analyze(ctx context.Context, req *Request) (*ResultPayload, err
 	// queue depth just observed (this request included) and the recent
 	// latency window.
 	level := s.ctrl.update(len(s.slots))
+	if err = w.prepare(s); err == nil {
+		res, err = serveAdmitted(ctx, s, w, exactOnly, level)
+	}
+	s.settle(err)
+	return res, err
+}
 
-	// Cheap structural prechecks before any budget is reserved: an
-	// inconsistent or deadlocked graph costs the server almost nothing.
-	// The fact table is shared with the reducer below.
-	facts := passes.NewFacts(req.Graph)
-	sp := s.reg.StartSpan("analysis.precheck")
-	err := lint.PrecheckWith(facts)
-	sp.Finish()
-	if err != nil {
+// settle counts an admitted request's fate. Refusals by the degradation
+// ladder or the injection gate are neither served nor failed.
+func (s *Server) settle(err error) {
+	switch {
+	case err == nil:
+		s.served.Add(1)
+	case !errors.Is(err, ErrDegraded) && !errors.Is(err, ErrInjectionDisabled):
 		s.failed.Add(1)
-		return nil, err
 	}
-
-	red := s.reduceFor(req)
-	res, err := s.analyzeAdmitted(ctx, req, red, level)
-	if err != nil {
-		if !errors.Is(err, ErrDegraded) {
-			s.failed.Add(1)
-		}
-		return nil, err
-	}
-	s.served.Add(1)
-	return res, nil
 }
 
-// reduceFor runs the reduction fixpoint for a request. The engines, the
-// pool and the LRU all see the reduced graph, and the answer is lifted
-// back per request. Fault-injected requests skip it — they are
-// deliberately sick and their faults must fire in the engine they name,
-// on the graph the test wrote. A reduction that fails or achieves
-// nothing returns nil and the request proceeds on the original graph.
-func (s *Server) reduceFor(req *Request) *passes.Reduction {
-	if len(req.Faults) > 0 {
-		return nil
-	}
-	rctx := obs.WithRegistry(s.baseCtx, s.reg)
-	if r, err := passes.Reduce(rctx, req.Graph, passes.Options{}); err == nil && len(r.Steps) > 0 {
-		return r
-	}
-	return nil
-}
-
-// analyzeAdmitted executes one admitted, prechecked request at the given
-// degradation level: exact-only gating, the brownout ladder, dispatch
-// through the cache/singleflight discipline, and the lifted render. The
-// caller has already passed the drain gate and the bounded queue, run
-// the structural prechecks, and computed the reduction (nil when none
-// applied). Both the single-request path and every batch item funnel
-// through here, so admission economics and certificate discipline are
-// identical for the two workloads.
-func (s *Server) analyzeAdmitted(ctx context.Context, req *Request, red *passes.Reduction, level Level) (*ResultPayload, error) {
-	if req.ExactOnly && level > LevelExact {
+// serveAdmitted answers one admitted, prepared request at the given
+// degradation level: exact-only gating, then the brownout ladder or the
+// cache/singleflight discipline around the workload's execution, then
+// its render. Single requests and batch items both come through here,
+// so admission economics and certificate discipline are identical for
+// every workload.
+func serveAdmitted[R any](ctx context.Context, s *Server, w workload[R], exactOnly bool, level Level) (R, error) {
+	var zero R
+	if exactOnly && level > LevelExact {
 		s.reg.Counter(obs.MetricDegraded, "level", "exact-only").Inc()
-		return nil, fmt.Errorf("%w: serving at level %s and the request is exact-only", ErrDegraded, level)
+		return zero, fmt.Errorf("%w: serving at level %s and the request is exact-only", ErrDegraded, level)
 	}
-	dispReq := req
-	if red != nil && len(red.Steps) > 0 {
-		dr := *req
-		dr.Graph = red.Final
-		dispReq = &dr
+	key := w.key()
+	var ans *answer
+	var err error
+	switch {
+	case key == "":
+		ans, err = w.execute(s)
+	case level > LevelExact:
+		return serveDegraded(ctx, s, w, key, level)
+	default:
+		ans, err = s.dispatch(ctx, key, func() (*answer, error) { return w.execute(s) })
 	}
-
-	// Browned-out serving: under pressure the server answers with the
-	// best certified thing it can afford instead of refusing. Injected
-	// requests never degrade — their faults must fire in the engine they
-	// name.
-	if len(req.Faults) == 0 && level > LevelExact {
-		return s.analyzeDegraded(ctx, req, dispReq, red, level)
-	}
-
-	ans, err := s.dispatch(ctx, dispReq)
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
-	return s.render(req.Graph, red, ans)
+	return w.render(ans)
 }
 
-// analyzeDegraded serves one request at a browned-out level. The ladder
-// inside: a fresh cache hit is free and full-fidelity at any level; at
+// serveDegraded is the brownout ladder: under pressure the server
+// answers with the best certified thing it can afford instead of
+// refusing. A fresh cache hit is free and full-fidelity at any level; at
 // stale-cache and shed an expired entry is served marked stale with a
-// background singleflight refresh; what remains is computed as a
-// certified bounded answer at the bounded and stale-cache levels, and
-// refused outright at shed.
-func (s *Server) analyzeDegraded(ctx context.Context, req, dispReq *Request, red *passes.Reduction, level Level) (*ResultPayload, error) {
-	key := dispReq.Key()
-	if ans, stale, ok := s.cache.getStale(key); ok {
-		serveIt := !stale || level >= LevelStale
-		if serveIt {
-			res, err := s.render(req.Graph, red, ans)
-			if err == nil {
-				if stale {
-					res.Degradation = LevelStale.String()
-					res.Stale = true
-					s.reg.Counter(obs.MetricDegraded, "level", LevelStale.String()).Inc()
-					s.spawnRefresh(dispReq, key)
-				}
-				return res, nil
+// background singleflight refresh; what remains gets the workload's
+// bounded answer at the bounded and stale-cache levels, and is refused
+// outright at shed.
+func serveDegraded[R any](ctx context.Context, s *Server, w workload[R], key string, level Level) (R, error) {
+	if ans, stale, ok := s.cache.getStale(key); ok && (!stale || level >= LevelStale) {
+		// A render failure means the cached entry no longer checks; fall
+		// through to a fresh degraded answer.
+		if res, err := w.render(ans); err == nil {
+			if stale {
+				s.reg.Counter(obs.MetricDegraded, "level", LevelStale.String()).Inc()
+				s.spawnRefresh(key, func() (*answer, error) { return w.execute(s) })
 			}
-			// A render failure here means the cached entry no longer
-			// lifts; fall through to a fresh degraded answer.
+			return res, nil
 		}
 	}
 	if level >= LevelShed {
 		s.reg.Counter(obs.MetricDegraded, "level", LevelShed.String()).Inc()
-		return nil, fmt.Errorf("%w: shedding fresh work and no cached answer exists", ErrDegraded)
+		var zero R
+		return zero, fmt.Errorf("%w: shedding fresh work and no cached answer exists", ErrDegraded)
 	}
-	return s.serveBounded(ctx, req)
-}
-
-// serveBounded answers with a certified conservative enclosure from
-// analysis.ComputeThroughputBounded, cached and deduplicated under its
-// own key space (a bounded answer must never impersonate an exact one).
-func (s *Server) serveBounded(ctx context.Context, req *Request) (*ResultPayload, error) {
-	key := "bounded|" + req.Key()
-	ans, err := s.dispatchWith(ctx, key, func() (*answer, error) {
-		return s.executeBounded(req)
-	})
-	if err != nil {
-		return nil, err
+	res, err := w.bounded(ctx, s)
+	if err == nil {
+		s.reg.Counter(obs.MetricDegraded, "level", LevelBounded.String()).Inc()
 	}
-	res, err := s.renderBounded(req.Graph, ans)
-	if err != nil {
-		return nil, err
-	}
-	s.reg.Counter(obs.MetricDegraded, "level", LevelBounded.String()).Inc()
-	return res, nil
+	return res, err
 }
 
 // spawnRefresh recomputes a stale cache entry in the background,
 // singleflighted against identical live requests and refreshers. The
 // goroutine is tracked by refreshWG and runs under the server's base
 // context, so drain and close wait for it rather than leak it.
-func (s *Server) spawnRefresh(req *Request, key string) {
+func (s *Server) spawnRefresh(key string, exec func() (*answer, error)) {
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
@@ -429,63 +410,12 @@ func (s *Server) spawnRefresh(req *Request, key string) {
 			// will land in the cache.
 			return
 		}
-		res, err := s.execute(req)
+		res, err := exec()
 		if err == nil {
 			s.cache.put(key, res)
 		}
 		s.flights.finish(key, f, res, err)
 	}()
-}
-
-// render turns an engine-layer answer into the wire payload, lifting it
-// through the request's reduction chain when one applied. The lifted
-// certificate is re-checked against the original graph before the
-// payload claims Verified — the chain, not the server, is the proof.
-func (s *Server) render(orig *sdf.Graph, red *passes.Reduction, ans *answer) (*ResultPayload, error) {
-	if red == nil || len(red.Steps) == 0 {
-		res := buildResult(orig, ans.engine, ans.tp, ans.cert)
-		res.Report = ans.report
-		res.Cached, res.Deduped = ans.cached, ans.deduped
-		return res, nil
-	}
-	res := &ResultPayload{
-		Graph:     orig.Name(),
-		Engine:    ans.engine,
-		Report:    ans.report,
-		Reduction: red.Trace(),
-		Cached:    ans.cached,
-		Deduped:   ans.deduped,
-	}
-	setPeriod := func(unbounded bool, p rat.Rat) {
-		res.Unbounded = unbounded
-		if !unbounded {
-			res.Period = p.String()
-			res.PeriodNum = p.Num()
-			res.PeriodDen = p.Den()
-		}
-	}
-	if ans.cert == nil {
-		v, err := red.Lift(passes.Value{Period: ans.tp.Period, Unbounded: ans.tp.Unbounded})
-		if err != nil {
-			return nil, fmt.Errorf("serve: lift: %w", err)
-		}
-		setPeriod(v.Unbounded, v.Period)
-		return res, nil
-	}
-	lifted, err := red.LiftCert(ans.cert)
-	if err != nil {
-		return nil, fmt.Errorf("serve: lift: %w", err)
-	}
-	// The check is pure bounded CPU on a graph that already passed
-	// admission; it deliberately runs outside the request deadline so a
-	// last-millisecond expiry cannot turn a correct answer into an error.
-	if err := lifted.Check(context.Background(), orig); err != nil {
-		return nil, fmt.Errorf("serve: lifted certificate rejected: %w", err)
-	}
-	setPeriod(lifted.Unbounded, lifted.Period)
-	res.Verified = true
-	res.Certificate = lifted.String()
-	return res, nil
 }
 
 // answer is the engine-layer result before rendering: the throughput
@@ -499,6 +429,8 @@ type answer struct {
 	report  []string
 	cached  bool
 	deduped bool
+	// stale marks a copy served from an expired cache entry.
+	stale bool
 
 	// bound and redCert carry a brownout answer: the two-sided period
 	// enclosure and the reduction-chain certificate that proves its
@@ -509,26 +441,14 @@ type answer struct {
 
 	// sadf carries an FSM-SADF answer: the automaton analysis result
 	// and its scenario-level certificate. When set, every field above
-	// except the bookkeeping trio (engine, cached, deduped) is empty.
+	// except the bookkeeping (engine, cached, deduped, stale) is empty.
 	sadf *sadfAnswer
 }
 
-// dispatch routes a request through the cache and singleflight group;
-// fault-injected requests bypass both (they are deliberately sick and
-// must neither poison the cache nor adopt a healthy in-flight result).
-func (s *Server) dispatch(ctx context.Context, req *Request) (*answer, error) {
-	if len(req.Faults) > 0 {
-		return s.execute(req)
-	}
-	return s.dispatchWith(ctx, req.Key(), func() (*answer, error) {
-		return s.execute(req)
-	})
-}
-
-// dispatchWith is the cache/singleflight discipline for any keyed
+// dispatch is the cache/singleflight discipline for any keyed
 // computation: serve a fresh cached answer, join an identical in-flight
 // one, or lead the computation and publish its result.
-func (s *Server) dispatchWith(ctx context.Context, key string, exec func() (*answer, error)) (*answer, error) {
+func (s *Server) dispatch(ctx context.Context, key string, exec func() (*answer, error)) (*answer, error) {
 	if res, ok := s.cache.get(key); ok {
 		return res, nil
 	}
@@ -554,69 +474,20 @@ func (s *Server) dispatchWith(ctx context.Context, key string, exec func() (*ans
 	return res, err
 }
 
-// execute reserves pool cost and a worker slot, builds the analysis
-// context and runs the engines.
-func (s *Server) execute(req *Request) (*answer, error) {
-	cost := EstimateCost(req.Graph)
-	if !s.pool.TryAcquire(cost) {
-		s.overloaded.Add(1)
-		return nil, fmt.Errorf("%w: request cost %d exceeds pool headroom %d",
-			ErrOverloaded, cost, s.pool.Headroom())
+// clampTimeout applies the server default and maximum to a requested
+// deadline.
+func (s *Server) clampTimeout(d time.Duration) time.Duration {
+	if d <= 0 {
+		d = s.opts.DefaultTimeout
 	}
-	defer s.pool.Release(cost)
-
-	timeout := req.Timeout
-	if timeout <= 0 {
-		timeout = s.opts.DefaultTimeout
-	}
-	if timeout > s.opts.MaxTimeout {
-		timeout = s.opts.MaxTimeout
-	}
-	actx, cancel := context.WithTimeout(s.baseCtx, timeout)
-	defer cancel()
-	budget := guard.BudgetFrom(actx)
-	if req.Budget != 0 {
-		budget = guard.Uniform(req.Budget)
-	}
-	if len(req.Faults) > 0 {
-		// Injected requests poll every work unit so counter-based
-		// faults fire deterministically even on tiny graphs whose hot
-		// loops would otherwise never reach an amortised checkpoint.
-		budget.CheckEvery = 1
-		actx = guard.WithInjector(actx, guard.NewInjector(req.Faults...))
-	}
-	actx = guard.WithBudget(actx, budget)
-	// The engines, meters and injectors below all read the registry
-	// from the context; a nil registry drops out here as a no-op.
-	actx = obs.WithRegistry(actx, s.reg)
-
-	// The queue's deadline discipline: waiting for a worker burns the
-	// request's own deadline, never more.
-	select {
-	case s.work <- struct{}{}:
-	case <-actx.Done():
-		return nil, fmt.Errorf("%w: queued past the deadline: %w", guard.ErrCanceled, context.Cause(actx))
-	}
-	defer func() { <-s.work }()
-	s.running.Add(1)
-	defer s.running.Add(-1)
-
-	if req.Method == "hedged" {
-		return s.runHedged(actx, req.Graph)
-	}
-	return s.runSingle(actx, req.Graph, req.Method)
+	return min(d, s.opts.MaxTimeout)
 }
 
-// executeBounded runs the brownout engine: reduction fixpoint plus the
-// matrix engine under analysis.DefaultBoundedCeiling. It still takes a
-// worker slot (bounded work is cheap, not free) but charges the pool at
-// most the ceiling — the whole point is a cost the server can always
-// afford.
-func (s *Server) executeBounded(req *Request) (*answer, error) {
-	cost := EstimateCost(req.Graph)
-	if cost > analysis.DefaultBoundedCeiling {
-		cost = analysis.DefaultBoundedCeiling
-	}
+// execute reserves cost units of the admission pool and a worker slot,
+// then calls run under the request's clamped deadline on the server's
+// base context. The queue's deadline discipline: waiting for a worker
+// burns the request's own deadline, never more.
+func (s *Server) execute(cost int64, timeout time.Duration, run func(context.Context) (*answer, error)) (*answer, error) {
 	if !s.pool.TryAcquire(cost) {
 		s.overloaded.Add(1)
 		return nil, fmt.Errorf("%w: request cost %d exceeds pool headroom %d",
@@ -624,67 +495,206 @@ func (s *Server) executeBounded(req *Request) (*answer, error) {
 	}
 	defer s.pool.Release(cost)
 
-	timeout := req.Timeout
-	if timeout <= 0 {
-		timeout = s.opts.DefaultTimeout
-	}
-	if timeout > s.opts.MaxTimeout {
-		timeout = s.opts.MaxTimeout
-	}
-	actx, cancel := context.WithTimeout(s.baseCtx, timeout)
+	ctx, cancel := context.WithTimeout(s.baseCtx, s.clampTimeout(timeout))
 	defer cancel()
-	actx = obs.WithRegistry(actx, s.reg)
+	// The engines, meters and injectors all read the registry from the
+	// context; a nil registry drops out here as a no-op.
+	ctx = obs.WithRegistry(ctx, s.reg)
 
 	select {
 	case s.work <- struct{}{}:
-	case <-actx.Done():
-		return nil, fmt.Errorf("%w: queued past the deadline: %w", guard.ErrCanceled, context.Cause(actx))
+	case <-ctx.Done():
+		return nil, fmt.Errorf("%w: queued past the deadline: %w", guard.ErrCanceled, context.Cause(ctx))
 	}
 	defer func() { <-s.work }()
 	s.running.Add(1)
 	defer s.running.Add(-1)
+	return run(ctx)
+}
 
-	// The request's own budget is ignored here: the bounded mode's hard
-	// ceiling is the contract, and it is below anything a client would
-	// reasonably ask for.
-	b, cert, err := analysis.ComputeThroughputBounded(actx, req.Graph, analysis.BoundedOptions{})
+// graphJob is the single-graph workload: one throughput request. The
+// engines, the pool and the cache all see the reduced graph, and the
+// answer is lifted back per request.
+type graphJob struct {
+	req  *Request
+	red  *passes.Reduction // nil when no reduction applied
+	cost int64             // admission price of the graph the engines see
+}
+
+// prepare gates fault injection, runs the structural prechecks (an
+// inconsistent or deadlocked graph costs the server almost nothing;
+// the fact table is shared with the reducer) and the reduction
+// fixpoint, and prices the request by the graph the engines will see.
+// Fault-injected requests skip the reduction — their faults must fire
+// in the engine they name, on the graph the test wrote — and a
+// reduction that fails or achieves nothing leaves the original graph.
+func (j *graphJob) prepare(s *Server) error {
+	if len(j.req.Faults) > 0 && !s.opts.AllowInjection {
+		return ErrInjectionDisabled
+	}
+	facts := passes.NewFacts(j.req.Graph)
+	sp := s.reg.StartSpan("analysis.precheck")
+	err := lint.PrecheckWith(facts)
+	sp.Finish()
+	if err != nil {
+		return err
+	}
+	j.cost = facts.Cost()
+	if len(j.req.Faults) > 0 {
+		return nil
+	}
+	rctx := obs.WithRegistry(s.baseCtx, s.reg)
+	if r, err := passes.Reduce(rctx, j.req.Graph, passes.Options{}); err == nil && len(r.Steps) > 0 {
+		j.red = r
+		j.cost = EstimateCost(r.Final)
+	}
+	return nil
+}
+
+// key is the canonical key of the graph the engines see, so two
+// originals that reduce to the same graph share the entry but not the
+// lift.
+func (j *graphJob) key() string {
+	if len(j.req.Faults) > 0 {
+		return ""
+	}
+	r := *j.req
+	if j.red != nil {
+		r.Graph = j.red.Final
+	}
+	return r.Key()
+}
+
+func (j *graphJob) execute(s *Server) (*answer, error) {
+	g := j.req.Graph
+	if j.red != nil {
+		g = j.red.Final
+	}
+	return s.execute(j.cost, j.req.Timeout, func(ctx context.Context) (*answer, error) {
+		budget := guard.BudgetFrom(ctx)
+		if j.req.Budget != 0 {
+			budget = guard.Uniform(j.req.Budget)
+		}
+		if len(j.req.Faults) > 0 {
+			// Injected requests poll every work unit so counter-based
+			// faults fire deterministically even on tiny graphs whose hot
+			// loops would otherwise never reach an amortised checkpoint.
+			budget.CheckEvery = 1
+			ctx = guard.WithInjector(ctx, guard.NewInjector(j.req.Faults...))
+		}
+		ctx = guard.WithBudget(ctx, budget)
+		if j.req.Method == "hedged" {
+			return s.runHedged(ctx, g)
+		}
+		return s.runSingle(ctx, g, j.req.Method)
+	})
+}
+
+// bounded answers with a certified conservative enclosure from
+// analysis.ComputeThroughputBounded, cached and deduplicated under its
+// own key space (a bounded answer must never impersonate an exact one).
+// It still takes a worker slot — bounded work is cheap, not free — but
+// charges the pool at most the bounded ceiling, a cost the server can
+// always afford, and ignores the request's own budget: the ceiling is
+// the contract, below anything a client would reasonably ask for.
+func (j *graphJob) bounded(ctx context.Context, s *Server) (*ResultPayload, error) {
+	orig := j.req.Graph
+	ans, err := s.dispatch(ctx, "bounded|"+j.req.Key(), func() (*answer, error) {
+		cost := min(EstimateCost(orig), analysis.DefaultBoundedCeiling)
+		return s.execute(cost, j.req.Timeout, func(ctx context.Context) (*answer, error) {
+			b, cert, err := analysis.ComputeThroughputBounded(ctx, orig, analysis.BoundedOptions{})
+			if err != nil {
+				return nil, err
+			}
+			return &answer{engine: "bounded", bound: &b, redCert: cert}, nil
+		})
+	})
 	if err != nil {
 		return nil, err
 	}
-	return &answer{engine: "bounded", bound: &b, redCert: cert}, nil
-}
-
-// renderBounded turns a brownout answer into the wire payload. The
-// conservativeness certificate is re-checked against the original graph
-// in exact arithmetic on every serve — cached entries included — before
-// the payload claims Verified; the check is capped by the same ceiling
-// that produced the answer, so it cannot become the new overload.
-func (s *Server) renderBounded(orig *sdf.Graph, ans *answer) (*ResultPayload, error) {
+	// The conservativeness certificate is re-checked against the
+	// original graph in exact arithmetic on every serve — cached entries
+	// included — before the payload claims Verified; the check is capped
+	// by the same ceiling that produced the answer, so it cannot become
+	// the new overload.
+	if err := ans.redCert.Check(context.Background(), orig); err != nil {
+		return nil, fmt.Errorf("serve: bounded certificate rejected: %w", err)
+	}
 	b := ans.bound
 	res := &ResultPayload{
 		Graph:       orig.Name(),
 		Engine:      ans.engine,
 		Unbounded:   b.Unbounded,
+		Verified:    true,
+		Certificate: ans.redCert.String(),
 		Degradation: LevelBounded.String(),
 		Cached:      ans.cached,
 		Deduped:     ans.deduped,
 	}
 	if !b.Unbounded {
-		res.Period = b.Upper.String()
-		res.PeriodNum = b.Upper.Num()
-		res.PeriodDen = b.Upper.Den()
+		res.Period, res.PeriodNum, res.PeriodDen = ratWire(b.Upper)
 		if !b.Exact && !b.Lower.IsZero() {
-			res.PeriodLower = b.Lower.String()
-			res.PeriodLowerNum = b.Lower.Num()
-			res.PeriodLowerDen = b.Lower.Den()
+			res.PeriodLower, res.PeriodLowerNum, res.PeriodLowerDen = ratWire(b.Lower)
 		}
 	}
-	if err := ans.redCert.Check(context.Background(), orig); err != nil {
-		return nil, fmt.Errorf("serve: bounded certificate rejected: %w", err)
-	}
-	res.Verified = true
-	res.Certificate = ans.redCert.String()
 	return res, nil
+}
+
+func (j *graphJob) render(ans *answer) (*ResultPayload, error) {
+	var res *ResultPayload
+	if j.red == nil {
+		res = buildResult(j.req.Graph, ans.engine, ans.tp, ans.cert)
+	} else {
+		var err error
+		if res, err = j.lift(ans); err != nil {
+			return nil, err
+		}
+	}
+	res.Report = ans.report
+	res.Cached, res.Deduped, res.Stale = ans.cached, ans.deduped, ans.stale
+	if ans.stale {
+		res.Degradation = LevelStale.String()
+	}
+	return res, nil
+}
+
+// lift renders an answer through the request's reduction chain. The
+// lifted certificate is re-checked against the original graph before
+// the payload claims Verified — the chain, not the server, is the proof.
+func (j *graphJob) lift(ans *answer) (*ResultPayload, error) {
+	orig := j.req.Graph
+	res := &ResultPayload{Graph: orig.Name(), Engine: ans.engine, Reduction: j.red.Trace()}
+	v := passes.Value{Period: ans.tp.Period, Unbounded: ans.tp.Unbounded}
+	if ans.cert == nil {
+		var err error
+		if v, err = j.red.Lift(v); err != nil {
+			return nil, fmt.Errorf("serve: lift: %w", err)
+		}
+	} else {
+		lifted, err := j.red.LiftCert(ans.cert)
+		if err != nil {
+			return nil, fmt.Errorf("serve: lift: %w", err)
+		}
+		// The check is pure bounded CPU on a graph that already passed
+		// admission; it deliberately runs outside the request deadline so
+		// a last-millisecond expiry cannot turn a correct answer into an
+		// error.
+		if err := lifted.Check(context.Background(), orig); err != nil {
+			return nil, fmt.Errorf("serve: lifted certificate rejected: %w", err)
+		}
+		v = passes.Value{Period: lifted.Period, Unbounded: lifted.Unbounded}
+		res.Verified, res.Certificate = true, lifted.String()
+	}
+	res.Unbounded = v.Unbounded
+	if !v.Unbounded {
+		res.Period, res.PeriodNum, res.PeriodDen = ratWire(v.Period)
+	}
+	return res, nil
+}
+
+func (j *graphJob) record(reg *obs.Registry, outcome string, elapsed time.Duration) {
+	reg.Histogram(obs.MetricRequestSeconds, "method", j.req.Method).Observe(elapsed)
+	reg.Counter(obs.MetricRequests, "outcome", outcome).Inc()
 }
 
 // runHedged races the breaker-gated engines and feeds every attempt's
@@ -791,9 +801,7 @@ func buildResult(g *sdf.Graph, engine string, tp analysis.Throughput, cert *veri
 		Unbounded: tp.Unbounded,
 	}
 	if !tp.Unbounded {
-		res.Period = tp.Period.String()
-		res.PeriodNum = tp.Period.Num()
-		res.PeriodDen = tp.Period.Den()
+		res.Period, res.PeriodNum, res.PeriodDen = ratWire(tp.Period)
 	}
 	if cert != nil {
 		res.Verified = true
@@ -822,6 +830,10 @@ func reportLines(rep *analysis.HedgeReport) []string {
 	}
 	return lines
 }
+
+// ratWire renders an exact rational into the wire's three fields: the
+// string form, numerator and denominator.
+func ratWire(p rat.Rat) (string, int64, int64) { return p.String(), p.Num(), p.Den() }
 
 func firstLine(s string) string {
 	if i := strings.IndexByte(s, '\n'); i >= 0 {

@@ -87,10 +87,13 @@ func ComputeThroughputCertified(ctx context.Context, g *Graph, m Method) (Throug
 	return analysis.ComputeThroughputCertified(ctx, g, m)
 }
 
-// ComputeThroughputHedged races the certified engines concurrently
-// under the budget carried by ctx; the first independently verified
-// answer wins and the losers are cancelled. Two verified engines that
-// disagree surface as ErrEngineDisagreement carrying both certificates.
+// ComputeThroughputHedged runs the certified engines one at a time
+// under the budget carried by ctx, matrix first: the next engine runs
+// only when the previous one failed or was refused by its budget, and
+// the first independently verified answer wins. With
+// HedgeOptions.CrossCheck every engine runs, and two verified engines
+// that disagree surface as ErrEngineDisagreement carrying both
+// certificates.
 func ComputeThroughputHedged(ctx context.Context, g *Graph) (Throughput, *HedgeReport, error) {
 	if err := lint.Precheck(g); err != nil {
 		return Throughput{}, nil, err

@@ -12,6 +12,17 @@ go vet ./...
 echo '== go build ./...'
 go build ./...
 
+echo '== gofmt -l (everything outside testdata)'
+# testdata is skipped: cmd/sdfvet/testdata holds analyzer fixtures whose
+# source text is test input. Hidden directories (the benchmark's build
+# cache) are skipped too.
+unformatted=$(gofmt -l $(find . \( -name testdata -o -name '.?*' \) -prune -o -name '*.go' -print))
+if [ -n "$unformatted" ]; then
+    echo 'gofmt: these files need gofmt -w:'
+    echo "$unformatted"
+    exit 1
+fi
+
 echo '== sdfvet ./...'
 go run ./cmd/sdfvet ./...
 
@@ -21,6 +32,11 @@ echo '== servebench: vet + short tests against the tree'
 # break in the serve, analysis or fleet API it imports would otherwise
 # show only when the benchmark runs.
 (cd servebench && go vet . && go test -short .)
+
+echo '== benchmark smoke: BenchmarkMatrixCertCheck (1 iteration)'
+# One iteration of the certificate-replay benchmark, so a broken or
+# failing benchmark shows in the gate rather than when someone profiles.
+go test -run XXX -bench MatrixCertCheck -benchtime 1x ./internal/verify
 
 echo '== go test -race ./...'
 # Hard wall-clock cap on top of go test's own -timeout, so a scheduler

@@ -5,10 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
-	"time"
 
-	"repro/internal/guard"
 	"repro/internal/obs"
 	"repro/internal/passes"
 	"repro/internal/sdf"
@@ -50,31 +47,31 @@ func describeThroughput(tp Throughput) string {
 
 // HedgeOptions configures ComputeThroughputHedgedOpts.
 type HedgeOptions struct {
-	// Engines lists the engines to race; nil races Matrix, StateSpace
-	// and HSDF.
+	// Engines lists the engines in the order the policy tries them; nil
+	// means Matrix, StateSpace, HSDF.
 	Engines []Method
-	// CrossCheck waits for every engine instead of cancelling the
-	// losers once one verified answer exists, then compares all
-	// verified answers. The winner is the first verified engine in
-	// Engines order, which makes reports and disagreements
-	// deterministic; the price is the wall time of the slowest engine.
+	// CrossCheck runs every engine in turn instead of stopping at the
+	// first verified answer, then compares all verified answers. The
+	// winner is the first verified engine in Engines order; the price is
+	// the summed time of every engine.
 	CrossCheck bool
-	// Gate, when non-nil, is consulted once per engine before its racer
-	// goroutine is spawned. A non-nil error removes the engine from the
-	// race entirely — no goroutine, no meter, no budget consumption —
-	// and records it in the report as skipped with the error's text.
-	// The serving layer points this at per-engine circuit breakers so a
-	// tripped engine is shed instead of raced. The gate error is
-	// surfaced verbatim, so gates that reserve state on admission (a
-	// half-open breaker's probe slot) see exactly one engine run per
-	// nil return.
+	// Gate, when non-nil, is consulted once per engine, in order, before
+	// any engine runs. A non-nil error removes the engine from the
+	// policy entirely — no run, no meter, no budget consumption — and
+	// records it in the report as skipped with the error's text. The
+	// serving layer points this at per-engine circuit breakers so a
+	// tripped engine is shed instead of run. The gate error is surfaced
+	// verbatim, and every engine the gate admitted gets exactly one
+	// attempt in the report (run, or skipped with a nil error), so gates
+	// that reserve state on admission (a half-open breaker's probe slot)
+	// can settle it from the report.
 	Gate func(m Method) error
-	// Reduce runs the exact reduction fixpoint of internal/passes before
-	// the race: every engine analyses the reduced graph and the winning
-	// answer is lifted back to the original, with the lifted certificate
-	// chain re-checked against the original graph and published in the
+	// Reduce runs the exact reduction fixpoint of internal/passes first:
+	// every engine analyses the reduced graph and the winning answer is
+	// lifted back to the original, with the lifted certificate chain
+	// re-checked against the original graph and published in the
 	// report. Off by default; the serving layer reduces before dispatch
-	// and races the already-reduced graph instead.
+	// and hands over the already-reduced graph instead.
 	Reduce bool
 }
 
@@ -88,7 +85,7 @@ type HedgeReport struct {
 	// lifted chain for the original graph is ReducedCert.
 	Certificates map[Method]*verify.ThroughputCert
 	// Reduction is the fixpoint trace when HedgeOptions.Reduce shrank
-	// the graph before the race; empty otherwise.
+	// the graph first; empty otherwise.
 	Reduction []string
 	// ReducedCert is the winner's certificate lifted through the
 	// reduction chain and re-verified against the original graph. Nil
@@ -96,8 +93,8 @@ type HedgeReport struct {
 	ReducedCert *verify.ReductionCert
 }
 
-// String renders the race for humans, one line per engine (plus one per
-// reduction step when the race ran on a reduced graph).
+// String renders the policy for humans, one line per engine (plus one
+// per reduction step when the engines ran on a reduced graph).
 func (r *HedgeReport) String() string {
 	var b strings.Builder
 	for _, line := range r.Reduction {
@@ -118,30 +115,32 @@ func (r *HedgeReport) String() string {
 	return b.String()
 }
 
-// ComputeThroughputHedged races the certified engines concurrently
-// under the budget carried by ctx: the first engine whose answer
-// survives independent verification wins, and the losers are cancelled.
+// ComputeThroughputHedged runs the certified engines under the budget
+// carried by ctx, one at a time: the first engine whose answer survives
+// independent verification answers, and the engines after it do not
+// run.
 func ComputeThroughputHedged(ctx context.Context, g *sdf.Graph) (Throughput, *HedgeReport, error) {
 	return ComputeThroughputHedgedOpts(ctx, g, HedgeOptions{})
 }
 
 // ComputeThroughputHedgedOpts is ComputeThroughputHedged with explicit
-// options. Every engine runs in its own goroutine behind panic
-// isolation and produces a self-verified certificate
-// (ComputeThroughputCertified); an unverifiable answer loses the race
-// as a failure rather than winning it. The function never returns
-// before every racer has delivered its outcome, so it leaks no
-// goroutines, and if two engines both return *verified* but different
-// answers the result is a *DisagreementError carrying both
-// certificates — never a silent pick.
+// options. It is one sequential certified policy: every engine is gated
+// up front, in order; then the engines run in order behind panic
+// isolation, each producing a self-verified certificate
+// (ComputeThroughputCertified), and the next engine runs only when the
+// previous one failed — an unverifiable answer, a budget refusal or an
+// isolated panic. Engines that never run are recorded as skipped. With
+// CrossCheck every engine runs, and if two engines both return
+// *verified* but different answers the result is a *DisagreementError
+// carrying both certificates — never a silent pick.
 func ComputeThroughputHedgedOpts(ctx context.Context, g *sdf.Graph, opts HedgeOptions) (Throughput, *HedgeReport, error) {
 	engines := opts.Engines
 	if len(engines) == 0 {
 		engines = []Method{Matrix, StateSpace, HSDF}
 	}
-	// Optional pre-stage: shrink once, race every engine on the reduced
+	// Optional pre-stage: shrink once, run the engines on the reduced
 	// graph, lift the winner. A reducer failure (budget, cancellation)
-	// is the race's failure — the engines would hit the same wall.
+	// is the policy's failure — the engines would hit the same wall.
 	target := g
 	var red *passes.Reduction
 	if opts.Reduce {
@@ -154,139 +153,78 @@ func ComputeThroughputHedgedOpts(ctx context.Context, g *sdf.Graph, opts HedgeOp
 		}
 	}
 	// The gate sheds engines before anything is spent on them: a gated
-	// engine gets no goroutine, no meter and no budget charge, only a
-	// skipped line in the report.
-	gated := make(map[Method]error)
-	racers := make([]Method, 0, len(engines))
-	for _, m := range engines {
-		if opts.Gate != nil {
-			if err := opts.Gate(m); err != nil {
-				gated[m] = err
-				continue
-			}
+	// engine gets no run, no meter and no budget charge, only a skipped
+	// line in the report.
+	gated := make([]error, len(engines))
+	if opts.Gate != nil {
+		for i, m := range engines {
+			gated[i] = opts.Gate(m)
 		}
-		racers = append(racers, m)
 	}
 	reg := obs.FromContext(ctx)
-	raceCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	type outcome struct {
-		tp   Throughput
-		cert *verify.ThroughputCert
-		err  error
-		wall time.Duration
-	}
-	type finish struct {
-		method Method
-		outcome
-	}
-	// Buffered to the field size so every racer can deliver and exit
-	// even if the receive loop has moved on.
-	results := make(chan finish, len(racers))
-	var wg sync.WaitGroup
-	for _, m := range racers {
-		wg.Add(1)
-		go func(m Method) {
-			defer wg.Done()
-			var o outcome
-			start := reg.Now()
-			// Isolation on top of the isolation inside the certified
-			// engine: a panic anywhere in this goroutine must lose the
-			// race, not kill the process.
-			o.err = guard.Protect(m.String(), "hedged", func() error {
-				var err error
-				o.tp, o.cert, err = ComputeThroughputCertified(raceCtx, target, m)
-				return err
-			})
-			o.wall = reg.Now().Sub(start)
-			results <- finish{method: m, outcome: o}
-		}(m)
-	}
-
-	byMethod := make(map[Method]outcome, len(racers))
-	var winner Method
-	won := false
-	for range racers {
-		f := <-results
-		byMethod[f.method] = f.outcome
-		if f.err == nil && !won && !opts.CrossCheck {
-			// First verified answer wins; losers observe the
-			// cancellation at their next budget checkpoint.
-			winner, won = f.method, true
-			cancel()
-		}
-	}
-	wg.Wait()
-	if opts.CrossCheck {
-		// Deterministic winner: the first verified engine in race order.
-		for _, m := range racers {
-			if byMethod[m].err == nil {
-				winner, won = m, true
-				break
-			}
-		}
-	}
-
 	rep := &HedgeReport{Certificates: make(map[Method]*verify.ThroughputCert)}
+	results := make(map[Method]Throughput, len(engines))
 	var errs []error
-	for _, m := range engines {
-		if gerr, ok := gated[m]; ok {
+	for i, m := range engines {
+		switch {
+		case gated[i] != nil:
+			rep.Attempts = append(rep.Attempts, EngineAttempt{
+				Method: m, Skipped: true, Reason: fmt.Sprintf("gated: %v", gated[i]), Err: gated[i],
+			})
+			errs = append(errs, fmt.Errorf("%v: %w", m, gated[i]))
+			continue
+		case rep.Answered && !opts.CrossCheck:
+			rep.Attempts = append(rep.Attempts, EngineAttempt{
+				Method: m, Skipped: true, Reason: fmt.Sprintf("the %s engine answered first", rep.Winner),
+			})
+			continue
+		case ctx.Err() != nil:
 			rep.Attempts = append(rep.Attempts, EngineAttempt{
 				Method: m, Skipped: true,
-				Reason: fmt.Sprintf("gated: %v", gerr),
-				Err:    gerr,
+				Reason: fmt.Sprintf("context done before the engine could start (%v)", context.Cause(ctx)),
 			})
-			if !won {
-				errs = append(errs, fmt.Errorf("%v: %w", m, gerr))
-			}
+			errs = append(errs, fmt.Errorf("%v: %w", m, context.Cause(ctx)))
 			continue
 		}
-		o := byMethod[m]
+		start := reg.Now()
+		tp, cert, err := ComputeThroughputCertified(ctx, target, m)
+		at := EngineAttempt{Method: m, Wall: reg.Now().Sub(start)}
 		switch {
-		case o.err == nil && won && m == winner:
-			rep.Attempts = append(rep.Attempts, EngineAttempt{Method: m, Wall: o.wall})
-		case o.err == nil:
-			rep.Attempts = append(rep.Attempts, EngineAttempt{
-				Method: m, Wall: o.wall,
-				Reason: fmt.Sprintf("verified, cross-checked against the %s engine", winner),
-			})
-		case won && errors.Is(o.err, guard.ErrCanceled) && !opts.CrossCheck:
-			rep.Attempts = append(rep.Attempts, EngineAttempt{
-				Method: m, Skipped: true, Wall: o.wall,
-				Reason: fmt.Sprintf("cancelled: the %s engine answered first", winner),
-			})
+		case err != nil:
+			at.Reason, at.Err = err.Error(), err
+			errs = append(errs, fmt.Errorf("%v: %w", m, err))
+		case rep.Answered:
+			at.Reason = fmt.Sprintf("verified, cross-checked against the %s engine", rep.Winner)
 		default:
-			rep.Attempts = append(rep.Attempts, EngineAttempt{Method: m, Reason: o.err.Error(), Err: o.err, Wall: o.wall})
-			errs = append(errs, fmt.Errorf("%v: %w", m, o.err))
+			rep.Winner, rep.Answered = m, true
 		}
-		if o.err == nil {
-			rep.Certificates[m] = o.cert
+		if err == nil {
+			results[m], rep.Certificates[m] = tp, cert
 		}
+		rep.Attempts = append(rep.Attempts, at)
 	}
 	countAttempts(reg, "hedge", rep.Attempts)
-	if !won {
+	if !rep.Answered {
 		reg.Counter(obs.MetricHedgeRaces, "outcome", "failed").Inc()
 		return Throughput{}, rep, fmt.Errorf("analysis: no engine produced a verified throughput: %w", errors.Join(errs...))
 	}
-	rep.Winner, rep.Answered = winner, true
+	winner := rep.Winner
 
 	// Any second verified answer must agree with the winner's; a
 	// conflict is structured evidence, not a coin flip.
-	win := byMethod[winner]
-	for _, m := range racers {
-		o := byMethod[m]
-		if m == winner || o.err != nil {
+	win := results[winner]
+	for _, m := range engines {
+		tp, ok := results[m]
+		if m == winner || !ok {
 			continue
 		}
-		if o.tp.Unbounded != win.tp.Unbounded ||
-			(!o.tp.Unbounded && !o.tp.Period.Equal(win.tp.Period)) {
+		if tp.Unbounded != win.Unbounded || (!tp.Unbounded && !tp.Period.Equal(win.Period)) {
 			reg.Counter(obs.MetricHedgeRaces, "outcome", "disagreement").Inc()
 			reg.Emit("hedge.disagreement", "winner", winner.String(), "peer", m.String())
 			return Throughput{}, rep, &DisagreementError{
 				MethodA: winner, MethodB: m,
-				ResultA: win.tp, ResultB: o.tp,
-				CertA: win.cert, CertB: o.cert,
+				ResultA: win, ResultB: tp,
+				CertA: rep.Certificates[winner], CertB: rep.Certificates[m],
 			}
 		}
 	}
@@ -294,7 +232,7 @@ func ComputeThroughputHedgedOpts(ctx context.Context, g *sdf.Graph, opts HedgeOp
 	reg.Counter(obs.MetricHedgeWins, "engine", winner.String()).Inc()
 	if red != nil {
 		rep.Reduction = red.Trace()
-		lifted, err := red.LiftCert(win.cert)
+		lifted, err := red.LiftCert(rep.Certificates[winner])
 		if err != nil {
 			return Throughput{}, rep, fmt.Errorf("analysis: hedged lift: %w", err)
 		}
@@ -308,5 +246,5 @@ func ComputeThroughputHedgedOpts(ctx context.Context, g *sdf.Graph, opts HedgeOp
 			Repetition: red.OriginalRepetition(),
 		}, rep, nil
 	}
-	return win.tp, rep, nil
+	return win, rep, nil
 }

@@ -269,3 +269,24 @@ func TestHedgedInjectedRefusalLosesRace(t *testing.T) {
 		t.Errorf("hsdf failure = %v, want the injected ErrBudgetExceeded", hsdfAttempt.Err)
 	}
 }
+
+// Engines reached after the context is done are not started: they are
+// recorded as skipped with a nil error (a breaker forgives them), and
+// the policy's error carries the context's cause.
+func TestHedgedContextDoneSkipsEngines(t *testing.T) {
+	defer noLeaks(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, rep, err := ComputeThroughputHedged(ctx, gen.Figure2())
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if rep.Answered || len(rep.Attempts) != 3 {
+		t.Fatalf("report = answered=%v attempts=%d, want 3 skipped attempts", rep.Answered, len(rep.Attempts))
+	}
+	for _, at := range rep.Attempts {
+		if !at.Skipped || at.Err != nil || at.Wall != 0 {
+			t.Errorf("%v: %+v, want skipped before it started", at.Method, at)
+		}
+	}
+}

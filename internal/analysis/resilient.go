@@ -29,9 +29,8 @@ type EngineAttempt struct {
 	// gate's error for engines a HedgeOptions.Gate shed before they ran.
 	Err error
 	// Wall is how long the engine ran (zero for engines that never
-	// started; lost racers keep the time they spent before the
-	// cancellation), measured on the observability clock when the
-	// context carries a registry, the wall clock otherwise.
+	// started), measured on the observability clock when the context
+	// carries a registry, the wall clock otherwise.
 	Wall time.Duration
 }
 

@@ -178,8 +178,9 @@ func (b *Breaker) transition(to BreakerState) {
 	}
 }
 
-// Forgive records a neutral outcome — the request was cancelled because
-// a sibling engine answered first, or its budget refused the graph —
+// Forgive records a neutral outcome — the engine was admitted but not
+// run because a sibling engine answered first, or its budget refused
+// the graph —
 // that says nothing about the engine's health. It releases a half-open
 // probe slot without a verdict and leaves the failure streak untouched.
 func (b *Breaker) Forgive() {

@@ -179,8 +179,14 @@ func TestInjectorConcurrentOneShot(t *testing.T) {
 				if err := m.Tick(1); err != nil {
 					checkpointFaults.Add(1)
 				}
-				if err := m.NeedFirings(1); errors.Is(err, ErrBudgetExceeded) {
+				// NeedFirings ends in a context poll, which is a
+				// checkpoint strike too: the checkpoint fault can
+				// surface there.
+				switch err := m.NeedFirings(1); {
+				case errors.Is(err, ErrBudgetExceeded):
 					precheckFaults.Add(1)
+				case errors.Is(err, ErrEngineFailed):
+					checkpointFaults.Add(1)
 				}
 			}
 		}()

@@ -25,6 +25,10 @@ var ErrDeadlock = errors.New("mcm: zero-token cycle (deadlock)")
 // ErrNotHSDF indicates the graph has a rate different from 1.
 var ErrNotHSDF = errors.New("mcm: graph is not homogeneous")
 
+// errNoConvergence marks Howard's policy iteration hitting its
+// iteration cap.
+var errNoConvergence = errors.New("mcm: Howard's algorithm did not converge")
+
 // Result reports the maximum cycle ratio and one critical cycle.
 type Result struct {
 	// CycleMean is the maximum over cycles of Σexec/Σtokens: the
@@ -214,7 +218,7 @@ func howard(n int, adj [][]edge, alive []bool) (Result, error) {
 			return finishHoward(n, adj, alive, policy, eta)
 		}
 	}
-	return Result{}, fmt.Errorf("mcm: Howard's algorithm did not converge in %d iterations", maxIters)
+	return Result{}, fmt.Errorf("%w in %d iterations", errNoConvergence, maxIters)
 }
 
 func edgeReward(e edge, eta rat.Rat, xTo rat.Rat) (rat.Rat, error) {

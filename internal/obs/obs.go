@@ -54,7 +54,8 @@ const (
 	// MetricHedgeWins counts race wins per engine (label engine).
 	MetricHedgeWins = "sdf_hedge_wins_total"
 	// MetricCacheEvents counts result-cache traffic (label event: hit,
-	// miss, evict, dedup).
+	// miss, expired, stale-hit, evict, dedup) and reduction-memo
+	// traffic (reduce-hit, reduce-miss).
 	MetricCacheEvents = "sdf_cache_events_total"
 	// MetricBreakerTransitions counts breaker state changes (labels
 	// engine; to: open, half-open, closed).

@@ -3,10 +3,12 @@ package sadf
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/maxplus"
 	"repro/internal/mcm"
+	"repro/internal/obs"
 	"repro/internal/rat"
 	"repro/internal/verify"
 )
@@ -34,7 +36,8 @@ type Result struct {
 // Analyze computes the worst-case iteration period of the model and a
 // certificate for it: per-scenario max-plus matrices via the symbolic
 // iteration of Algorithm 1, the max-plus automaton over the FSM, its
-// maximum cycle mean via Howard's policy iteration, and a
+// maximum cycle mean via Howard's policy iteration (Karp's algorithm
+// when Howard does not converge), and a
 // verify.SADFCert with double-sided witnesses plus the critical
 // scenario sequence for exact replay.
 func Analyze(ctx context.Context, m *Model) (*Result, *verify.SADFCert, error) {
@@ -71,18 +74,28 @@ func Analyze(ctx context.Context, m *Model) (*Result, *verify.SADFCert, error) {
 		AutomatonNodes: nodes,
 		AutomatonEdges: len(edges),
 	}
+	critical := ratio.Critical
 	if ratio.HasCycle {
 		res.Period = ratio.CycleRatio
-		n := m.Tokens()
-		res.CriticalStates = make([]string, len(ratio.Critical))
-		for i, node := range ratio.Critical {
-			res.CriticalStates[i] = m.States[node/n].Name
-		}
 	}
 	cert, err := verify.NewSADFCert(ctx, graphs, m.ScenarioNames(), mcs,
 		m.StateNames(), stateScenario, transitions, initial, res.Unbounded, res.Period)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sadf: certificate: %w", err)
+	}
+	if ratio.Karp {
+		// Howard's iteration hit its cap and Karp found the ratio but no
+		// cycle: the certificate's witness cycle names the critical
+		// states instead.
+		obs.FromContext(ctx).Emit("sadf.karp-fallback", "model", m.Name, "nodes", strconv.Itoa(nodes))
+		critical = make([]int, len(cert.Cycle))
+		for i, e := range cert.Cycle {
+			critical[i] = sedges[e].From
+		}
+	}
+	n := m.Tokens()
+	for _, node := range critical {
+		res.CriticalStates = append(res.CriticalStates, m.States[node/n].Name)
 	}
 	return res, cert, nil
 }

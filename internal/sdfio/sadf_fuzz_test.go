@@ -19,15 +19,15 @@ func FuzzSADFParse(f *testing.F) {
 			"scenario hi\nactor A 3\nactor B 4\nchan A B 1 1 1\nchan B A 1 1 1\n" +
 			"state slo lo\nstate shi hi\ntrans slo shi\ntrans shi slo\ninitial slo\n",
 		"# comment\n\nsadf g\nscenario s\nactor A 1\nchan A A 1 1 1\nstate q s\ntrans q q\ninitial q\n",
-		"sadf g\nscenario s\nactor A 1\nchan A A 1 1 1\nstate q s\ninitial q\n", // no transitions: acyclic FSM
-		"sadf g\nstate q missing\ninitial q\n",                                  // state -> unknown scenario
+		"sadf g\nscenario s\nactor A 1\nchan A A 1 1 1\nstate q s\ninitial q\n",            // no transitions: acyclic FSM
+		"sadf g\nstate q missing\ninitial q\n",                                             // state -> unknown scenario
 		"sadf g\nscenario s\nactor A 1\nchan A A 1 1 1\nstate q s\ntrans q r\ninitial q\n", // unknown transition target
 		"sadf g\nscenario s\nactor A 1\nchan A A 1 1 1\nstate q s\ninitial r\n",            // unknown initial
 		"sadf g\nscenario s\nactor A 1\nstate q s\ninitial q\n",                            // no tokens
 		"sadf g\nscenario a\nactor A 1\nchan A A 1 1 1\nscenario b\nactor A 1\nchan A A 1 1 2\n" +
 			"state q a\nstate r b\ntrans q r\ntrans r q\ninitial q\n", // mismatched token signature
 		"sadf g\nscenario s\nactor A 1\nchan A A 1 1 1\nstate q s\nstate r s\ntrans q q\ninitial q\n", // unreachable state
-		"actor A 1\n",   // actor before scenario
+		"actor A 1\n", // actor before scenario
 		"chan A A 1 1 1\n",
 		"sadf\n",
 		"scenario s\nscenario s\n", // duplicate scenario

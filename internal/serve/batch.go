@@ -212,7 +212,7 @@ func (s *Server) analyzeBatch(ctx context.Context, breq *BatchRequest) (*BatchRe
 		if pi.err != nil || len(pi.req.Faults) > 0 {
 			continue
 		}
-		key := pi.req.Key()
+		key := pi.origKey
 		if pi.req.ExactOnly {
 			key += "|exact"
 		}

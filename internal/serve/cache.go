@@ -7,7 +7,67 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/passes"
 )
+
+// lru is a bounded least-recently-used map from string keys: the
+// bookkeeping the result cache and the reduction memo share. It is not
+// synchronized; its owner holds the lock.
+type lru[V any] struct {
+	cap     int
+	order   *list.List // front = most recently used; values are *lruEntry[V]
+	entries map[string]*list.Element
+}
+
+type lruEntry[V any] struct {
+	key string
+	val V
+}
+
+func newLRU[V any](capacity int) lru[V] {
+	capacity = max(capacity, 1)
+	return lru[V]{cap: capacity, order: list.New(), entries: make(map[string]*list.Element, capacity)}
+}
+
+// peek returns the value stored under key without touching its
+// recency.
+func (l *lru[V]) peek(key string) (V, bool) {
+	el, ok := l.entries[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	return el.Value.(*lruEntry[V]).val, true
+}
+
+// get is peek that also marks the entry most recently used.
+func (l *lru[V]) get(key string) (V, bool) {
+	el, ok := l.entries[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	l.order.MoveToFront(el)
+	return el.Value.(*lruEntry[V]).val, true
+}
+
+// put stores val under key as the most recently used entry and returns
+// how many least recently used entries it evicted past the capacity.
+func (l *lru[V]) put(key string, val V) (evicted int) {
+	if el, ok := l.entries[key]; ok {
+		el.Value.(*lruEntry[V]).val = val
+		l.order.MoveToFront(el)
+		return 0
+	}
+	l.entries[key] = l.order.PushFront(&lruEntry[V]{key: key, val: val})
+	for l.order.Len() > l.cap {
+		oldest := l.order.Back()
+		l.order.Remove(oldest)
+		delete(l.entries, oldest.Value.(*lruEntry[V]).key)
+		evicted++
+	}
+	return evicted
+}
 
 // resultCache is a bounded LRU of certified analysis answers keyed by
 // the canonical request hash. Every cached entry was independently
@@ -24,35 +84,22 @@ import (
 // being overwritten with a fresh result — a stale certified answer
 // beats a refusal, and it still occupies the capacity it is worth.
 type resultCache struct {
-	mu      sync.Mutex
-	cap     int
-	ttl     time.Duration    // 0 = entries never go stale
-	now     func() time.Time // registry clock (injectable in tests)
-	order   *list.List       // front = most recently used; values are *cacheEntry
-	entries map[string]*list.Element
-	reg     *obs.Registry // nil = uninstrumented
+	mu sync.Mutex
+	lru[*cacheEntry]
+	ttl time.Duration    // 0 = entries never go stale
+	now func() time.Time // registry clock (injectable in tests)
+	reg *obs.Registry    // nil = uninstrumented
 
 	hits, misses, evictions atomic.Int64
 }
 
 type cacheEntry struct {
-	key    string
 	res    *answer
 	stored time.Time
 }
 
 func newResultCache(capacity int, ttl time.Duration, reg *obs.Registry) *resultCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &resultCache{
-		cap:     capacity,
-		ttl:     ttl,
-		now:     reg.Now,
-		order:   list.New(),
-		entries: make(map[string]*list.Element, capacity),
-		reg:     reg,
-	}
+	return &resultCache{lru: newLRU[*cacheEntry](capacity), ttl: ttl, now: reg.Now, reg: reg}
 }
 
 // fresh reports whether the entry is still within the TTL.
@@ -66,13 +113,12 @@ func (c *resultCache) fresh(e *cacheEntry) bool {
 func (c *resultCache) get(key string) (*answer, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	e, ok := c.lru.peek(key)
 	if !ok {
 		c.misses.Add(1)
 		c.reg.Counter(obs.MetricCacheEvents, "event", "miss").Inc()
 		return nil, false
 	}
-	e := el.Value.(*cacheEntry)
 	if !c.fresh(e) {
 		c.misses.Add(1)
 		c.reg.Counter(obs.MetricCacheEvents, "event", "expired").Inc()
@@ -80,7 +126,7 @@ func (c *resultCache) get(key string) (*answer, bool) {
 	}
 	c.hits.Add(1)
 	c.reg.Counter(obs.MetricCacheEvents, "event", "hit").Inc()
-	c.order.MoveToFront(el)
+	c.lru.get(key)
 	res := *e.res
 	res.cached = true
 	return &res, true
@@ -93,13 +139,12 @@ func (c *resultCache) get(key string) (*answer, bool) {
 func (c *resultCache) getStale(key string) (res *answer, stale, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, found := c.entries[key]
+	e, found := c.lru.get(key)
 	if !found {
 		c.misses.Add(1)
 		c.reg.Counter(obs.MetricCacheEvents, "event", "miss").Inc()
 		return nil, false, false
 	}
-	e := el.Value.(*cacheEntry)
 	stale = !c.fresh(e)
 	c.hits.Add(1)
 	if stale {
@@ -107,7 +152,6 @@ func (c *resultCache) getStale(key string) (res *answer, stale, ok bool) {
 	} else {
 		c.reg.Counter(obs.MetricCacheEvents, "event", "hit").Inc()
 	}
-	c.order.MoveToFront(el)
 	out := *e.res
 	out.cached, out.stale = true, stale
 	return &out, stale, true
@@ -118,18 +162,7 @@ func (c *resultCache) getStale(key string) (res *answer, stale, ok bool) {
 func (c *resultCache) put(key string, res *answer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.res = res
-		e.stored = c.now()
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, res: res, stored: c.now()})
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
+	for n := c.lru.put(key, &cacheEntry{res: res, stored: c.now()}); n > 0; n-- {
 		c.evictions.Add(1)
 		c.reg.Counter(obs.MetricCacheEvents, "event", "evict").Inc()
 	}
@@ -140,6 +173,47 @@ func (c *resultCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
+}
+
+// reductionMemo remembers, per original request key, what
+// graphJob.prepare derived from the graph, so a repeated request skips
+// the reduction fixpoint. It holds no answer and no verdict: a reduced
+// answer is still lifted through the entry's chain and re-checked
+// against the request's own graph on every serve. Bounded like the
+// result cache, by Options.CacheEntries.
+type reductionMemo struct {
+	mu sync.Mutex
+	lru[memoEntry]
+	reg *obs.Registry // nil = uninstrumented
+}
+
+// memoEntry is what a memo hit restores into a graphJob.
+type memoEntry struct {
+	red  *passes.Reduction // nil: nothing reduced, the request key is the cache key
+	cost int64             // admission price of the graph the engines see
+	key  string            // cache key of red.Final; "" when red is nil
+}
+
+func newReductionMemo(capacity int, reg *obs.Registry) *reductionMemo {
+	return &reductionMemo{lru: newLRU[memoEntry](capacity), reg: reg}
+}
+
+func (m *reductionMemo) get(key string) (memoEntry, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.lru.get(key)
+	event := "reduce-miss"
+	if ok {
+		event = "reduce-hit"
+	}
+	m.reg.Counter(obs.MetricCacheEvents, "event", event).Inc()
+	return e, ok
+}
+
+func (m *reductionMemo) put(key string, e memoEntry) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.lru.put(key, e)
 }
 
 // flight is one in-flight computation that identical requests join

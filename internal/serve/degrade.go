@@ -22,8 +22,8 @@ var ErrDegraded = errors.New("serve: admission degraded")
 type Level int
 
 const (
-	// LevelExact is normal operation: the full hedged engine race (or
-	// the requested engine), exact answers only.
+	// LevelExact is normal operation: the hedged engine policy (or the
+	// requested engine), exact answers only.
 	LevelExact Level = iota
 	// LevelBounded answers with a certified conservative enclosure
 	// (reduction fixpoint + matrix engine under a hard cost ceiling)

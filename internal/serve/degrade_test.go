@@ -119,9 +119,9 @@ func TestRetryAfterByLevel(t *testing.T) {
 		queued int
 		want   int
 	}{
-		{LevelExact, "overloaded", 2, 3},  // heuristic: 1 + 2/1
-		{LevelExact, "overloaded", 8, 8},  // heuristic cap
-		{LevelBounded, "degraded", 2, 2},  // 2 × 1s / 1 worker
+		{LevelExact, "overloaded", 2, 3},   // heuristic: 1 + 2/1
+		{LevelExact, "overloaded", 8, 8},   // heuristic cap
+		{LevelBounded, "degraded", 2, 2},   // 2 × 1s / 1 worker
 		{LevelBounded, "overloaded", 3, 3}, // degraded server quotes drain time even for overload
 		{LevelStale, "degraded", 5, 5},
 		{LevelShed, "degraded", 8, 8},

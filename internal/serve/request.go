@@ -36,8 +36,9 @@ type RequestPayload struct {
 	// GraphText is the graph in the native text format, an alternative
 	// for clients that keep graphs as .sdf files.
 	GraphText string `json:"graph_text,omitempty"`
-	// Method selects the engine: "hedged" (the default: a verified
-	// engine race), or a single engine "matrix", "statespace", "hsdf".
+	// Method selects the engine: "hedged" (the default: the certified
+	// engine policy, matrix first), or a single engine "matrix",
+	// "statespace", "hsdf".
 	Method string `json:"method,omitempty"`
 	// TimeoutMS is the per-request analysis deadline in milliseconds;
 	// 0 uses the server default, and the server clamps it to its
@@ -83,7 +84,7 @@ type ResultPayload struct {
 	Verified bool `json:"verified"`
 	// Certificate is the human-readable witness summary.
 	Certificate string `json:"certificate,omitempty"`
-	// Report is the per-engine race report, one line per engine.
+	// Report is the hedged policy's report, one line per engine.
 	Report []string `json:"report,omitempty"`
 	// Reduction is the fixpoint trace of the reduction pass manager when
 	// it shrank the graph before the engines ran, one line per rewrite.

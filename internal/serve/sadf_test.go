@@ -155,9 +155,9 @@ initial s
 
 	// Transport-shape failures stay bad-request.
 	for name, body := range map[string]string{
-		"no model":   `{}`,
-		"both":       `{"model_text":"x","model":{}}`,
-		"bad json":   `{`,
+		"no model":    `{}`,
+		"both":        `{"model_text":"x","model":{}}`,
+		"bad json":    `{`,
 		"neg timeout": `{"model_text":"x","timeout_ms":-1}`,
 	} {
 		if _, err := DecodeSADFRequest([]byte(body)); KindOf(err) != "bad-request" {

@@ -9,7 +9,7 @@
 //	    that do not fit are refused instantly with ErrOverloaded.
 //	per-engine circuit breakers — guard.Breaker around each throughput
 //	    engine, tripped by failure/panic/deadline streaks; a sick engine
-//	    is shed from the hedged race (HedgeOptions.Gate) while the
+//	    is shed from the hedged policy (HedgeOptions.Gate) while the
 //	    remaining engines keep answering, then probed half-open until it
 //	    recovers.
 //	singleflight result cache — identical in-flight requests join one
@@ -77,8 +77,8 @@ type Options struct {
 	MaxTimeout time.Duration
 	// Breaker configures every per-engine circuit breaker.
 	Breaker guard.BreakerOptions
-	// Engines lists the engines of the hedged race; default matrix,
-	// statespace, hsdf.
+	// Engines lists the engines of the hedged policy, in the order it
+	// tries them; default matrix, statespace, hsdf.
 	Engines []analysis.Method
 	// AllowInjection permits requests to arm per-request faults. Only
 	// ever enable it for soak tests; it is how the failure paths are
@@ -138,6 +138,7 @@ type Server struct {
 	breakers map[analysis.Method]*guard.Breaker
 	pool     *guard.Pool
 	cache    *resultCache
+	memo     *reductionMemo
 	flights  *flightGroup
 	ctrl     *controller
 
@@ -176,6 +177,7 @@ func New(opts Options) *Server {
 		breakers: make(map[analysis.Method]*guard.Breaker, len(opts.Engines)),
 		pool:     guard.NewPool(opts.PoolCapacity),
 		cache:    newResultCache(opts.CacheEntries, opts.CacheTTL, opts.Obs),
+		memo:     newReductionMemo(opts.CacheEntries, opts.Obs),
 		flights:  newFlightGroup(opts.Obs),
 		ctrl: newController(opts.Workers, opts.Workers+opts.QueueDepth,
 			opts.DegradeTargetP99, opts.DegradeHold, opts.Obs),
@@ -519,6 +521,9 @@ type graphJob struct {
 	req  *Request
 	red  *passes.Reduction // nil when no reduction applied
 	cost int64             // admission price of the graph the engines see
+	// origKey is req.Key(); redKey is the key of red.Final. Neither is
+	// set on a fault-injected request.
+	origKey, redKey string
 }
 
 // prepare gates fault injection, runs the structural prechecks (an
@@ -528,6 +533,8 @@ type graphJob struct {
 // Fault-injected requests skip the reduction — their faults must fire
 // in the engine they name, on the graph the test wrote — and a
 // reduction that fails or achieves nothing leaves the original graph.
+// The fixpoint's outcome is memoized per request key, so a repeated
+// request skips it.
 func (j *graphJob) prepare(s *Server) error {
 	if len(j.req.Faults) > 0 && !s.opts.AllowInjection {
 		return ErrInjectionDisabled
@@ -543,11 +550,24 @@ func (j *graphJob) prepare(s *Server) error {
 	if len(j.req.Faults) > 0 {
 		return nil
 	}
-	rctx := obs.WithRegistry(s.baseCtx, s.reg)
-	if r, err := passes.Reduce(rctx, j.req.Graph, passes.Options{}); err == nil && len(r.Steps) > 0 {
-		j.red = r
-		j.cost = EstimateCost(r.Final)
+	j.origKey = j.req.Key()
+	if e, ok := s.memo.get(j.origKey); ok {
+		j.red, j.cost, j.redKey = e.red, e.cost, e.key
+		return nil
 	}
+	rctx := obs.WithRegistry(s.baseCtx, s.reg)
+	r, err := passes.Reduce(rctx, j.req.Graph, passes.Options{})
+	if err != nil {
+		// A failed fixpoint leaves the original graph and is not
+		// memoized: it may have been cut short by the server closing.
+		return nil
+	}
+	if len(r.Steps) > 0 {
+		red := *j.req
+		red.Graph = r.Final
+		j.red, j.cost, j.redKey = r, EstimateCost(r.Final), red.Key()
+	}
+	s.memo.put(j.origKey, memoEntry{red: j.red, cost: j.cost, key: j.redKey})
 	return nil
 }
 
@@ -555,14 +575,10 @@ func (j *graphJob) prepare(s *Server) error {
 // originals that reduce to the same graph share the entry but not the
 // lift.
 func (j *graphJob) key() string {
-	if len(j.req.Faults) > 0 {
-		return ""
-	}
-	r := *j.req
 	if j.red != nil {
-		r.Graph = j.red.Final
+		return j.redKey
 	}
-	return r.Key()
+	return j.origKey
 }
 
 func (j *graphJob) execute(s *Server) (*answer, error) {
@@ -599,7 +615,7 @@ func (j *graphJob) execute(s *Server) (*answer, error) {
 // the contract, below anything a client would reasonably ask for.
 func (j *graphJob) bounded(ctx context.Context, s *Server) (*ResultPayload, error) {
 	orig := j.req.Graph
-	ans, err := s.dispatch(ctx, "bounded|"+j.req.Key(), func() (*answer, error) {
+	ans, err := s.dispatch(ctx, "bounded|"+j.origKey, func() (*answer, error) {
 		cost := min(EstimateCost(orig), analysis.DefaultBoundedCeiling)
 		return s.execute(cost, j.req.Timeout, func(ctx context.Context) (*answer, error) {
 			b, cert, err := analysis.ComputeThroughputBounded(ctx, orig, analysis.BoundedOptions{})
@@ -697,8 +713,8 @@ func (j *graphJob) record(reg *obs.Registry, outcome string, elapsed time.Durati
 	reg.Counter(obs.MetricRequests, "outcome", outcome).Inc()
 }
 
-// runHedged races the breaker-gated engines and feeds every attempt's
-// outcome back into its breaker.
+// runHedged runs the hedged engine policy over the breaker-gated
+// engines and feeds every attempt's outcome back into its breaker.
 func (s *Server) runHedged(ctx context.Context, g *sdf.Graph) (*answer, error) {
 	tp, rep, err := analysis.ComputeThroughputHedgedOpts(ctx, g, analysis.HedgeOptions{
 		Engines: s.opts.Engines,
@@ -757,10 +773,10 @@ func (s *Server) gate(m analysis.Method) error {
 }
 
 // recordOutcomes feeds engine attempts back into the breakers. Gated
-// attempts (skipped with the gate's error) reserved nothing; lost-race
-// cancellations and budget refusals are forgiven — they say nothing
-// about engine health; engine failures, panics and deadline hits are
-// the trip-worthy streaks.
+// attempts (skipped with the gate's error) reserved nothing; admitted
+// engines the policy never ran and budget refusals are forgiven — they
+// say nothing about engine health; engine failures, panics and deadline
+// hits are the trip-worthy streaks.
 func (s *Server) recordOutcomes(attempts []analysis.EngineAttempt) {
 	for _, at := range attempts {
 		if !at.Skipped && at.Wall > 0 {
@@ -787,7 +803,7 @@ func (s *Server) recordOutcomes(attempts []analysis.EngineAttempt) {
 
 // tripworthy reports whether an engine error indicates engine sickness
 // (internal failure, isolated panic, deadline blow-through) as opposed
-// to a property of the request (budget refusal, lost race).
+// to a property of the request (budget refusal, cancellation).
 func tripworthy(err error) bool {
 	return errors.Is(err, guard.ErrEngineFailed) || errors.Is(err, context.DeadlineExceeded)
 }
@@ -810,7 +826,7 @@ func buildResult(g *sdf.Graph, engine string, tp analysis.Throughput, cert *veri
 	return res
 }
 
-// reportLines renders the race one line per engine attempt. Failure
+// reportLines renders the policy one line per engine attempt. Failure
 // reasons are cut at their first newline: an isolated panic's reason
 // embeds a full stack trace, which belongs in server logs, not in every
 // wire response.

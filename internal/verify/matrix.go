@@ -66,12 +66,16 @@ func (c *MatrixCert) Check(ctx context.Context, g *sdf.Graph) error {
 	if _, err := replayCounts(ctx, g, c.Schedule); err != nil {
 		return err
 	}
+	r, err := newTokenReplay(g, c.Schedule)
+	if err != nil {
+		return err
+	}
+	meter := guard.NewMeter(ctx, "verify")
+	meter.Phase("token-replay")
 
 	// One concrete simulated iteration from the zero vector: final token
 	// times are the row maxima of the true matrix.
-	zero := make([]maxplus.T, n)
-	final, err := replayTokens(ctx, g, c.Schedule, zero)
-	if err != nil {
+	if err := r.walk(meter, 1, 0, 0); err != nil {
 		return err
 	}
 	m0 := int64(0)
@@ -80,11 +84,12 @@ func (c *MatrixCert) Check(ctx context.Context, g *sdf.Graph) error {
 		for j := 0; j < n; j++ {
 			rowMax = rowMax.Max(c.Matrix.At(k, j))
 		}
-		if rowMax.Cmp(final[k]) != 0 {
-			return invalidf("row %d: claimed maximum %v, concrete iteration produced %v", k, rowMax, final[k])
+		final := r.final(k, 0)
+		if rowMax.Cmp(final) != 0 {
+			return invalidf("row %d: claimed maximum %v, concrete iteration produced %v", k, rowMax, final)
 		}
-		if !final[k].IsNegInf() && final[k].Int() > m0 {
-			m0 = final[k].Int()
+		if !final.IsNegInf() && final.Int() > m0 {
+			m0 = final.Int()
 		}
 	}
 	// Cheap entry sanity: true entries lie in {−∞} ∪ [0, M0].
@@ -99,7 +104,8 @@ func (c *MatrixCert) Check(ctx context.Context, g *sdf.Graph) error {
 	if !c.ExhaustiveFor(g) {
 		return nil
 	}
-	// Exhaustive binding: recover each column by a shifted replay.
+	// Exhaustive binding: recover each column by a shifted replay, up to
+	// r.lanes columns per schedule walk.
 	b, ok := rat.MulChecked(m0, 2)
 	if ok {
 		b, ok = rat.AddChecked(b, 1)
@@ -107,93 +113,189 @@ func (c *MatrixCert) Check(ctx context.Context, g *sdf.Graph) error {
 	if !ok {
 		return invalidf("column-recovery shift 2·%d+1 overflows int64", m0)
 	}
-	start := make([]maxplus.T, n)
-	for i := 0; i < n; i++ {
-		for j := range start {
-			start[j] = 0
-		}
-		start[i] = maxplus.FromInt(b)
-		final, err := replayTokens(ctx, g, c.Schedule, start)
-		if err != nil {
+	for first := 0; first < n; first += r.lanes {
+		lanes := min(r.lanes, n-first)
+		if err := r.walk(meter, lanes, first, b); err != nil {
 			return err
 		}
-		for k := 0; k < n; k++ {
-			got := maxplus.NegInf
-			if !final[k].IsNegInf() && final[k].Int() >= b {
-				got = maxplus.FromInt(final[k].Int() - b)
-			}
-			if want := c.Matrix.At(k, i); got.Cmp(want) != 0 {
-				return invalidf("entry (%d,%d): claimed %v, column replay recovered %v", k, i, want, got)
+		for l := 0; l < lanes; l++ {
+			i := first + l
+			for k := 0; k < n; k++ {
+				got, final := maxplus.NegInf, r.final(k, l)
+				if !final.IsNegInf() && final.Int() >= b {
+					got = maxplus.FromInt(final.Int() - b)
+				}
+				if want := c.Matrix.At(k, i); got.Cmp(want) != 0 {
+					return invalidf("entry (%d,%d): claimed %v, column replay recovered %v", k, i, want, got)
+				}
 			}
 		}
 	}
 	return nil
 }
 
-// replayTokens executes one concrete iteration of sched with the given
-// initial-token time stamps (global channel-order numbering, front of
-// each FIFO first) and returns the final token time stamps in the same
-// numbering. All additions are overflow-checked. The schedule must
-// already be certified by replayCounts; token underflow is still
-// rejected defensively.
-func replayTokens(ctx context.Context, g *sdf.Graph, sched []sdf.ActorID, start []maxplus.T) ([]maxplus.T, error) {
-	meter := guard.NewMeter(ctx, "verify")
-	meter.Phase("token-replay")
-	queues := make([][]maxplus.T, g.NumChannels())
-	idx := 0
+// maxReplayLanes is how many column-recovery replays one schedule walk
+// runs in lockstep.
+const maxReplayLanes = 64
+
+// laneSlotCap bounds the lane buffer (ring slots × lanes): a graph with
+// deep FIFOs gets fewer lanes per walk instead of an unbounded buffer.
+const laneSlotCap = 1 << 20
+
+// tokenReplay executes concrete iterations of one certified schedule
+// without allocating per firing. Everything that does not depend on the
+// token time stamps is computed once, in newTokenReplay: channel
+// adjacency, each channel's peak occupancy over the schedule (its ring
+// length), the token counts — and with them the underflow and final
+// marking checks, which hold for every lane at once. A walk then runs up
+// to lanes independent replays in lockstep: a ring slot holds one time
+// stamp per lane, and lane l is exactly the replay from its own start
+// vector, with every addition overflow-checked per lane.
+type tokenReplay struct {
+	sched   []sdf.ActorID
+	in, out [][]sdf.ChannelID
+	cons    []int   // per channel
+	prod    []int   // per channel
+	initial []int   // per channel
+	exec    []int64 // per actor
+	base    []int   // first ring slot of each channel
+	size    []int   // ring length of each channel: its peak occupancy, at least 1
+	head    []int   // ring index of each channel's front token
+	count   []int   // tokens each channel holds
+	tokSlot []int   // ring slot of each token (global channel-order numbering) after a walk
+	lanes   int     // lanes per walk
+	buf     []maxplus.T
+	at, end []maxplus.T // per-firing scratch, one entry per lane
+}
+
+// newTokenReplay prepares the replays of sched on g. The schedule must
+// already be certified by replayCounts; token underflow and an
+// unrestored marking are still rejected defensively.
+func newTokenReplay(g *sdf.Graph, sched []sdf.ActorID) (*tokenReplay, error) {
+	nc, na := g.NumChannels(), g.NumActors()
+	r := &tokenReplay{
+		sched: sched,
+		in:    make([][]sdf.ChannelID, na), out: make([][]sdf.ChannelID, na),
+		cons: make([]int, nc), prod: make([]int, nc), initial: make([]int, nc),
+		exec: make([]int64, na),
+		base: make([]int, nc), size: make([]int, nc), head: make([]int, nc), count: make([]int, nc),
+	}
+	for a := range r.exec {
+		r.exec[a] = g.Actor(sdf.ActorID(a)).Exec
+	}
 	for i, ch := range g.Channels() {
-		for t := 0; t < ch.Initial; t++ {
-			queues[i] = append(queues[i], start[idx])
-			idx++
-		}
-	}
-	inCh := make([][]sdf.ChannelID, g.NumActors())
-	outCh := make([][]sdf.ChannelID, g.NumActors())
-	for i := range g.Channels() {
 		id := sdf.ChannelID(i)
-		ch := g.Channel(id)
-		inCh[ch.Dst] = append(inCh[ch.Dst], id)
-		outCh[ch.Src] = append(outCh[ch.Src], id)
+		r.in[ch.Dst] = append(r.in[ch.Dst], id)
+		r.out[ch.Src] = append(r.out[ch.Src], id)
+		r.cons[i], r.prod[i], r.initial[i] = ch.Cons, ch.Prod, ch.Initial
+		r.count[i], r.size[i] = ch.Initial, max(ch.Initial, 1)
 	}
+	// Token counts do not depend on the time stamps: one count walk
+	// sizes every ring and checks every lane of every later walk.
 	for pos, a := range sched {
-		if err := meter.Tick(1); err != nil {
-			return nil, err
+		if a < 0 || int(a) >= na {
+			return nil, invalidf("token replay step %d fires unknown actor %d", pos, a)
 		}
-		at := maxplus.NegInf
-		for _, id := range inCh[a] {
-			ch := g.Channel(id)
-			q := queues[id]
-			if len(q) < ch.Cons {
+		for _, id := range r.in[a] {
+			if r.count[id] < r.cons[id] {
+				ch := g.Channel(id)
 				return nil, invalidf("token replay step %d underflows channel %s -> %s",
 					pos, g.Actor(ch.Src).Name, g.Actor(ch.Dst).Name)
 			}
-			for t := 0; t < ch.Cons; t++ {
-				at = at.Max(q[t])
-			}
-			queues[id] = q[ch.Cons:]
+			r.count[id] -= r.cons[id]
 		}
-		end := maxplus.NegInf
-		if !at.IsNegInf() {
-			sum, ok := rat.AddChecked(at.Int(), g.Actor(a).Exec)
-			if !ok {
-				return nil, invalidf("token replay step %d overflows a time stamp", pos)
-			}
-			end = maxplus.FromInt(sum)
-		}
-		for _, id := range outCh[a] {
-			ch := g.Channel(id)
-			for t := 0; t < ch.Prod; t++ {
-				queues[id] = append(queues[id], end)
-			}
+		for _, id := range r.out[a] {
+			r.count[id] += r.prod[id]
+			r.size[id] = max(r.size[id], r.count[id])
 		}
 	}
-	final := make([]maxplus.T, 0, len(start))
+	slots := 0
 	for i, ch := range g.Channels() {
-		if len(queues[i]) != ch.Initial {
+		if r.count[i] != ch.Initial {
 			return nil, invalidf("channel %s -> %s ends the replay with %d tokens, want %d",
-				g.Actor(ch.Src).Name, g.Actor(ch.Dst).Name, len(queues[i]), ch.Initial)
+				g.Actor(ch.Src).Name, g.Actor(ch.Dst).Name, r.count[i], ch.Initial)
 		}
-		final = append(final, queues[i]...)
+		r.base[i] = slots
+		slots += r.size[i]
 	}
-	return final, nil
+	r.lanes = max(1, min(maxReplayLanes, g.TotalInitialTokens(), laneSlotCap/max(slots, 1)))
+	r.buf = make([]maxplus.T, slots*r.lanes)
+	r.at, r.end = make([]maxplus.T, r.lanes), make([]maxplus.T, r.lanes)
+	r.tokSlot = make([]int, g.TotalInitialTokens())
+	return r, nil
 }
+
+// walk replays one iteration in lanes lockstep lanes (lanes ≤ r.lanes).
+// Every initial token starts at time 0, except that lane l starts token
+// first+l at shift. One meter tick per lane per firing keeps the
+// cancellation cadence of separate replays.
+func (r *tokenReplay) walk(meter *guard.Meter, lanes, first int, shift int64) error {
+	buf := r.buf[:len(r.buf)/r.lanes*lanes]
+	tok := 0
+	for c, init := range r.initial {
+		r.head[c], r.count[c] = 0, init
+		for t := 0; t < init; t++ {
+			lane := buf[(r.base[c]+t)*lanes:][:lanes]
+			for l := range lane {
+				lane[l] = 0
+			}
+			if l := tok - first; l >= 0 && l < lanes {
+				lane[l] = maxplus.FromInt(shift)
+			}
+			tok++
+		}
+	}
+	at, end := r.at[:lanes], r.end[:lanes]
+	for pos, a := range r.sched {
+		if err := meter.Tick(int64(lanes)); err != nil {
+			return err
+		}
+		for l := range at {
+			at[l] = maxplus.NegInf
+		}
+		for _, id := range r.in[a] {
+			h, size := r.head[id], r.size[id]
+			for t := 0; t < r.cons[id]; t++ {
+				lane := buf[(r.base[id]+h)*lanes:][:lanes]
+				for l, v := range lane {
+					at[l] = at[l].Max(v)
+				}
+				if h++; h == size {
+					h = 0
+				}
+			}
+			r.head[id] = h
+			r.count[id] -= r.cons[id]
+		}
+		for l, v := range at {
+			end[l] = maxplus.NegInf
+			if !v.IsNegInf() {
+				sum, ok := rat.AddChecked(v.Int(), r.exec[a])
+				if !ok {
+					return invalidf("token replay step %d overflows a time stamp", pos)
+				}
+				end[l] = maxplus.FromInt(sum)
+			}
+		}
+		for _, id := range r.out[a] {
+			size := r.size[id]
+			for t := 0; t < r.prod[id]; t++ {
+				slot := r.base[id] + (r.head[id]+r.count[id])%size
+				copy(buf[slot*lanes:][:lanes], end)
+				r.count[id]++
+			}
+		}
+	}
+	tok = 0
+	for c, init := range r.initial {
+		for t := 0; t < init; t++ {
+			r.tokSlot[tok] = (r.base[c] + (r.head[c]+t)%r.size[c]) * lanes
+			tok++
+		}
+	}
+	return nil
+}
+
+// final is the time stamp of token k (global channel-order numbering)
+// in lane l after the last walk.
+func (r *tokenReplay) final(k, l int) maxplus.T { return r.buf[r.tokSlot[k]+l] }

@@ -38,6 +38,11 @@ echo '== benchmark smoke: BenchmarkMatrixCertCheck (1 iteration)'
 # failing benchmark shows in the gate rather than when someone profiles.
 go test -run XXX -bench MatrixCertCheck -benchtime 1x ./internal/verify
 
+echo '== benchmark smoke: BenchmarkReduceRing512 (1 iteration)'
+# The 512-actor fusible ring must close in one chain-fusion step; the
+# benchmark fails if the fixpoint ever returns to one step per link.
+go test -run XXX -bench ReduceRing512 -benchtime 1x ./internal/passes
+
 echo '== go test -race ./...'
 # Hard wall-clock cap on top of go test's own -timeout, so a scheduler
 # hang can never wedge the gate.

@@ -27,7 +27,7 @@ func BenchmarkReduceRing512(b *testing.B) {
 		b.StartTimer()
 		red, err := Reduce(context.Background(), g, Options{})
 		b.StopTimer()
-		if err != nil || len(red.Steps) != 511 {
+		if err != nil || len(red.Steps) != 1 {
 			b.Fatalf("steps=%d err=%v", len(red.Steps), err)
 		}
 	}

@@ -45,6 +45,9 @@ type Application struct {
 	// abstraction applications.
 	Alpha []string
 	Index []int
+	// Chains lists, for chain-fusion applications, the Before actors
+	// fused into each After actor, in chain order.
+	Chains [][]sdf.ActorID
 	// Note is the one-line human description used in reduction traces.
 	Note string
 }
@@ -60,6 +63,7 @@ func (a *Application) LiftStep() verify.LiftStep {
 		QAfter:   a.QAfter,
 		Alpha:    a.Alpha,
 		Index:    a.Index,
+		Chains:   a.Chains,
 	}
 }
 
@@ -279,11 +283,17 @@ func reduceDeadActor(f *Facts) (*Application, error) {
 	}, nil
 }
 
-// reduceChainFusion merges a two-actor chain a→b into one sequential
-// actor when every output of a feeds b with matched rates and no
-// initial tokens and every input of b comes from a: b's k-th firing
-// then starts exactly when a's k-th completes, so one actor with
-// execution time exec(a)+exec(b) reproduces every external event time.
+// reduceChainFusion fuses every maximal chain of the graph in one
+// rewrite. A link a→b holds when every output of a feeds b with matched
+// rates and no initial tokens, every input of b comes from a, and
+// neither end has a self-loop: b's k-th firing then starts exactly when
+// a's k-th completes. A chain is a maximal path of links; one sequential
+// actor executing for the chain's summed time reproduces every external
+// event time, the exact case of the Definitions 3–4 group merge with the
+// chain order as index function. Links closing a cycle among themselves
+// have no head and stay unfused (that cycle holds no token, so the
+// precheck refuses it as a deadlock), as does a chain whose summed
+// execution time overflows int64.
 func reduceChainFusion(f *Facts) (*Application, error) {
 	g := f.Graph()
 	qB, err := f.Repetition()
@@ -292,8 +302,7 @@ func reduceChainFusion(f *Facts) (*Application, error) {
 	}
 	// One O(V+E) sweep finds per actor its unique fusable successor (all
 	// outputs feed one actor with matched rates and no initial tokens)
-	// and unique predecessor; the candidate loop below is then O(1) per
-	// channel instead of rescanning the channel list per pair.
+	// and unique predecessor.
 	const none = sdf.ActorID(-1)
 	const unseen = sdf.ActorID(-2)
 	n := g.NumActors()
@@ -318,64 +327,87 @@ func reduceChainFusion(f *Facts) (*Application, error) {
 			pred[c.Dst] = none
 		}
 	}
-	for _, c := range g.Channels() {
-		if c.Src == c.Dst || succ[c.Src] != c.Dst || pred[c.Dst] != c.Src {
+	// Keep succ[a] only where a→succ[a] is a link; chains start at the
+	// actors with a link out but none in.
+	linkedIn := make([]bool, n)
+	for a, b := range succ {
+		if b >= 0 && pred[b] == sdf.ActorID(a) {
+			linkedIn[b] = true
+		} else {
+			succ[a] = none
+		}
+	}
+	chainOf := make([]int, n)
+	var chains [][]sdf.ActorID
+	var execs []int64
+	for a := range chainOf {
+		chainOf[a] = -1
+	}
+	for a := 0; a < n; a++ {
+		if succ[a] == none || linkedIn[a] {
 			continue
 		}
-		if app := tryFusePair(g, qB, c.Src, c.Dst); app != nil {
-			return app, nil
+		chain := []sdf.ActorID{sdf.ActorID(a)}
+		exec, ok := g.Actor(sdf.ActorID(a)).Exec, true
+		for b := succ[a]; b != none && ok; b = succ[b] {
+			chain = append(chain, b)
+			exec, ok = rat.AddChecked(exec, g.Actor(b).Exec)
 		}
+		if !ok {
+			continue
+		}
+		for _, m := range chain {
+			chainOf[m] = len(chains)
+		}
+		chains = append(chains, chain)
+		execs = append(execs, exec)
 	}
-	return nil, nil
-}
-
-// tryFusePair builds the a→b fusion, assuming the caller established
-// the side conditions (a's outputs all feed b with prod == cons and no
-// initial tokens, b's inputs all come from a); nil when graph
-// construction or the uniform-scale requirement fails.
-func tryFusePair(g *sdf.Graph, qB []int64, a, b sdf.ActorID) *Application {
-	exec, ok := rat.AddChecked(g.Actor(a).Exec, g.Actor(b).Exec)
-	if !ok {
-		return nil
+	if len(chains) == 0 {
+		return nil, nil
 	}
-	fusedName := g.Actor(a).Name + "+" + g.Actor(b).Name
+	// The fused actor takes its head's place; the other members vanish.
 	out := sdf.NewGraph(g.Name())
-	n := g.NumActors()
 	actorMap := make([]sdf.ActorID, n)
-	for i := 0; i < n; i++ {
-		id := sdf.ActorID(i)
-		switch id {
-		case b:
-			continue
-		case a:
-			fid, err := out.AddActor(fusedName, exec)
-			if err != nil {
-				return nil
+	fused := 0
+	for i, k := range chainOf {
+		a := g.Actor(sdf.ActorID(i))
+		name, exec := a.Name, a.Exec
+		if k >= 0 {
+			if chains[k][0] != sdf.ActorID(i) {
+				continue
 			}
-			actorMap[a] = fid
-		default:
-			nid, err := out.AddActor(g.Actor(id).Name, g.Actor(id).Exec)
-			if err != nil {
-				return nil
+			names := make([]string, len(chains[k]))
+			for j, m := range chains[k] {
+				names[j] = g.Actor(m).Name
 			}
-			actorMap[i] = nid
+			name, exec = strings.Join(names, "+"), execs[k]
+			fused += len(names)
+		}
+		id, err := out.AddActor(name, exec)
+		if err != nil {
+			return nil, nil
+		}
+		actorMap[i] = id
+	}
+	for _, chain := range chains {
+		for _, m := range chain[1:] {
+			actorMap[m] = actorMap[chain[0]]
 		}
 	}
-	actorMap[b] = actorMap[a]
 	for _, c := range g.Channels() {
-		if c.Src == a && c.Dst == b {
-			continue
+		if chainOf[c.Src] >= 0 && succ[c.Src] != none {
+			continue // a link inside a chain disappears
 		}
 		if _, err := out.AddChannel(actorMap[c.Src], actorMap[c.Dst], c.Prod, c.Cons, c.Initial); err != nil {
-			return nil
+			return nil, nil
 		}
 	}
 	if err := out.Validate(); err != nil {
-		return nil
+		return nil, nil
 	}
 	qA, scale, ok := uniformScale(out, qB, actorMap)
 	if !ok {
-		return nil
+		return nil, nil
 	}
 	return &Application{
 		Before:   g,
@@ -384,8 +416,9 @@ func tryFusePair(g *sdf.Graph, qB []int64, a, b sdf.ActorID) *Application {
 		ActorMap: actorMap,
 		QBefore:  qB,
 		QAfter:   qA,
-		Note:     fmt.Sprintf("fused chain %s -> %s", g.Actor(a).Name, g.Actor(b).Name),
-	}
+		Chains:   chains,
+		Note:     fmt.Sprintf("fused %d actors in %d chain(s)", fused, len(chains)),
+	}, nil
 }
 
 // reduceAbstraction collapses a homogeneous graph into a single
@@ -544,7 +577,7 @@ func DefaultRules() []Rule {
 		},
 		{
 			Name:    verify.RuleChainFusion,
-			Doc:     "fuse a two-actor chain with matched rates and no initial tokens into one sequential actor",
+			Doc:     "fuse every maximal chain of matched-rate, token-free links into one sequential actor",
 			Exact:   true,
 			Reduce:  reduceChainFusion,
 			Restore: restoreBefore,

@@ -2,10 +2,14 @@ package passes
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/rat"
 	"repro/internal/sdf"
+	"repro/internal/sdfio"
 )
 
 // pruneGraph has two parallel A->B channels with equal rates; the one
@@ -201,6 +205,94 @@ func TestChainFusionRule(t *testing.T) {
 	}
 	if !v.Period.Equal(rat.FromInt(7)) {
 		t.Fatalf("chain-fusion lift: got %v, want 7", v.Period)
+	}
+}
+
+// twoChainGraph is one token-bearing cycle through two fusible chains,
+// A1→A2→A3 (its first link two parallel channels) and B1→B2, split by
+// the bystander C; A1 and A2 both execute for exec.
+func twoChainGraph(exec int64) *sdf.Graph {
+	g := sdf.NewGraph("two-chains")
+	a1 := g.MustAddActor("A1", exec)
+	a2 := g.MustAddActor("A2", exec)
+	a3 := g.MustAddActor("A3", 1)
+	c := g.MustAddActor("C", 4)
+	b1 := g.MustAddActor("B1", 5)
+	b2 := g.MustAddActor("B2", 1)
+	g.MustAddChannel(a1, a2, 1, 1, 0)
+	g.MustAddChannel(a1, a2, 2, 2, 0)
+	g.MustAddChannel(a2, a3, 1, 1, 0)
+	g.MustAddChannel(a3, c, 1, 1, 1)
+	g.MustAddChannel(c, b1, 1, 1, 1)
+	g.MustAddChannel(b1, b2, 1, 1, 0)
+	g.MustAddChannel(b2, a1, 1, 1, 1)
+	return g
+}
+
+func TestChainFusionFusesEveryChain(t *testing.T) {
+	g := twoChainGraph(2)
+	app, err := reduceChainFusion(NewFacts(g))
+	if err != nil || app == nil {
+		t.Fatalf("chain-fusion did not apply: %v", err)
+	}
+	rules := DefaultRules()
+	app.Rule = &rules[3]
+	want := [][]sdf.ActorID{{0, 1, 2}, {4, 5}}
+	if !reflect.DeepEqual(app.Chains, want) {
+		t.Fatalf("chains %v, want %v", app.Chains, want)
+	}
+	if got := sdfio.TextString(app.After); !strings.Contains(got, "actor A1+A2+A3 5") || !strings.Contains(got, "actor B1+B2 6") {
+		t.Fatalf("fused graph:\n%s", got)
+	}
+	if app.After.NumActors() != 3 || app.After.NumChannels() != 3 {
+		t.Fatalf("got %d actors, %d channels, want 3 and 3", app.After.NumActors(), app.After.NumChannels())
+	}
+	step := app.LiftStep()
+	if err := step.Check(context.Background(), g); err != nil {
+		t.Fatalf("two-chain step rejected: %v", err)
+	}
+}
+
+// TestChainFusionSkipsOverflowingChain: a chain whose summed execution
+// time overflows int64 stays unfused while the other chain still fuses,
+// and the step checks.
+func TestChainFusionSkipsOverflowingChain(t *testing.T) {
+	g := twoChainGraph(1 << 62)
+	app, err := reduceChainFusion(NewFacts(g))
+	if err != nil || app == nil {
+		t.Fatalf("chain-fusion did not apply: %v", err)
+	}
+	rules := DefaultRules()
+	app.Rule = &rules[3]
+	if want := [][]sdf.ActorID{{4, 5}}; !reflect.DeepEqual(app.Chains, want) {
+		t.Fatalf("chains %v, want only %v", app.Chains, want)
+	}
+	if app.After.NumActors() != 5 {
+		t.Fatalf("got %d actors, want the 3 unfused A actors, C and B1+B2", app.After.NumActors())
+	}
+	step := app.LiftStep()
+	if err := step.Check(context.Background(), g); err != nil {
+		t.Fatalf("step rejected: %v", err)
+	}
+}
+
+// TestReduceLeavesLinkedZeroTokenCycle: without the precheck, a cycle
+// made only of links has no chain head, so the fixpoint returns the
+// graph unchanged instead of fusing, looping or panicking.
+func TestReduceLeavesLinkedZeroTokenCycle(t *testing.T) {
+	g := sdf.NewGraph("linked-cycle")
+	for i := 0; i < 5; i++ {
+		g.MustAddActor(fmt.Sprintf("a%d", i), int64(i+1))
+	}
+	for i := 0; i < 5; i++ {
+		g.MustAddChannel(sdf.ActorID(i), sdf.ActorID((i+1)%5), 1, 1, 0)
+	}
+	red, err := Reduce(context.Background(), g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(red.Steps) != 0 || red.Final != g {
+		t.Fatalf("linked cycle rewritten: %v", red.Trace())
 	}
 }
 

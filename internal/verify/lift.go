@@ -54,6 +54,9 @@ type LiftStep struct {
 	// RuleAbstraction steps; nil otherwise.
 	Alpha []string
 	Index []int
+	// Chains lists, for RuleChainFusion steps, the pre-step actors fused
+	// into each reduced actor, in chain order; nil otherwise.
+	Chains [][]sdf.ActorID
 }
 
 // Check verifies that the step is a sound instance of its rule applied
@@ -385,102 +388,118 @@ func (s *LiftStep) checkDeadActor(before *sdf.Graph) error {
 	return s.checkScale(before)
 }
 
-// checkChainFusion verifies a two-actor chain fusion a·b: every output
-// channel of a feeds b with matched rates and no initial tokens, every
-// input channel of b comes from a, and the fused actor executes for
-// exec(a)+exec(b). Under those side conditions b's k-th firing starts
-// exactly when a's k-th firing completes, so replacing the pair by one
-// sequential actor preserves every external production and consumption
-// time and the rewrite is exact up to the recorded uniform scale.
+// checkChainFusion verifies a chain fusion: each entry of Chains lists,
+// in chain order, the pre-step actors fused into one reduced actor. One
+// pass over the channels proves for every chain x1…xk (k >= 2) that each
+// xi with i < k has at least one output and every output feeds x(i+1)
+// with matched rates and no initial tokens, and that each xi with i > 1
+// takes every input from x(i−1). Under those conditions fusing x1·x2,
+// then the result with x3, and so on, is a sequence of valid pair
+// fusions — x(i+1)'s k-th firing starts exactly when xi's k-th
+// completes, so one sequential actor preserves every external event
+// time. The checker further requires the fused actor to execute for the
+// chain's summed time, every other actor to stay in place unaltered, and
+// the reduced channels to be the non-link channels mapped through
+// ActorMap; the rewrite is then exact up to the recorded uniform scale.
 func (s *LiftStep) checkChainFusion(before *sdf.Graph) error {
-	var fused sdf.ActorID = -1
-	pre := make(map[sdf.ActorID][]sdf.ActorID)
-	for a, m := range s.ActorMap {
+	if len(s.Chains) == 0 {
+		return invalidf("chain-fusion step fuses no chain")
+	}
+	n := before.NumActors()
+	chainOf := make([]int, n)
+	pos := make([]int, n)
+	for a := range chainOf {
+		chainOf[a] = -1
+	}
+	claimed, nClaimed := make([]bool, s.Reduced.NumActors()), 0
+	claim := func(a sdf.ActorID) error {
+		m := s.ActorMap[a]
 		if m == -1 {
-			return invalidf("chain-fusion step removes actor %s", before.Actor(sdf.ActorID(a)).Name)
+			return invalidf("chain-fusion step removes actor %s", before.Actor(a).Name)
 		}
-		pre[m] = append(pre[m], sdf.ActorID(a))
-		if len(pre[m]) == 2 {
-			if fused != -1 && fused != m {
-				return invalidf("chain-fusion step fuses more than one pair")
+		if claimed[m] {
+			return invalidf("chain-fusion step merges more than one chain or actor onto %s", s.Reduced.Actor(m).Name)
+		}
+		claimed[m] = true
+		nClaimed++
+		return nil
+	}
+	for k, chain := range s.Chains {
+		if len(chain) < 2 {
+			return invalidf("chain-fusion step lists a chain of %d member(s)", len(chain))
+		}
+		var exec int64
+		for i, m := range chain {
+			if m < 0 || int(m) >= n || chainOf[m] != -1 {
+				return invalidf("chain-fusion step lists actor %d out of range or twice", m)
 			}
-			fused = m
+			chainOf[m], pos[m] = k, i
+			if s.ActorMap[m] != s.ActorMap[chain[0]] {
+				return invalidf("chain-fusion step splits the chain of %s", before.Actor(chain[0]).Name)
+			}
+			var ok bool
+			if exec, ok = rat.AddChecked(exec, before.Actor(m).Exec); !ok {
+				return invalidf("chain-fusion step: fused execution time overflows int64")
+			}
 		}
-		if len(pre[m]) > 2 {
-			return invalidf("chain-fusion step fuses more than two actors")
+		if err := claim(chain[0]); err != nil {
+			return err
+		}
+		if got := s.Reduced.Actor(s.ActorMap[chain[0]]).Exec; got != exec {
+			return invalidf("chain-fusion step: fused actor executes for %d, want %d", got, exec)
 		}
 	}
-	if fused == -1 {
-		return invalidf("chain-fusion step fuses no pair")
-	}
-	if s.Reduced.NumActors() != len(pre) {
-		return invalidf("chain-fusion step invents actors")
-	}
-	for m, as := range pre {
-		if m == fused {
+	for a := 0; a < n; a++ {
+		if chainOf[a] != -1 {
 			continue
 		}
-		b, r := before.Actor(as[0]), s.Reduced.Actor(m)
+		if err := claim(sdf.ActorID(a)); err != nil {
+			return err
+		}
+		b, r := before.Actor(sdf.ActorID(a)), s.Reduced.Actor(s.ActorMap[a])
 		if b.Name != r.Name || b.Exec != r.Exec {
 			return invalidf("chain-fusion step alters bystander actor %s", b.Name)
 		}
 	}
-	x, y := pre[fused][0], pre[fused][1]
-	if err := s.checkFusionPair(before, x, y, fused); err != nil {
-		if err2 := s.checkFusionPair(before, y, x, fused); err2 != nil {
-			return err
-		}
+	if nClaimed != len(claimed) {
+		return invalidf("chain-fusion step invents actors")
 	}
-	return s.checkScale(before)
-}
-
-// checkFusionPair verifies the chain side conditions for the oriented
-// pair a -> b fused into actor f of the reduced graph.
-func (s *LiftStep) checkFusionPair(before *sdf.Graph, a, b, f sdf.ActorID) error {
-	linked := false
+	linked := make([]bool, n)
+	want := make(map[chanKey]int, before.NumChannels())
 	for _, c := range before.Channels() {
-		if c.Src == a {
-			if c.Dst != b || c.Prod != c.Cons || c.Initial != 0 {
+		if k := chainOf[c.Src]; k != -1 && pos[c.Src] < len(s.Chains[k])-1 {
+			if c.Dst != s.Chains[k][pos[c.Src]+1] || c.Prod != c.Cons || c.Initial != 0 {
 				return invalidf("chain-fusion step: actor %s has an output escaping the chain",
-					before.Actor(a).Name)
+					before.Actor(c.Src).Name)
 			}
-			linked = true
+			linked[c.Src] = true
+			continue // the link disappears inside the fused actor
 		}
-		if c.Dst == b && c.Src != a {
+		if chainOf[c.Dst] != -1 && pos[c.Dst] > 0 {
 			return invalidf("chain-fusion step: actor %s has an input bypassing the chain",
-				before.Actor(b).Name)
-		}
-	}
-	if !linked {
-		return invalidf("chain-fusion step: actors %s and %s are not connected",
-			before.Actor(a).Name, before.Actor(b).Name)
-	}
-	sum, ok := rat.AddChecked(before.Actor(a).Exec, before.Actor(b).Exec)
-	if !ok {
-		return invalidf("chain-fusion step: fused execution time overflows int64")
-	}
-	if s.Reduced.Actor(f).Exec != sum {
-		return invalidf("chain-fusion step: fused actor executes for %d, want %d",
-			s.Reduced.Actor(f).Exec, sum)
-	}
-	want := make(map[chanKey]int)
-	for _, c := range before.Channels() {
-		if c.Src == a && c.Dst == b {
-			continue // the internal chain channels disappear
+				before.Actor(c.Dst).Name)
 		}
 		want[chanKey{s.ActorMap[c.Src], s.ActorMap[c.Dst], c.Prod, c.Cons, c.Initial}]++
+	}
+	for _, chain := range s.Chains {
+		for i, m := range chain[:len(chain)-1] {
+			if !linked[m] {
+				return invalidf("chain-fusion step: actors %s and %s are not connected",
+					before.Actor(m).Name, before.Actor(chain[i+1]).Name)
+			}
+		}
 	}
 	got := channelSet(s.Reduced)
 	if len(got) != len(want) {
 		return invalidf("chain-fusion step changes the external channel set")
 	}
-	for k, n := range want {
-		if got[k] != n {
+	for k, cnt := range want {
+		if got[k] != cnt {
 			return invalidf("chain-fusion step changes channel %s -> %s",
 				s.Reduced.Actor(k.src).Name, s.Reduced.Actor(k.dst).Name)
 		}
 	}
-	return nil
+	return s.checkScale(before)
 }
 
 // checkAbstraction verifies a Definitions 3–4 abstraction step: the

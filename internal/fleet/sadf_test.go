@@ -121,7 +121,7 @@ func TestSADFBadModelBouncesAtRouter(t *testing.T) {
 	}
 }
 
-// ringLadderModel is the largest model of the sdfbench -sadf ladder: a
+// ringLadderModel builds a model shaped like the sdfbench -sadf ladder: a
 // ring of actors with one token per channel under scenarios that differ
 // only in execution times, and an FSM cycling through every scenario
 // state with a self-loop on each.
@@ -152,8 +152,8 @@ func ringLadderModel(t *testing.T, scenarios, ring int) *sadf.Model {
 	return m
 }
 
-// TestSADFLargeAnswerThroughFleet: an answer past 4 MiB (the 16 x 128
-// ladder model's certificate carries 16 dense 128 x 128 matrices) is
+// TestSADFLargeAnswerThroughFleet: an answer past 4 MiB (the 16 x 232
+// ladder model's certificate carries 16 dense 232 x 232 matrices) is
 // relayed whole, not cut to a prefix, and its certificate re-proves
 // after the hop.
 func TestSADFLargeAnswerThroughFleet(t *testing.T) {
@@ -166,7 +166,7 @@ func TestSADFLargeAnswerThroughFleet(t *testing.T) {
 	defer r.Close()
 	h := NewHandler(r)
 
-	m := ringLadderModel(t, 16, 128)
+	m := ringLadderModel(t, 16, 232)
 	body, err := json.Marshal(serve.SADFRequestPayload{ModelText: sdfio.SADFTextString(m)})
 	if err != nil {
 		t.Fatal(err)

@@ -44,8 +44,8 @@ type Result struct {
 
 type edge struct {
 	to int
-	w  int64 // execution time of the source actor
-	d  int64 // initial tokens
+	w  int64 // weight: the source actor's execution time on an HSDF graph
+	d  int64 // delay: the channel's initial tokens on an HSDF graph
 }
 
 // MaxCycleRatio computes the maximum cycle mean of an HSDF graph. It
@@ -55,28 +55,19 @@ func MaxCycleRatio(g *sdf.Graph) (Result, error) {
 	if !g.IsHSDF() {
 		return Result{}, ErrNotHSDF
 	}
-	n := g.NumActors()
-	adj := make([][]edge, n)
+	edges := make([]Edge, 0, g.NumChannels())
 	for _, c := range g.Channels() {
-		adj[c.Src] = append(adj[c.Src], edge{to: int(c.Dst), w: g.Actor(c.Src).Exec, d: int64(c.Initial)})
+		edges = append(edges, Edge{From: int(c.Src), To: int(c.Dst), W: g.Actor(c.Src).Exec, D: int64(c.Initial)})
 	}
-
-	if hasZeroTokenCycle(n, adj) {
-		return Result{}, ErrDeadlock
+	res, err := MaxCycleRatioEdges(g.NumActors(), edges)
+	if err != nil || !res.HasCycle {
+		return Result{}, err
 	}
-
-	alive := trimToCyclic(n, adj)
-	anyAlive := false
-	for _, a := range alive {
-		if a {
-			anyAlive = true
-			break
-		}
+	actors := make([]sdf.ActorID, len(res.Critical))
+	for i, v := range res.Critical {
+		actors[i] = sdf.ActorID(v)
 	}
-	if !anyAlive {
-		return Result{HasCycle: false}, nil
-	}
-	return howard(n, adj, alive)
+	return Result{CycleMean: res.CycleRatio, Critical: actors, HasCycle: true}, nil
 }
 
 // hasZeroTokenCycle reports whether the subgraph of zero-token channels
@@ -89,11 +80,12 @@ func hasZeroTokenCycle(n int, adj [][]edge) bool {
 	)
 	colour := make([]byte, n)
 	type frame struct{ v, i int }
+	var stack []frame
 	for s := 0; s < n; s++ {
 		if colour[s] != white {
 			continue
 		}
-		stack := []frame{{v: s}}
+		stack = append(stack[:0], frame{v: s})
 		colour[s] = grey
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
@@ -130,15 +122,27 @@ func hasZeroTokenCycle(n int, adj [][]edge) bool {
 func trimToCyclic(n int, adj [][]edge) []bool {
 	alive := make([]bool, n)
 	outdeg := make([]int, n)
-	radj := make([][]int, n) // reverse adjacency, nodes only
+	// Reverse adjacency in one array: the predecessors of v are
+	// pred[at[v]:at[v+1]] once filled.
+	at := make([]int, n+1)
 	for v := range adj {
 		alive[v] = true
 		outdeg[v] = len(adj[v])
 		for _, e := range adj[v] {
-			radj[e.to] = append(radj[e.to], v)
+			at[e.to]++
 		}
 	}
-	var queue []int
+	for v := 1; v <= n; v++ {
+		at[v] += at[v-1]
+	}
+	pred := make([]int, at[n])
+	for u := range adj {
+		for _, e := range adj[u] {
+			at[e.to]--
+			pred[at[e.to]] = u
+		}
+	}
+	queue := make([]int, 0, n)
 	for v := 0; v < n; v++ {
 		if outdeg[v] == 0 {
 			queue = append(queue, v)
@@ -148,7 +152,7 @@ func trimToCyclic(n int, adj [][]edge) []bool {
 		v := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		alive[v] = false
-		for _, u := range radj[v] {
+		for _, u := range pred[at[v]:at[v+1]] {
 			if !alive[u] {
 				continue
 			}
@@ -163,10 +167,14 @@ func trimToCyclic(n int, adj [][]edge) []bool {
 
 // howard runs policy iteration for the maximum cycle ratio on the alive
 // subgraph. Every alive node has at least one alive successor.
-func howard(n int, adj [][]edge, alive []bool) (Result, error) {
+//
+// The values are exact scaled integers: a node whose policy walk ends in
+// a cycle of ratio η = p/q (normalised once per cycle) holds η and its
+// bias x scaled by q, X = q·x. Evaluation and the η-tie improvement test
+// are then integer arithmetic with overflow checks; an overflow is an
+// error wrapping rat.ErrOverflow.
+func howard(n int, adj [][]edge, alive []bool) (EdgeResult, error) {
 	policy := make([]int, n) // index into adj[v] of the chosen edge
-	eta := make([]rat.Rat, n)
-	x := make([]rat.Rat, n)
 	for v := 0; v < n; v++ {
 		policy[v] = -1
 		if !alive[v] {
@@ -179,14 +187,20 @@ func howard(n int, adj [][]edge, alive []bool) (Result, error) {
 			}
 		}
 		if policy[v] < 0 {
-			return Result{}, fmt.Errorf("mcm: internal: alive node %d has no alive successor", v)
+			return EdgeResult{}, fmt.Errorf("mcm: internal: alive node %d has no alive successor", v)
 		}
 	}
+	// The first evaluation sees η = 0 and X = 0 everywhere, so a cycle of
+	// ratio 0 "keeps" a zero anchor bias: the same as fixing it.
+	eta := make([]rat.Rat, n)
+	bias := make([]int64, n)
+	state := make([]int8, n)
+	chain := make([]int, 0, n)
 
 	const maxIters = 10000
 	for iter := 0; iter < maxIters; iter++ {
-		if err := evaluatePolicy(n, adj, alive, policy, eta, x); err != nil {
-			return Result{}, err
+		if err := evaluatePolicy(adj, alive, policy, eta, bias, state, chain); err != nil {
+			return EdgeResult{}, err
 		}
 		improved := false
 		for v := 0; v < n; v++ {
@@ -197,58 +211,63 @@ func howard(n int, adj [][]edge, alive []bool) (Result, error) {
 				if i == policy[v] || !alive[e.to] {
 					continue
 				}
-				switch eta[e.to].Cmp(eta[v]) {
-				case 1:
-					policy[v] = i
-					improved = true
-				case 0:
-					// reward = w − η·d + x(to); switch if it beats x(v).
-					reward, err := edgeReward(e, eta[v], x[e.to])
-					if err != nil {
-						return Result{}, err
-					}
-					if reward.Cmp(x[v]) > 0 {
+				if !eta[e.to].Equal(eta[v]) {
+					if eta[e.to].Cmp(eta[v]) > 0 {
 						policy[v] = i
 						improved = true
 					}
+					continue
+				}
+				// Same η, same scale: switch if q·w − p·d + X(to) beats X(v).
+				reward, err := scaledReward(e, eta[v], bias[e.to])
+				if err != nil {
+					return EdgeResult{}, err
+				}
+				if reward > bias[v] {
+					policy[v] = i
+					improved = true
 				}
 			}
 		}
 		if !improved {
-			return finishHoward(n, adj, alive, policy, eta)
+			return finishHoward(adj, alive, policy, eta, state, chain), nil
 		}
 	}
-	return Result{}, fmt.Errorf("%w in %d iterations", errNoConvergence, maxIters)
+	return EdgeResult{}, fmt.Errorf("%w in %d iterations", errNoConvergence, maxIters)
 }
 
-func edgeReward(e edge, eta rat.Rat, xTo rat.Rat) (rat.Rat, error) {
-	etaD, err := eta.MulInt(e.d)
-	if err != nil {
-		return rat.Rat{}, fmt.Errorf("mcm: %w", err)
-	}
-	r, err := rat.FromInt(e.w).Sub(etaD)
-	if err != nil {
-		return rat.Rat{}, fmt.Errorf("mcm: %w", err)
-	}
-	r, err = r.Add(xTo)
-	if err != nil {
-		return rat.Rat{}, fmt.Errorf("mcm: %w", err)
+// scaledReward returns q·w − p·d + xTo for η = p/q: the scaled bias of
+// a node whose policy edge is e, given its successor's scaled bias xTo.
+func scaledReward(e edge, eta rat.Rat, xTo int64) (int64, error) {
+	qw, ok1 := rat.MulChecked(eta.Den(), e.w)
+	pd, ok2 := rat.MulChecked(eta.Num(), -e.d)
+	r, ok3 := rat.AddChecked(qw, pd)
+	r, ok4 := rat.AddChecked(r, xTo)
+	if !ok1 || !ok2 || !ok3 || !ok4 {
+		return 0, fmt.Errorf("mcm: scaled bias at ratio %v: %w", eta, rat.ErrOverflow)
 	}
 	return r, nil
 }
 
-// evaluatePolicy computes, for the functional policy graph, the cycle
-// ratio η(v) of the cycle each node eventually reaches and a bias x(v)
-// consistent with x(v) = w − η·d + x(π(v)) (with x fixed to 0 at one node
-// of each cycle).
-func evaluatePolicy(n int, adj [][]edge, alive []bool, policy []int, eta, x []rat.Rat) error {
-	state := make([]int8, n) // 0 unvisited, 1 on current walk, 2 done
-	for s := 0; s < n; s++ {
+// evaluatePolicy computes, for the functional policy graph, the ratio
+// η(v) = p/q of the cycle each node's walk reaches and the scaled bias
+// X(v) = q·w − p·d + X(π(v)). Each cycle's biases are fixed at one
+// node, its anchor. When the cycle's ratio equals the anchor's η of the
+// previous round, the cycle survived the improvement step unchanged and
+// the anchor keeps its bias; otherwise the cycle is new and its anchor
+// gets 0. Keeping it is what makes the iteration terminate (DESIGN.md,
+// "Howard's iteration"). state and chain are scratch of length and
+// capacity n.
+func evaluatePolicy(adj [][]edge, alive []bool, policy []int, eta []rat.Rat, bias []int64, state []int8, chain []int) error {
+	for v := range state {
+		state[v] = 0 // 0 unvisited, 1 on current walk, 2 done
+	}
+	for s := range state {
 		if !alive[s] || state[s] != 0 {
 			continue
 		}
 		// Follow the policy chain until any previously seen node.
-		var chain []int
+		chain = chain[:0]
 		v := s
 		for state[v] == 0 {
 			state[v] = 1
@@ -263,10 +282,16 @@ func evaluatePolicy(n int, adj [][]edge, alive []bool, policy []int, eta, x []ra
 			}
 			cyc := chain[i:]
 			var sumW, sumD int64
+			fits := true
 			for _, u := range cyc {
 				e := adj[u][policy[u]]
-				sumW += e.w
-				sumD += e.d
+				var okW, okD bool
+				sumW, okW = rat.AddChecked(sumW, e.w)
+				sumD, okD = rat.AddChecked(sumD, e.d)
+				fits = fits && okW && okD
+			}
+			if !fits {
+				return fmt.Errorf("mcm: policy cycle weight: %w", rat.ErrOverflow)
 			}
 			if sumD == 0 {
 				return fmt.Errorf("mcm: internal: policy cycle without tokens")
@@ -275,20 +300,20 @@ func evaluatePolicy(n int, adj [][]edge, alive []bool, policy []int, eta, x []ra
 			if err != nil {
 				return fmt.Errorf("mcm: %w", err)
 			}
+			if anchor := cyc[0]; !ratio.Equal(eta[anchor]) {
+				bias[anchor] = 0
+			}
 			for _, u := range cyc {
 				eta[u] = ratio
 			}
-			// Fix the bias at the cycle entry and propagate backwards
-			// around the cycle (the successor of cyc[j] is cyc[j+1 mod m]).
-			x[cyc[0]] = rat.Zero()
+			// Propagate backwards around the cycle from the anchor (the
+			// successor of cyc[j] is cyc[j+1 mod m]).
 			for j := len(cyc) - 1; j >= 1; j-- {
 				u := cyc[j]
 				e := adj[u][policy[u]]
-				r, err := edgeReward(e, eta[u], x[e.to])
-				if err != nil {
+				if bias[u], err = scaledReward(e, ratio, bias[e.to]); err != nil {
 					return err
 				}
-				x[u] = r
 			}
 			for _, u := range cyc {
 				state[u] = 2
@@ -303,11 +328,10 @@ func evaluatePolicy(n int, adj [][]edge, alive []bool, policy []int, eta, x []ra
 			}
 			e := adj[u][policy[u]]
 			eta[u] = eta[e.to]
-			r, err := edgeReward(e, eta[u], x[e.to])
-			if err != nil {
+			var err error
+			if bias[u], err = scaledReward(e, eta[u], bias[e.to]); err != nil {
 				return err
 			}
-			x[u] = r
 			state[u] = 2
 		}
 	}
@@ -315,37 +339,30 @@ func evaluatePolicy(n int, adj [][]edge, alive []bool, policy []int, eta, x []ra
 }
 
 // finishHoward extracts the final answer: the maximum η and one cycle
-// attaining it in the final policy graph.
-func finishHoward(n int, adj [][]edge, alive []bool, policy []int, eta []rat.Rat) (Result, error) {
+// attaining it in the final policy graph. state and chain are scratch.
+func finishHoward(adj [][]edge, alive []bool, policy []int, eta []rat.Rat, state []int8, chain []int) EdgeResult {
 	best := -1
-	for v := 0; v < n; v++ {
-		if !alive[v] {
-			continue
-		}
-		if best < 0 || eta[v].Cmp(eta[best]) > 0 {
+	for v, a := range alive {
+		if a && (best < 0 || eta[v].Cmp(eta[best]) > 0) {
 			best = v
 		}
-	}
-	if best < 0 {
-		return Result{HasCycle: false}, nil
 	}
 	// Walk the policy from best until a node repeats; that loop is a
 	// critical cycle (η is constant along a policy walk only downhill —
 	// at the maximum it stays constant into its cycle).
-	seenAt := make(map[int]int)
-	var walk []int
+	for v := range state {
+		state[v] = 0
+	}
+	chain = chain[:0]
 	v := best
-	for {
-		if at, ok := seenAt[v]; ok {
-			cyc := walk[at:]
-			actors := make([]sdf.ActorID, len(cyc))
-			for i, u := range cyc {
-				actors[i] = sdf.ActorID(u)
-			}
-			return Result{CycleMean: eta[best], Critical: actors, HasCycle: true}, nil
-		}
-		seenAt[v] = len(walk)
-		walk = append(walk, v)
+	for state[v] == 0 {
+		state[v] = 1
+		chain = append(chain, v)
 		v = adj[v][policy[v]].to
 	}
+	i := 0
+	for chain[i] != v {
+		i++
+	}
+	return EdgeResult{CycleRatio: eta[best], Critical: append([]int(nil), chain[i:]...), HasCycle: true}
 }

@@ -3,12 +3,10 @@ package sadf
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/maxplus"
 	"repro/internal/mcm"
-	"repro/internal/obs"
 	"repro/internal/rat"
 	"repro/internal/verify"
 )
@@ -36,10 +34,9 @@ type Result struct {
 // Analyze computes the worst-case iteration period of the model and a
 // certificate for it: per-scenario max-plus matrices via the symbolic
 // iteration of Algorithm 1, the max-plus automaton over the FSM, its
-// maximum cycle mean via Howard's policy iteration (Karp's algorithm
-// when Howard does not converge), and a
-// verify.SADFCert with double-sided witnesses plus the critical
-// scenario sequence for exact replay.
+// maximum cycle mean and a critical cycle via Howard's policy
+// iteration, and a verify.SADFCert with double-sided witnesses plus the
+// critical scenario sequence for exact replay.
 func Analyze(ctx context.Context, m *Model) (*Result, *verify.SADFCert, error) {
 	if err := m.Validate(); err != nil {
 		return nil, nil, err
@@ -74,7 +71,6 @@ func Analyze(ctx context.Context, m *Model) (*Result, *verify.SADFCert, error) {
 		AutomatonNodes: nodes,
 		AutomatonEdges: len(edges),
 	}
-	critical := ratio.Critical
 	if ratio.HasCycle {
 		res.Period = ratio.CycleRatio
 	}
@@ -83,18 +79,8 @@ func Analyze(ctx context.Context, m *Model) (*Result, *verify.SADFCert, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("sadf: certificate: %w", err)
 	}
-	if ratio.Karp {
-		// Howard's iteration hit its cap and Karp found the ratio but no
-		// cycle: the certificate's witness cycle names the critical
-		// states instead.
-		obs.FromContext(ctx).Emit("sadf.karp-fallback", "model", m.Name, "nodes", strconv.Itoa(nodes))
-		critical = make([]int, len(cert.Cycle))
-		for i, e := range cert.Cycle {
-			critical[i] = sedges[e].From
-		}
-	}
 	n := m.Tokens()
-	for _, node := range critical {
+	for _, node := range ratio.Critical {
 		res.CriticalStates = append(res.CriticalStates, m.States[node/n].Name)
 	}
 	return res, cert, nil

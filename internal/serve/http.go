@@ -35,7 +35,7 @@ const (
 	MaxBatchRequestBytes = 8 << 20
 	// MaxResponseBytes caps an analysis answer read off the wire. A
 	// certified sadf answer ships its matrices (16 scenarios over a
-	// 128-token ring answer about 4 MiB), a batch up to 1024 answers.
+	// 232-token ring answer about 4 MiB), a batch up to 1024 answers.
 	MaxResponseBytes = 16 << 20
 )
 
@@ -335,9 +335,9 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	// The status line is out; an encode failure here can only be a
-	// broken connection, which the server cannot repair.
-	_ = enc.Encode(v)
+	// Compact on the wire: a client holding an answer holds its bytes,
+	// and indentation tripled a certified sadf answer. The status line
+	// is out; an encode failure here can only be a broken connection,
+	// which the server cannot repair.
+	_ = json.NewEncoder(w).Encode(v)
 }

@@ -118,3 +118,40 @@ func TestHedgedFacade(t *testing.T) {
 		t.Error("disagreement sentinel broken")
 	}
 }
+
+// CertifyReduction analyses the fixpoint-reduced graph and lifts the
+// answer back: it equals the cross-checked hedged answer on the original
+// graph, and the lifted certificate chain re-checks against it.
+func TestCertifyReductionMatchesHedged(t *testing.T) {
+	g := NewGraph("reducible")
+	a := g.MustAddActor("A", 2)
+	b := g.MustAddActor("B", 3)
+	c := g.MustAddActor("C", 1)
+	d := g.MustAddActor("D", 7)
+	g.MustAddChannel(a, b, 2, 2, 0) // fusible: same rate, no tokens
+	g.MustAddChannel(b, c, 2, 4, 0) // gcd 2
+	g.MustAddChannel(c, a, 2, 1, 2)
+	g.MustAddChannel(c, a, 2, 1, 8) // redundant: dominated by the 2-token twin
+	g.MustAddChannel(c, d, 1, 1, 0) // dead tail
+	ctx := WithBudget(context.Background(), UnlimitedBudget())
+	direct, _, err := ComputeThroughputHedgedOpts(ctx, g, HedgeOptions{CrossCheck: true})
+	if err != nil {
+		t.Fatalf("direct hedged: %v", err)
+	}
+	tp, red, cert, err := CertifyReduction(ctx, g, ReduceOptions{})
+	if err != nil {
+		t.Fatalf("CertifyReduction: %v", err)
+	}
+	if tp.Unbounded || !tp.Period.Equal(direct.Period) {
+		t.Fatalf("lifted answer %v (unbounded=%v), want %v", tp.Period, tp.Unbounded, direct.Period)
+	}
+	if len(red.Trace()) == 0 {
+		t.Fatal("no reduction trace")
+	}
+	if cert == nil {
+		t.Fatal("no lifted certificate")
+	}
+	if err := cert.Check(ctx, g); err != nil {
+		t.Fatalf("lifted certificate rejected on re-check: %v", err)
+	}
+}

@@ -26,6 +26,25 @@ fi
 echo '== sdfvet ./...'
 go run ./cmd/sdfvet ./...
 
+echo '== every internal package has an importer'
+# A package under internal/ that nothing outside its own directory
+# imports is dead code. Tests count as importers (internal/testutil is
+# imported by tests only), and so does the servebench module.
+imports=$(
+    go list -f '{{.Dir}}{{range .Imports}} {{.}}{{end}}{{range .TestImports}} {{.}}{{end}}{{range .XTestImports}} {{.}}{{end}}' ./...
+    cd servebench && go list -f '{{.Dir}}{{range .Imports}} {{.}}{{end}}{{range .TestImports}} {{.}}{{end}}' .
+)
+orphans=$(go list -f '{{.ImportPath}} {{.Dir}}' ./internal/... | while read -r pkg dir; do
+    printf '%s\n' "$imports" | awk -v p="$pkg" -v d="$dir" '
+        $1 != d { for (i = 2; i <= NF; i++) if ($i == p) found = 1 }
+        END { exit !found }' || echo "$pkg"
+done)
+if [ -n "$orphans" ]; then
+    echo 'imported by nothing outside their own directory:'
+    echo "$orphans"
+    exit 1
+fi
+
 echo '== servebench: vet + short tests against the tree'
 # servebench/ is its own module (it imports this one through a replace
 # directive), so the ./... patterns of this script never reach it: a

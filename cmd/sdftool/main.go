@@ -11,7 +11,7 @@
 //	info        structural summary: actors, channels, tokens, consistency
 //	rv          repetition vector
 //	throughput  iteration period and per-actor throughput (-method
-//	            matrix|statespace|hsdf|resilient|hedged; -verify certifies
+//	            matrix|statespace|hsdf|hedged; -verify certifies
 //	            the result and re-checks it in exact arithmetic)
 //	latency     iteration latency report
 //	convert     SDF→HSDF conversion (-algo symbolic|traditional)
@@ -162,7 +162,7 @@ func run(args []string, out io.Writer) error {
 		return withGraph(rest, out, cmdRV, nil)
 	case "throughput":
 		fs := flag.NewFlagSet("throughput", flag.ContinueOnError)
-		method := fs.String("method", "matrix", "engine: matrix, statespace, hsdf, resilient or hedged")
+		method := fs.String("method", "matrix", "engine: matrix, statespace, hsdf or hedged")
 		verifyF := fs.Bool("verify", false, "certify the result and re-check it with the independent exact-arithmetic checker")
 		return withGraph(rest, out, func(ctx context.Context, w io.Writer, g *sdfreduce.Graph) error {
 			return cmdThroughput(ctx, w, g, *method, *verifyF)
@@ -375,15 +375,10 @@ func cmdThroughput(ctx context.Context, w io.Writer, g *sdfreduce.Graph, methodN
 		method = sdfreduce.MethodStateSpace
 	case "hsdf":
 		method = sdfreduce.MethodHSDF
-	case "resilient":
-		if verified {
-			return fmt.Errorf("-verify is not supported with -method resilient (use hedged: it verifies every answer)")
-		}
-		return cmdThroughputResilient(ctx, w, g)
 	case "hedged":
 		return cmdThroughputHedged(ctx, w, g)
 	default:
-		return fmt.Errorf("unknown method %q (matrix, statespace, hsdf, resilient, hedged)", methodName)
+		return fmt.Errorf("unknown method %q (matrix, statespace, hsdf, hedged)", methodName)
 	}
 	if verified {
 		tp, cert, err := sdfreduce.ComputeThroughputCertified(ctx, g, method)
@@ -406,7 +401,7 @@ func cmdThroughputHedged(ctx context.Context, w io.Writer, g *sdfreduce.Graph) e
 	tp, rep, err := sdfreduce.ComputeThroughputHedged(ctx, g)
 	if rep != nil {
 		fmt.Fprintln(w, "engine race:")
-		for _, line := range strings.Split(strings.TrimRight(rep.String(), "\n"), "\n") {
+		for _, line := range rep.Lines() {
 			fmt.Fprintf(w, "  %s\n", line)
 		}
 	}
@@ -417,21 +412,6 @@ func cmdThroughputHedged(ctx context.Context, w io.Writer, g *sdfreduce.Graph) e
 	if cert := rep.Certificates[rep.Winner]; cert != nil {
 		fmt.Fprintf(w, "verified: %s\n", cert)
 	}
-	return nil
-}
-
-func cmdThroughputResilient(ctx context.Context, w io.Writer, g *sdfreduce.Graph) error {
-	tp, rep, err := sdfreduce.ComputeThroughputResilient(ctx, g)
-	if rep != nil {
-		fmt.Fprintln(w, "engine ladder:")
-		for _, line := range strings.Split(strings.TrimRight(rep.String(), "\n"), "\n") {
-			fmt.Fprintf(w, "  %s\n", line)
-		}
-	}
-	if err != nil {
-		return err
-	}
-	printThroughput(w, g, tp, rep.Winner.String())
 	return nil
 }
 

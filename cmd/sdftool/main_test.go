@@ -588,28 +588,14 @@ func TestExitCodeMapping(t *testing.T) {
 	}
 }
 
+// -method resilient names no engine: the hedged policy is the one
+// policy, so the method is refused as unknown (exit code 1).
 func TestThroughputResilient(t *testing.T) {
-	healthy := writeSample(t, "g.sdf", sampleText)
-	out, err := runTool(t, "throughput", "-method", "resilient", healthy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"engine ladder:", "matrix", "answered", "iteration period: 5/2"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("resilient output missing %q:\n%s", want, out)
-		}
-	}
-
-	// On the explosive graph the matrix engine still answers while the
-	// HSDF rung is skipped by the static size estimate.
-	boom := writeSample(t, "boom.sdf", explosiveText)
-	out, err = runTool(t, "throughput", "-method", "resilient", boom)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"matrix", "answered", "skipped"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("resilient output missing %q:\n%s", want, out)
+	for _, sample := range []string{sampleText, explosiveText} {
+		path := writeSample(t, "g.sdf", sample)
+		out, err := runTool(t, "throughput", "-method", "resilient", path)
+		if err == nil || !strings.Contains(err.Error(), `unknown method "resilient"`) || exitCode(err) != 1 {
+			t.Errorf("-method resilient: err = %v (exit %d), want the unknown-method error\n%s", err, exitCode(err), out)
 		}
 	}
 }

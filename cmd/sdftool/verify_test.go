@@ -34,11 +34,27 @@ func TestThroughputHedged(t *testing.T) {
 			t.Errorf("hedged output misses %q:\n%s", want, out)
 		}
 	}
+
+	// On the explosive graph the matrix engine answers, verified, and
+	// the engines after it are skipped.
+	boom := writeSample(t, "boom.sdf", explosiveText)
+	out, err = runTool(t, "throughput", "-method", "hedged", boom)
+	if err != nil {
+		t.Fatalf("hedged on the explosive graph: %v\n%s", err, out)
+	}
+	for _, want := range []string{
+		"matrix      answered", "hsdf        skipped", "iteration period: 4000000 (engine: matrix)", "verified: throughput certificate",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("hedged output misses %q:\n%s", want, out)
+		}
+	}
 }
 
 func TestThroughputResilientRejectsVerify(t *testing.T) {
 	path := writeSample(t, "g.sdf", sampleText)
-	if _, err := runTool(t, "throughput", "-method", "resilient", "-verify", path); err == nil {
-		t.Error("-method resilient -verify accepted")
+	_, err := runTool(t, "throughput", "-method", "resilient", "-verify", path)
+	if err == nil || !strings.Contains(err.Error(), `unknown method "resilient"`) {
+		t.Errorf("-method resilient -verify: err = %v, want the unknown-method error", err)
 	}
 }

@@ -21,7 +21,8 @@ func analysisBudgetCtx(t testing.TB) (context.Context, context.CancelFunc) {
 // assertions are "returns" (deadline + budget) and "does not panic"
 // (isolation). Errors are expected for most perturbed graphs.
 func exercise(ctx context.Context, g *Graph) {
-	_, _, _ = ComputeThroughputResilient(ctx, g)
+	_, _ = ComputeThroughputCtx(ctx, g, MethodMatrix)
+	_, _, _ = ComputeThroughputHedged(ctx, g)
 	_, _, _ = ConvertTraditionalCtx(ctx, g)
 	_, _, _, _ = ConvertSymbolicCtx(ctx, g)
 	_, _ = ComputeLatencyCtx(ctx, g)
@@ -127,9 +128,9 @@ func TestChaosPerturbations(t *testing.T) {
 func TestChaosUnperturbedSanity(t *testing.T) {
 	ctx, cancel := analysisBudgetCtx(t)
 	defer cancel()
-	tp, rep, err := ComputeThroughputResilient(ctx, Figure2())
+	tp, rep, err := ComputeThroughputHedged(ctx, Figure2())
 	if err != nil {
-		t.Fatalf("resilient on Figure 2: %v\n%s", err, rep)
+		t.Fatalf("hedged on Figure 2: %v\n%s", err, rep)
 	}
 	if tp.Unbounded {
 		t.Error("Figure 2 reported unbounded throughput")

@@ -110,7 +110,7 @@ func computeThroughputBounded(ctx context.Context, g *sdf.Graph, opts BoundedOpt
 	}
 
 	// The matrix engine only, on the reduced graph: it is the cheap
-	// engine (symbolic iteration + Karp), and after an abstraction step
+	// engine (symbolic iteration + eigenvalue), and after an abstraction step
 	// the graph is a single self-looped actor it answers in microseconds.
 	_, inner, err := ComputeThroughputCertified(bctx, red.Final, Matrix)
 	if err != nil {

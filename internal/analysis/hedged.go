@@ -5,9 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"time"
 
+	"repro/internal/guard"
 	"repro/internal/obs"
-	"repro/internal/passes"
 	"repro/internal/sdf"
 	"repro/internal/verify"
 )
@@ -66,51 +67,87 @@ type HedgeOptions struct {
 	// that reserve state on admission (a half-open breaker's probe slot)
 	// can settle it from the report.
 	Gate func(m Method) error
-	// Reduce runs the exact reduction fixpoint of internal/passes first:
-	// every engine analyses the reduced graph and the winning answer is
-	// lifted back to the original, with the lifted certificate chain
-	// re-checked against the original graph and published in the
-	// report. Off by default; the serving layer reduces before dispatch
-	// and hands over the already-reduced graph instead.
-	Reduce bool
 }
 
-// HedgeReport extends the resilient ladder's report with the
-// certificates of every engine that produced a verified answer.
+// EngineAttempt records what happened to one engine of the hedged
+// policy.
+type EngineAttempt struct {
+	// Method is the engine this attempt concerns.
+	Method Method
+	// Skipped is true when the engine was never run; Reason says why
+	// (a gate shed it, an earlier engine answered, the context was
+	// already done).
+	Skipped bool
+	// Reason explains a skip or summarises a failure.
+	Reason string
+	// Err is the structured error of a failed run: nil for the winner
+	// and for engines skipped because an earlier one answered, the
+	// gate's error for engines a HedgeOptions.Gate shed before they ran.
+	Err error
+	// Wall is how long the engine ran (zero for engines that never
+	// started), measured on the observability clock when the context
+	// carries a registry, the wall clock otherwise.
+	Wall time.Duration
+}
+
+// attemptOutcome classifies an attempt for the engine-attempt counter.
+func attemptOutcome(a EngineAttempt) string {
+	switch {
+	case a.Skipped && a.Err != nil:
+		return "gated"
+	case a.Skipped:
+		return "skipped"
+	case a.Err == nil:
+		return "answered"
+	case errors.Is(a.Err, guard.ErrCanceled):
+		return "cancelled"
+	default:
+		return "failed"
+	}
+}
+
+// HedgeReport explains a hedged throughput analysis: one attempt per
+// engine, in the order they were considered, and the certificates of
+// every engine that produced a verified answer.
 type HedgeReport struct {
-	ResilientReport
+	// Attempts lists every engine of the policy in consideration order.
+	Attempts []EngineAttempt
+	// Winner is the engine that produced the result; only meaningful
+	// when Answered is true.
+	Winner Method
+	// Answered is true when some engine produced a verified throughput.
+	Answered bool
 	// Certificates holds the verified certificate of every engine that
 	// finished with an answer (the winner and any cross-checked peers).
-	// With HedgeOptions.Reduce these certify the reduced graph; the
-	// lifted chain for the original graph is ReducedCert.
 	Certificates map[Method]*verify.ThroughputCert
-	// Reduction is the fixpoint trace when HedgeOptions.Reduce shrank
-	// the graph first; empty otherwise.
-	Reduction []string
-	// ReducedCert is the winner's certificate lifted through the
-	// reduction chain and re-verified against the original graph. Nil
-	// unless HedgeOptions.Reduce applied at least one rewrite.
-	ReducedCert *verify.ReductionCert
 }
 
-// String renders the policy for humans, one line per engine (plus one
-// per reduction step when the engines ran on a reduced graph).
-func (r *HedgeReport) String() string {
-	var b strings.Builder
-	for _, line := range r.Reduction {
-		fmt.Fprintf(&b, "%-11s %s\n", "reduce", line)
-	}
+// Lines renders the policy for humans, one line per engine attempt. A
+// reason is cut at its first newline: an isolated panic's reason embeds
+// a full stack trace, which belongs in logs, not in every report.
+func (r *HedgeReport) Lines() []string {
+	lines := make([]string, 0, len(r.Attempts))
 	for _, a := range r.Attempts {
+		reason, _, _ := strings.Cut(a.Reason, "\n")
 		switch {
 		case r.Answered && a.Method == r.Winner:
-			fmt.Fprintf(&b, "%-11s answered\n", a.Method)
+			reason = "answered"
 		case a.Skipped:
-			fmt.Fprintf(&b, "%-11s skipped: %s\n", a.Method, a.Reason)
-		case a.Err == nil:
-			fmt.Fprintf(&b, "%-11s %s\n", a.Method, a.Reason)
-		default:
-			fmt.Fprintf(&b, "%-11s failed: %s\n", a.Method, a.Reason)
+			reason = "skipped: " + reason
+		case a.Err != nil:
+			reason = "failed: " + reason
 		}
+		lines = append(lines, fmt.Sprintf("%-11s %s", a.Method, reason))
+	}
+	return lines
+}
+
+// String renders Lines, each ended by a newline.
+func (r *HedgeReport) String() string {
+	var b strings.Builder
+	for _, line := range r.Lines() {
+		b.WriteString(line)
+		b.WriteByte('\n')
 	}
 	return b.String()
 }
@@ -137,20 +174,6 @@ func ComputeThroughputHedgedOpts(ctx context.Context, g *sdf.Graph, opts HedgeOp
 	engines := opts.Engines
 	if len(engines) == 0 {
 		engines = []Method{Matrix, StateSpace, HSDF}
-	}
-	// Optional pre-stage: shrink once, run the engines on the reduced
-	// graph, lift the winner. A reducer failure (budget, cancellation)
-	// is the policy's failure — the engines would hit the same wall.
-	target := g
-	var red *passes.Reduction
-	if opts.Reduce {
-		r, err := passes.Reduce(ctx, g, passes.Options{})
-		if err != nil {
-			return Throughput{}, nil, err
-		}
-		if len(r.Steps) > 0 {
-			target, red = r.Final, r
-		}
 	}
 	// The gate sheds engines before anything is spent on them: a gated
 	// engine gets no run, no meter and no budget charge, only a skipped
@@ -187,7 +210,7 @@ func ComputeThroughputHedgedOpts(ctx context.Context, g *sdf.Graph, opts HedgeOp
 			continue
 		}
 		start := reg.Now()
-		tp, cert, err := ComputeThroughputCertified(ctx, target, m)
+		tp, cert, err := ComputeThroughputCertified(ctx, g, m)
 		at := EngineAttempt{Method: m, Wall: reg.Now().Sub(start)}
 		switch {
 		case err != nil:
@@ -203,7 +226,13 @@ func ComputeThroughputHedgedOpts(ctx context.Context, g *sdf.Graph, opts HedgeOp
 		}
 		rep.Attempts = append(rep.Attempts, at)
 	}
-	countAttempts(reg, "hedge", rep.Attempts)
+	for _, a := range rep.Attempts {
+		outcome := attemptOutcome(a)
+		reg.Counter(obs.MetricEngineAttempts, "engine", a.Method.String(), "outcome", outcome).Inc()
+		if !a.Skipped {
+			reg.Emit("hedge.attempt", "engine", a.Method.String(), "outcome", outcome, "wall", a.Wall.String())
+		}
+	}
 	if !rep.Answered {
 		reg.Counter(obs.MetricHedgeRaces, "outcome", "failed").Inc()
 		return Throughput{}, rep, fmt.Errorf("analysis: no engine produced a verified throughput: %w", errors.Join(errs...))
@@ -230,21 +259,5 @@ func ComputeThroughputHedgedOpts(ctx context.Context, g *sdf.Graph, opts HedgeOp
 	}
 	reg.Counter(obs.MetricHedgeRaces, "outcome", "answered").Inc()
 	reg.Counter(obs.MetricHedgeWins, "engine", winner.String()).Inc()
-	if red != nil {
-		rep.Reduction = red.Trace()
-		lifted, err := red.LiftCert(rep.Certificates[winner])
-		if err != nil {
-			return Throughput{}, rep, fmt.Errorf("analysis: hedged lift: %w", err)
-		}
-		if err := lifted.Check(ctx, g); err != nil {
-			return Throughput{}, rep, fmt.Errorf("analysis: hedged lifted certificate rejected: %w", err)
-		}
-		rep.ReducedCert = lifted
-		return Throughput{
-			Unbounded:  lifted.Unbounded,
-			Period:     lifted.Period,
-			Repetition: red.OriginalRepetition(),
-		}, rep, nil
-	}
 	return win, rep, nil
 }

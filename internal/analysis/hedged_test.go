@@ -290,3 +290,127 @@ func TestHedgedContextDoneSkipsEngines(t *testing.T) {
 		}
 	}
 }
+
+// The renderer covers every attempt shape: a failure, the winner, a
+// skip and a cross-checked peer, and cuts a multi-line reason (an
+// isolated panic's stack trace) at its first newline.
+func TestResilientReportStringBranches(t *testing.T) {
+	rep := &HedgeReport{
+		Attempts: []EngineAttempt{
+			{Method: Matrix, Reason: "boom\ngoroutine 1 [running]:", Err: errors.New("boom")},
+			{Method: StateSpace},
+			{Method: HSDF, Skipped: true, Reason: "gated: open"},
+			{Method: HSDF, Reason: "verified, cross-checked against the statespace engine"},
+		},
+		Winner:   StateSpace,
+		Answered: true,
+	}
+	got := rep.String()
+	want := "matrix      failed: boom\n" +
+		"statespace  answered\n" +
+		"hsdf        skipped: gated: open\n" +
+		"hsdf        verified, cross-checked against the statespace engine\n"
+	if got != want {
+		t.Errorf("String() =\n%q\nwant\n%q", got, want)
+	}
+	if lines := rep.Lines(); strings.Join(lines, "\n")+"\n" != want {
+		t.Errorf("Lines() = %q, want the lines of String()", lines)
+	}
+	if s := (&HedgeReport{}).String(); s != "" {
+		t.Errorf("empty report renders %q", s)
+	}
+}
+
+// With the first two engines disabled by injected failures, the HSDF
+// conversion's size precheck refuses a graph whose iteration length
+// exceeds the actor budget, so the policy fails with three attempts.
+func TestResilientPrecheckSizeSkip(t *testing.T) {
+	g := gen.Figure2()
+	b := guard.Unlimited()
+	b.CheckEvery = 1
+	b.MaxHSDFActors = 1
+	ctx := guard.WithBudget(context.Background(), b)
+	ctx = guard.WithInjector(ctx, guard.NewInjector(
+		guard.Fault{Engine: "matrix", Point: guard.PointCheckpoint, Mode: guard.ModeError},
+		guard.Fault{Engine: "statespace", Point: guard.PointCheckpoint, Mode: guard.ModeError},
+	))
+	_, rep, err := ComputeThroughputHedged(ctx, g)
+	if err == nil {
+		t.Fatal("policy answered although every engine was disabled")
+	}
+	if len(rep.Attempts) != 3 {
+		t.Fatalf("report has %d attempts, want 3:\n%s", len(rep.Attempts), rep)
+	}
+	for _, at := range rep.Attempts[:2] {
+		if at.Skipped || !errors.Is(at.Err, guard.ErrEngineFailed) {
+			t.Errorf("%v: want an injected engine failure, got %+v", at.Method, at)
+		}
+	}
+	hsdf := rep.Attempts[2]
+	if hsdf.Skipped || !errors.Is(hsdf.Err, guard.ErrBudgetExceeded) || !strings.Contains(hsdf.Reason, "HSDF actors exceed the limit of 1") {
+		t.Errorf("hsdf attempt not refused by the size precheck: %+v", hsdf)
+	}
+}
+
+func TestResilientSkipsOnCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, rep, err := ComputeThroughputHedged(ctx, gen.Figure2())
+	if err == nil {
+		t.Fatal("cancelled context still produced an answer")
+	}
+	if rep.Answered || len(rep.Attempts) != 3 {
+		t.Fatalf("unexpected report shape:\n%s", rep)
+	}
+	for _, at := range rep.Attempts {
+		if !at.Skipped || !strings.Contains(at.Reason, "context done") {
+			t.Errorf("%v: want a context-done skip, got %+v", at.Method, at)
+		}
+	}
+}
+
+func TestResilientAllEnginesFailedReport(t *testing.T) {
+	g := sdf.NewGraph("inconsistent")
+	a := g.MustAddActor("A", 1)
+	b := g.MustAddActor("B", 1)
+	g.MustAddChannel(a, b, 2, 3, 0)
+	g.MustAddChannel(b, a, 1, 1, 1)
+	_, rep, err := ComputeThroughputHedged(context.Background(), g)
+	if err == nil || rep.Answered {
+		t.Fatal("inconsistent graph produced an answer")
+	}
+	if len(rep.Attempts) != 3 {
+		t.Fatalf("report has %d attempts, want 3", len(rep.Attempts))
+	}
+	// Every engine fails on the balance equations.
+	s := rep.String()
+	if strings.Count(s, "failed:") != 3 || strings.Count(s, "violates balance") != 3 {
+		t.Errorf("report should render three balance-equation failures:\n%s", s)
+	}
+}
+
+// A panic injected into the matrix engine is contained by the panic
+// isolation layer and the policy degrades to the next engine — the
+// documented behaviour, provoked deterministically.
+func TestResilientDegradesOnInjectedPanic(t *testing.T) {
+	g := gen.Figure2()
+	b := guard.Unlimited()
+	b.CheckEvery = 1
+	ctx := guard.WithBudget(context.Background(), b)
+	ctx = guard.WithInjector(ctx, guard.NewInjector(
+		guard.Fault{Engine: "matrix", Point: guard.PointCheckpoint, Mode: guard.ModePanic},
+	))
+	tp, rep, err := ComputeThroughputHedged(ctx, g)
+	if err != nil {
+		t.Fatalf("policy did not degrade past the injected panic: %v\n%s", err, rep)
+	}
+	if rep.Winner != StateSpace {
+		t.Errorf("winner = %v, want statespace after the matrix engine panics", rep.Winner)
+	}
+	if tp.Unbounded {
+		t.Error("result unbounded")
+	}
+	if !errors.Is(rep.Attempts[0].Err, guard.ErrEngineFailed) {
+		t.Errorf("matrix attempt = %+v, want a contained panic as ErrEngineFailed", rep.Attempts[0])
+	}
+}

@@ -25,17 +25,17 @@ func collect(t *testing.T, reg *obs.Registry, name, label string) map[string]int
 	return out
 }
 
-// TestResilientLadderInstrumented: a ladder run with a registry in the
-// context produces one attempt counter per rung, a wall time on the
+// TestResilientLadderInstrumented: a hedged run with a registry in the
+// context produces one attempt counter per engine, a wall time on the
 // winning attempt, and per-phase span series for the certified engine.
 func TestResilientLadderInstrumented(t *testing.T) {
 	reg := obs.New()
 	reg.EnableEvents(64)
 	ctx := obs.WithRegistry(context.Background(), reg)
 
-	_, rep, err := ComputeThroughputResilient(ctx, gen.Figure2())
+	_, rep, err := ComputeThroughputHedged(ctx, gen.Figure2())
 	if err != nil {
-		t.Fatalf("resilient: %v\n%s", err, rep)
+		t.Fatalf("hedged: %v\n%s", err, rep)
 	}
 	if !rep.Answered || rep.Winner != Matrix {
 		t.Fatalf("winner = %v (answered=%v), want matrix", rep.Winner, rep.Answered)
@@ -51,7 +51,7 @@ func TestResilientLadderInstrumented(t *testing.T) {
 
 	// The winning matrix engine times its phases.
 	spans := collect(t, reg, obs.MetricSpanSeconds, "span")
-	for _, phase := range []string{"analysis.symbolic", "analysis.eigenvalue"} {
+	for _, phase := range []string{"analysis.symbolic", "analysis.eigenvalue", "analysis.certify"} {
 		if spans[phase] != 1 {
 			t.Errorf("span %q observed %d times, want 1 (all: %v)", phase, spans[phase], spans)
 		}
@@ -64,12 +64,12 @@ func TestResilientLadderInstrumented(t *testing.T) {
 	}
 	found := false
 	for _, e := range events {
-		if e.Name == "ladder.attempt" && e.Attrs["outcome"] == "answered" {
+		if e.Name == "hedge.attempt" && e.Attrs["outcome"] == "answered" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("no ladder.attempt answered event in %v", events)
+		t.Errorf("no hedge.attempt answered event in %v", events)
 	}
 }
 
@@ -116,8 +116,8 @@ func TestHedgedRaceInstrumented(t *testing.T) {
 // behaves exactly as before.
 func TestAnalysisWithoutRegistry(t *testing.T) {
 	defer noLeaks(t)
-	if _, rep, err := ComputeThroughputResilient(context.Background(), gen.Figure2()); err != nil {
-		t.Fatalf("resilient without registry: %v\n%s", err, rep)
+	if _, err := ComputeThroughputCtx(context.Background(), gen.Figure2(), Matrix); err != nil {
+		t.Fatalf("matrix without registry: %v", err)
 	}
 	if _, rep, err := ComputeThroughputHedged(context.Background(), gen.Figure2()); err != nil {
 		t.Fatalf("hedged without registry: %v\n%s", err, rep)

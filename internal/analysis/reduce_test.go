@@ -80,33 +80,3 @@ func TestReducedUnboundedGraph(t *testing.T) {
 		t.Fatalf("want unbounded, got period %v", tp.Period)
 	}
 }
-
-// TestHedgedReduce races the engines on the reduced graph and checks
-// the lifted answer matches the direct hedged answer, with the lifted
-// certificate chain re-verified against the original graph.
-func TestHedgedReduce(t *testing.T) {
-	g := reducibleGraph(t)
-	direct, _, err := ComputeThroughputHedgedOpts(unlimited(), g, HedgeOptions{CrossCheck: true})
-	if err != nil {
-		t.Fatalf("direct hedged: %v", err)
-	}
-	tp, rep, err := ComputeThroughputHedgedOpts(unlimited(), g, HedgeOptions{CrossCheck: true, Reduce: true})
-	if err != nil {
-		t.Fatalf("reduced hedged: %v", err)
-	}
-	if tp.Unbounded || !tp.Period.Equal(direct.Period) {
-		t.Fatalf("lifted hedged answer %v (unbounded=%v), want %v", tp.Period, tp.Unbounded, direct.Period)
-	}
-	if len(rep.Reduction) == 0 {
-		t.Fatalf("report carries no reduction trace")
-	}
-	if rep.ReducedCert == nil {
-		t.Fatalf("report carries no lifted certificate")
-	}
-	if err := rep.ReducedCert.Check(unlimited(), g); err != nil {
-		t.Fatalf("lifted certificate rejected on re-check: %v", err)
-	}
-	if got := rep.String(); got == "" {
-		t.Fatalf("empty report rendering")
-	}
-}

@@ -2,7 +2,8 @@
 // graphs through three independent engines that the test suite
 // cross-validates against each other:
 //
-//  1. Matrix: symbolic max-plus iteration matrix + Karp eigenvalue
+//  1. Matrix: symbolic max-plus iteration matrix + its eigenvalue, the
+//     maximum cycle mean Howard's iteration in internal/mcm computes
 //     (the machinery behind the paper's Algorithm 1),
 //  2. StateSpace: explicit execution of the iteration recursion until a
 //     recurrent state, the method of Ghamarian et al. (ACSD'06) that the
@@ -11,7 +12,9 @@
 //     analysis, the classical pipeline the paper's conversion replaces.
 //
 // All engines agree exactly on consistent, live graphs; they differ only
-// in cost, which the benchmark suite measures.
+// in cost, which the benchmark suite measures. ComputeThroughputHedged is
+// the one policy that picks among them: it runs the certified engines in
+// order and returns the first answer that survives verification.
 package analysis
 
 import (
@@ -21,6 +24,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/guard"
+	"repro/internal/maxplus"
 	"repro/internal/mcm"
 	"repro/internal/obs"
 	"repro/internal/passes"
@@ -34,7 +38,7 @@ type Method int
 
 const (
 	// Matrix derives the iteration matrix symbolically and computes its
-	// max-plus eigenvalue with Karp's algorithm.
+	// max-plus eigenvalue.
 	Matrix Method = iota
 	// StateSpace iterates the matrix on concrete time stamps until the
 	// normalised state recurs.
@@ -121,12 +125,7 @@ func ComputeThroughputCtx(ctx context.Context, g *sdf.Graph, method Method) (Thr
 		// the pre-reducer behaviour.
 		return ComputeThroughputDirectCtx(ctx, g, method)
 	}
-	var tp Throughput
-	err := guard.Protect(method.String(), "throughput", func() error {
-		var err error
-		tp, err = computeThroughput(ctx, red.Final, method)
-		return err
-	})
+	tp, err := ComputeThroughputDirectCtx(ctx, red.Final, method)
 	if err != nil {
 		return Throughput{}, err
 	}
@@ -142,85 +141,83 @@ func ComputeThroughputCtx(ctx context.Context, g *sdf.Graph, method Method) (Thr
 // reduced pipeline is measured against, and the equivalence fuzzer as
 // the oracle the lifted answers must match.
 func ComputeThroughputDirectCtx(ctx context.Context, g *sdf.Graph, method Method) (Throughput, error) {
-	var tp Throughput
+	var run engineRun
 	err := guard.Protect(method.String(), "throughput", func() error {
 		var err error
-		tp, err = computeThroughput(ctx, g, method)
-		return err
+		if run, err = runEngine(ctx, g, method); err != nil {
+			return fmt.Errorf("analysis: %w", err)
+		}
+		return nil
 	})
 	if err != nil {
 		return Throughput{}, err
 	}
-	return tp, nil
+	return run.tp, nil
 }
 
-func computeThroughput(ctx context.Context, g *sdf.Graph, method Method) (Throughput, error) {
-	// Per-phase spans: each pipeline stage lands in its own latency
-	// series when the context carries a registry; with none each span
-	// is a nil check.
+// engineRun is one engine's answer together with what its certificate
+// is built from: the symbolic iteration of the matrix engines, or the
+// traditionally converted graph of the HSDF engine.
+type engineRun struct {
+	tp   Throughput
+	sym  *core.SymbolicResult
+	hsdf *sdf.Graph
+}
+
+// runEngine is the one front end of the three engines. Each pipeline
+// stage lands in its own latency series when the context carries a
+// registry; with none each span is a nil check.
+func runEngine(ctx context.Context, g *sdf.Graph, method Method) (engineRun, error) {
 	reg := obs.FromContext(ctx)
 	eng := method.String()
 	q, err := g.RepetitionVector()
 	if err != nil {
-		return Throughput{}, fmt.Errorf("analysis: %w", err)
+		return engineRun{}, err
 	}
+	run := engineRun{tp: Throughput{Repetition: q}}
+	hasCycle := false
 	switch method {
-	case Matrix:
+	case Matrix, StateSpace:
 		sp := reg.StartSpan("analysis.symbolic", "engine", eng)
-		r, err := core.SymbolicIterationCtx(ctx, g)
+		run.sym, err = core.SymbolicIterationCtx(ctx, g)
 		sp.Finish()
 		if err != nil {
-			return Throughput{}, fmt.Errorf("analysis: %w", err)
+			return engineRun{}, err
 		}
-		sp = reg.StartSpan("analysis.eigenvalue", "engine", eng)
-		lam, hasCycle, err := r.Matrix.EigenvalueCtx(ctx)
+		if method == Matrix {
+			sp = reg.StartSpan("analysis.eigenvalue", "engine", eng)
+			run.tp.Period, hasCycle, err = run.sym.Matrix.EigenvalueCtx(ctx)
+		} else {
+			const maxIter = 1 << 22
+			sp = reg.StartSpan("analysis.power-iteration", "engine", eng)
+			var res maxplus.PowerResult
+			res, hasCycle, err = run.sym.Matrix.PowerIterationCtx(ctx, maxIter)
+			run.tp.Period = res.CycleMean
+		}
 		sp.Finish()
-		if err != nil {
-			return Throughput{}, fmt.Errorf("analysis: %w", err)
-		}
-		if !hasCycle {
-			return Throughput{Unbounded: true, Repetition: q}, nil
-		}
-		return Throughput{Period: lam, Repetition: q}, nil
-
-	case StateSpace:
-		sp := reg.StartSpan("analysis.symbolic", "engine", eng)
-		r, err := core.SymbolicIterationCtx(ctx, g)
-		sp.Finish()
-		if err != nil {
-			return Throughput{}, fmt.Errorf("analysis: %w", err)
-		}
-		const maxIter = 1 << 22
-		sp = reg.StartSpan("analysis.power-iteration", "engine", eng)
-		res, ok, err := r.Matrix.PowerIterationCtx(ctx, maxIter)
-		sp.Finish()
-		if err != nil {
-			return Throughput{}, fmt.Errorf("analysis: %w", err)
-		}
-		if !ok {
-			return Throughput{Unbounded: true, Repetition: q}, nil
-		}
-		return Throughput{Period: res.CycleMean, Repetition: q}, nil
 
 	case HSDF:
 		sp := reg.StartSpan("analysis.conversion", "engine", eng)
-		h, _, err := transform.TraditionalCtx(ctx, g)
+		run.hsdf, _, err = transform.TraditionalCtx(ctx, g)
 		sp.Finish()
 		if err != nil {
-			return Throughput{}, fmt.Errorf("analysis: %w", err)
+			return engineRun{}, err
+		}
+		if testTamperHSDF != nil {
+			run.hsdf = testTamperHSDF(run.hsdf)
 		}
 		sp = reg.StartSpan("analysis.mcm", "engine", eng)
-		res, err := mcm.MaxCycleRatio(h)
+		var res mcm.Result
+		res, err = mcm.MaxCycleRatio(run.hsdf)
 		sp.Finish()
-		if err != nil {
-			return Throughput{}, fmt.Errorf("analysis: %w", err)
-		}
-		if !res.HasCycle {
-			return Throughput{Unbounded: true, Repetition: q}, nil
-		}
-		return Throughput{Period: res.CycleMean, Repetition: q}, nil
+		run.tp.Period, hasCycle = res.CycleMean, res.HasCycle
 
 	default:
-		return Throughput{}, fmt.Errorf("analysis: unknown method %v", method)
+		return engineRun{}, fmt.Errorf("unknown method %v", method)
 	}
+	if err != nil {
+		return engineRun{}, err
+	}
+	run.tp.Unbounded = !hasCycle
+	return run, nil
 }

@@ -179,11 +179,12 @@ func SymbolicIterationCtx(ctx context.Context, g *sdf.Graph) (*SymbolicResult, e
 // checkTimeHeadroom refuses graphs whose execution times are so large
 // that exact max-plus analysis could overflow int64. Every iteration-
 // matrix entry is a sum of at most one execution time per schedule
-// slot, and the eigenvalue DP (Karp) later walks at most one entry per
-// initial token; the worst-case magnitude is therefore bounded by
+// slot, and a cycle of the matrix's precedence graph, whose weight the
+// eigenvalue and power iteration accumulate, passes at most one entry
+// per initial token; the worst-case magnitude is therefore bounded by
 // firings × tokens × maxExec. That product must stay well below the
-// −∞ sentinels (MinInt64 here, −2⁶² in Karp) or the unchecked max-plus
-// sums would wrap and return a silently wrong period.
+// −∞ sentinel (MinInt64) or the unchecked max-plus sums would wrap and
+// return a silently wrong period.
 func checkTimeHeadroom(g *sdf.Graph, firings int) error {
 	var maxExec int64
 	for _, a := range g.Actors() {

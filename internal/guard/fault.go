@@ -62,7 +62,7 @@ const (
 	ModePanic
 	// ModeRefuse returns a structured *EngineError wrapping
 	// ErrBudgetExceeded, exercising the documented degradation path
-	// (the resilient ladder records the refusal and moves on).
+	// (the hedged policy records the refusal and moves on).
 	ModeRefuse
 )
 

@@ -68,8 +68,8 @@ type Budget struct {
 	// up front when it exceeds this.
 	MaxHSDFActors int64
 	// MaxTokens bounds the initial-token count N accepted by the
-	// matrix-based engines, whose dense N×N (and Karp's N²) tables
-	// would otherwise exhaust memory.
+	// matrix-based engines, whose dense N×N tables would otherwise
+	// exhaust memory.
 	MaxTokens int64
 	// CheckEvery is the checkpoint granularity: how many work units may
 	// pass between polls of the context. Hot loops stay branch-cheap

@@ -6,6 +6,8 @@ import (
 	"strings"
 
 	"repro/internal/csdf"
+	"repro/internal/passes"
+	"repro/internal/sdf"
 )
 
 // AnalyzeCSDF runs the subset of the passes that transfer to cyclo-static
@@ -50,7 +52,7 @@ func csdfDeadlock(g *csdf.Graph) []Diagnostic {
 	insufficient := func(c csdf.Channel) bool {
 		return len(c.Cons) > 0 && c.Cons[0] > 0 && c.Initial < c.Cons[0]
 	}
-	adj := make([][]csdfActor, n)
+	adj := make([][]sdf.ActorID, n)
 	var out []Diagnostic
 	for _, c := range g.Channels() {
 		if !insufficient(c) {
@@ -66,9 +68,9 @@ func csdfDeadlock(g *csdf.Graph) []Diagnostic {
 			})
 			continue
 		}
-		adj[c.Src] = append(adj[c.Src], csdfActor(c.Dst))
+		adj[c.Src] = append(adj[c.Src], sdf.ActorID(c.Dst))
 	}
-	comp := csdfSCC(n, adj)
+	comp := passes.SCC(n, adj)
 	members := make(map[int][]int)
 	for a := 0; a < n; a++ {
 		members[comp[a]] = append(members[comp[a]], a)
@@ -96,55 +98,6 @@ func csdfDeadlock(g *csdf.Graph) []Diagnostic {
 		})
 	}
 	return out
-}
-
-type csdfActor int
-
-func csdfSCC(n int, adj [][]csdfActor) []int {
-	rev := make([][]csdfActor, n)
-	for u := 0; u < n; u++ {
-		for _, v := range adj[u] {
-			rev[v] = append(rev[v], csdfActor(u))
-		}
-	}
-	order := make([]int, 0, n)
-	seen := make([]bool, n)
-	var dfs1 func(u int)
-	dfs1 = func(u int) {
-		seen[u] = true
-		for _, v := range adj[u] {
-			if !seen[v] {
-				dfs1(int(v))
-			}
-		}
-		order = append(order, u)
-	}
-	for u := 0; u < n; u++ {
-		if !seen[u] {
-			dfs1(u)
-		}
-	}
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	id := 0
-	var dfs2 func(u int)
-	dfs2 = func(u int) {
-		comp[u] = id
-		for _, v := range rev[u] {
-			if comp[v] < 0 {
-				dfs2(int(v))
-			}
-		}
-	}
-	for i := len(order) - 1; i >= 0; i-- {
-		if comp[order[i]] < 0 {
-			dfs2(order[i])
-			id++
-		}
-	}
-	return comp
 }
 
 func csdfConnectivity(g *csdf.Graph) []Diagnostic {

@@ -365,4 +365,26 @@ func TestAnalyzeCSDF(t *testing.T) {
 	if rep.Count(Info) == 0 {
 		t.Errorf("zero-time CSDF actor not reported:\n%s", rep)
 	}
+	// Two token-starved cycles, the second reachable from the first:
+	// one diagnostic each, in a fixed order.
+	g4 := csdf.NewGraph("csdead2")
+	for _, name := range []string{"P", "Q", "R", "S", "T"} {
+		g4.MustAddActor(name, []int64{1})
+	}
+	for _, c := range [][2]csdf.ActorID{{3, 4}, {4, 2}, {2, 3}, {0, 1}, {1, 0}, {1, 2}} {
+		g4.MustAddChannel(c[0], c[1], []int{1}, []int{1}, 0)
+	}
+	var got []string
+	for _, d := range AnalyzeCSDF(g4).Diagnostics {
+		if d.Pass == "deadlock" {
+			got = append(got, d.Msg)
+		}
+	}
+	want := []string{
+		"cycle through {P, Q} cannot enable any first-phase firing (initial < cons[0] everywhere)",
+		"cycle through {R, S, T} cannot enable any first-phase firing (initial < cons[0] everywhere)",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("deadlock diagnostics =\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/guard"
+	"repro/internal/mcm"
 	"repro/internal/rat"
 )
 
@@ -20,252 +21,33 @@ func (m *Matrix) Eigenvalue() (lambda rat.Rat, hasCycle bool, err error) {
 	return m.EigenvalueCtx(guard.WithBudget(context.Background(), guard.Unlimited()))
 }
 
-// EigenvalueCtx is Eigenvalue under the resilience runtime: Karp's
-// O(n·m) dynamic program charges the state budget carried by ctx and
-// checkpoints the context between rounds, so adversarially dense
-// matrices respect deadlines and budgets instead of grinding.
+// EigenvalueCtx is Eigenvalue under the resilience runtime. The
+// precedence graph, every edge carrying delay 1, goes to Howard's policy
+// iteration in internal/mcm, the solver of the HSDF and SADF analyses.
+// Before it runs, n·E states (n nodes, E finite entries: Karp's
+// dynamic-programming bound) are charged against the budget carried by
+// ctx and the context is polled once, so dense matrices respect budgets
+// and a cancelled request stops here.
 func (m *Matrix) EigenvalueCtx(ctx context.Context) (lambda rat.Rat, hasCycle bool, err error) {
 	meter := guard.NewMeter(ctx, "matrix")
 	meter.Phase("eigenvalue")
-	g := newPrecGraph(m)
-	return g.maxCycleMean(meter)
-}
-
-// precGraph is the precedence graph of a max-plus matrix: node j has an
-// edge to node i of weight m[i][j] when the entry is finite.
-type precGraph struct {
-	n   int
-	adj [][]precEdge // adj[from] = outgoing edges
-}
-
-type precEdge struct {
-	to int
-	w  int64
-}
-
-func newPrecGraph(m *Matrix) *precGraph {
-	g := &precGraph{n: m.n, adj: make([][]precEdge, m.n)}
-	for i := 0; i < m.n; i++ {
-		for j := 0; j < m.n; j++ {
-			if w := m.rows[i][j]; w != NegInf {
-				g.adj[j] = append(g.adj[j], precEdge{to: i, w: int64(w)})
+	edges := make([]mcm.Edge, 0, m.FiniteCount())
+	for i, row := range m.rows {
+		for j, w := range row {
+			if w != NegInf {
+				edges = append(edges, mcm.Edge{From: j, To: i, W: int64(w), D: 1})
 			}
 		}
 	}
-	return g
-}
-
-// maxCycleMean computes the maximum over all cycles of (total weight /
-// cycle length) via Karp's algorithm applied per strongly connected
-// component.
-func (g *precGraph) maxCycleMean(meter *guard.Meter) (rat.Rat, bool, error) {
-	comps := g.sccs()
-	best := rat.Zero()
-	found := false
-	for _, comp := range comps {
-		if len(comp) == 1 {
-			// A singleton SCC only has a cycle if it has a self-loop.
-			v := comp[0]
-			hasSelf := false
-			var selfW int64
-			for _, e := range g.adj[v] {
-				if e.to == v {
-					if !hasSelf || e.w > selfW {
-						selfW = e.w
-					}
-					hasSelf = true
-				}
-			}
-			if !hasSelf {
-				continue
-			}
-			mean := rat.FromInt(selfW)
-			if !found || mean.Cmp(best) > 0 {
-				best = mean
-			}
-			found = true
-			continue
-		}
-		mean, err := g.karp(comp, meter)
-		if err != nil {
-			return rat.Rat{}, false, err
-		}
-		if !found || mean.Cmp(best) > 0 {
-			best = mean
-		}
-		found = true
+	if err := meter.States(int64(m.n) * int64(len(edges))); err != nil {
+		return rat.Rat{}, false, err
 	}
-	return best, found, nil
-}
-
-// karp runs Karp's maximum mean cycle algorithm restricted to the strongly
-// connected component comp (len(comp) >= 2, or 1 with a self-loop).
-func (g *precGraph) karp(comp []int, meter *guard.Meter) (rat.Rat, error) {
-	n := len(comp)
-	local := make(map[int]int, n) // global node -> local index
-	for i, v := range comp {
-		local[v] = i
+	if err := meter.Canceled(); err != nil {
+		return rat.Rat{}, false, err
 	}
-	// edges within the component, in local indices
-	type edge struct {
-		from, to int
-		w        int64
+	res, err := mcm.MaxCycleRatioEdges(m.n, edges)
+	if err != nil {
+		return rat.Rat{}, false, err
 	}
-	var edges []edge
-	for _, v := range comp {
-		lv := local[v]
-		for _, e := range g.adj[v] {
-			if lu, ok := local[e.to]; ok {
-				edges = append(edges, edge{from: lv, to: lu, w: e.w})
-			}
-		}
-	}
-
-	const negInf = int64(-1) << 62
-	// D[k][v] = max weight over edge-paths of exactly k edges from the
-	// (arbitrary) source node 0 to v. Since the component is strongly
-	// connected, every node is reachable.
-	D := make([][]int64, n+1)
-	for k := range D {
-		D[k] = make([]int64, n)
-		for v := range D[k] {
-			D[k][v] = negInf
-		}
-	}
-	D[0][0] = 0
-	for k := 1; k <= n; k++ {
-		// One Karp round relaxes every edge of the component: charge it
-		// as explored states and let the deadline interrupt between
-		// rounds.
-		if err := meter.States(int64(len(edges))); err != nil {
-			return rat.Rat{}, err
-		}
-		prev, cur := D[k-1], D[k]
-		for _, e := range edges {
-			if prev[e.from] == negInf {
-				continue
-			}
-			if w := prev[e.from] + e.w; w > cur[e.to] {
-				cur[e.to] = w
-			}
-		}
-	}
-
-	// lambda = max_v min_{0<=k<n, D[k][v] finite} (D[n][v]-D[k][v])/(n-k)
-	var best rat.Rat
-	haveBest := false
-	for v := 0; v < n; v++ {
-		if D[n][v] == negInf {
-			continue
-		}
-		var worst rat.Rat
-		haveWorst := false
-		for k := 0; k < n; k++ {
-			if D[k][v] == negInf {
-				continue
-			}
-			mean, err := rat.New(D[n][v]-D[k][v], int64(n-k))
-			if err != nil {
-				return rat.Rat{}, err
-			}
-			if !haveWorst || mean.Cmp(worst) < 0 {
-				worst = mean
-				haveWorst = true
-			}
-		}
-		if haveWorst && (!haveBest || worst.Cmp(best) > 0) {
-			best = worst
-			haveBest = true
-		}
-	}
-	if !haveBest {
-		// Cannot happen for a strongly connected component with >= 1 edge,
-		// but fail loudly rather than return a silent zero.
-		return rat.Rat{}, errNoPath
-	}
-	return best, nil
-}
-
-var errNoPath = errInternal("karp: no finite walk of length n found in SCC")
-
-type errInternal string
-
-func (e errInternal) Error() string { return "maxplus: " + string(e) }
-
-// sccs returns the strongly connected components of g (Tarjan, iterative to
-// avoid deep recursion on large precedence graphs).
-func (g *precGraph) sccs() [][]int {
-	const unvisited = -1
-	index := make([]int, g.n)
-	low := make([]int, g.n)
-	onStack := make([]bool, g.n)
-	for i := range index {
-		index[i] = unvisited
-	}
-	var (
-		stack  []int
-		comps  [][]int
-		next   int
-		frames []tarjanFrame
-	)
-	for root := 0; root < g.n; root++ {
-		if index[root] != unvisited {
-			continue
-		}
-		frames = append(frames[:0], tarjanFrame{v: root})
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			v := f.v
-			if f.edge == 0 {
-				index[v] = next
-				low[v] = next
-				next++
-				stack = append(stack, v)
-				onStack[v] = true
-			}
-			advanced := false
-			for f.edge < len(g.adj[v]) {
-				w := g.adj[v][f.edge].to
-				f.edge++
-				if index[w] == unvisited {
-					frames = append(frames, tarjanFrame{v: w})
-					advanced = true
-					break
-				}
-				if onStack[w] && index[w] < low[v] {
-					low[v] = index[w]
-				}
-			}
-			if advanced {
-				continue
-			}
-			// v done
-			if low[v] == index[v] {
-				var comp []int
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp = append(comp, w)
-					if w == v {
-						break
-					}
-				}
-				comps = append(comps, comp)
-			}
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				parent := frames[len(frames)-1].v
-				if low[v] < low[parent] {
-					low[parent] = low[v]
-				}
-			}
-		}
-	}
-	return comps
-}
-
-type tarjanFrame struct {
-	v    int
-	edge int
+	return res.CycleRatio, res.HasCycle, nil
 }

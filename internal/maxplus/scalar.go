@@ -1,7 +1,8 @@
 // Package maxplus implements max-plus algebra: scalars over the reals
 // extended with −∞, vectors, matrices, matrix products, eigenvalue
-// computation (maximum cycle mean of the precedence graph, Karp's
-// algorithm) and power iteration with periodicity detection.
+// computation (maximum cycle mean of the precedence graph, solved by
+// Howard's iteration in internal/mcm) and power iteration with
+// periodicity detection.
 //
 // Max-plus algebra is the natural semantics of self-timed execution of
 // timed synchronous dataflow graphs (Baccelli et al., "Synchronization and

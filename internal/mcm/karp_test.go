@@ -5,9 +5,12 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/maxplus"
 	"repro/internal/rat"
 )
+
+// noWalk marks a node no k-edge walk ends at (−∞ in max-plus terms); it
+// lies far below any walk weight of the test instances.
+const noWalk = int64(-1) << 62
 
 // karpUnit is the test-only Karp reference for unit-delay edge lists: it
 // computes the maximum cycle mean of the alive subgraph exactly, by
@@ -23,10 +26,10 @@ func karpUnit(n int, adj [][]edge, alive []bool) (rat.Rat, error) {
 			nAlive++
 		}
 	}
-	prev, cur := make([]maxplus.T, n), make([]maxplus.T, n)
-	walks := func(visit func(k int, d []maxplus.T) error) error {
+	prev, cur := make([]int64, n), make([]int64, n)
+	walks := func(visit func(k int, d []int64) error) error {
 		for v := range prev {
-			prev[v] = maxplus.NegInf
+			prev[v] = noWalk
 			if alive[v] {
 				prev[v] = 0
 			}
@@ -36,28 +39,28 @@ func karpUnit(n int, adj [][]edge, alive []bool) (rat.Rat, error) {
 				return err
 			}
 			for v := range cur {
-				cur[v] = maxplus.NegInf
+				cur[v] = noWalk
 			}
 			for u, du := range prev {
-				if du.IsNegInf() {
+				if du == noWalk {
 					continue
 				}
 				for _, e := range adj[u] {
 					if !alive[e.to] {
 						continue
 					}
-					s, ok := rat.AddChecked(du.Int(), e.w)
+					s, ok := rat.AddChecked(du, e.w)
 					if !ok {
 						return fmt.Errorf("mcm: Karp walk weight overflows int64")
 					}
-					cur[e.to] = cur[e.to].Max(maxplus.FromInt(s))
+					cur[e.to] = max(cur[e.to], s)
 				}
 			}
 			prev, cur = cur, prev
 		}
 	}
-	dN := make([]maxplus.T, n)
-	if err := walks(func(k int, d []maxplus.T) error {
+	dN := make([]int64, n)
+	if err := walks(func(k int, d []int64) error {
 		if k == nAlive {
 			copy(dN, d)
 		}
@@ -67,15 +70,15 @@ func karpUnit(n int, adj [][]edge, alive []bool) (rat.Rat, error) {
 	}
 	lo := make([]rat.Rat, n)
 	seen := make([]bool, n)
-	err := walks(func(k int, d []maxplus.T) error {
+	err := walks(func(k int, d []int64) error {
 		if k == nAlive {
 			return nil
 		}
 		for v, dk := range d {
-			if dk.IsNegInf() || dN[v].IsNegInf() {
+			if dk == noWalk || dN[v] == noWalk {
 				continue
 			}
-			diff, ok := rat.AddChecked(dN[v].Int(), -dk.Int())
+			diff, ok := rat.AddChecked(dN[v], -dk)
 			if !ok {
 				return fmt.Errorf("mcm: Karp walk weight overflows int64")
 			}

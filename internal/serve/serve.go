@@ -26,7 +26,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -730,7 +729,7 @@ func (s *Server) runHedged(ctx context.Context, g *sdf.Graph) (*answer, error) {
 		engine: rep.Winner.String(),
 		tp:     tp,
 		cert:   rep.Certificates[rep.Winner],
-		report: reportLines(rep),
+		report: rep.Lines(),
 	}, nil
 }
 
@@ -826,37 +825,9 @@ func buildResult(g *sdf.Graph, engine string, tp analysis.Throughput, cert *veri
 	return res
 }
 
-// reportLines renders the policy one line per engine attempt. Failure
-// reasons are cut at their first newline: an isolated panic's reason
-// embeds a full stack trace, which belongs in server logs, not in every
-// wire response.
-func reportLines(rep *analysis.HedgeReport) []string {
-	lines := make([]string, 0, len(rep.Attempts))
-	for _, a := range rep.Attempts {
-		switch {
-		case rep.Answered && a.Method == rep.Winner:
-			lines = append(lines, fmt.Sprintf("%-11s answered", a.Method))
-		case a.Skipped:
-			lines = append(lines, fmt.Sprintf("%-11s skipped: %s", a.Method, firstLine(a.Reason)))
-		case a.Err == nil:
-			lines = append(lines, fmt.Sprintf("%-11s %s", a.Method, firstLine(a.Reason)))
-		default:
-			lines = append(lines, fmt.Sprintf("%-11s failed: %s", a.Method, firstLine(a.Reason)))
-		}
-	}
-	return lines
-}
-
 // ratWire renders an exact rational into the wire's three fields: the
 // string form, numerator and denominator.
 func ratWire(p rat.Rat) (string, int64, int64) { return p.String(), p.Num(), p.Den() }
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
 
 // admit reserves one in-flight slot unless the server is draining.
 func (s *Server) admit() error {

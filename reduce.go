@@ -17,10 +17,9 @@ import (
 // chain (ReductionCert) that internal/verify validates step by step.
 //
 // The facade's throughput entry points (ComputeThroughput,
-// ComputeThroughputCtx, the resilient ladder) run the exact default
-// rules implicitly; the functions here expose the machinery for callers
-// that want the reduced graph, the trace, or the lifted certificate
-// themselves.
+// ComputeThroughputCtx) run the exact default rules implicitly; the
+// functions here expose the machinery for callers that want the reduced
+// graph, the trace, or the lifted certificate themselves.
 type (
 	// Reduction is the result of driving a rule set to fixpoint: the
 	// reduced graph, the rewrite chain, and the lifting machinery.

@@ -47,7 +47,8 @@ func hugeIterGraph(t testing.TB) *Graph {
 // TestExplosiveGraphFastFailure is the acceptance scenario of the
 // resilience runtime: an iteration length above 10^6 makes the
 // traditional conversion refuse instantly under the default budget,
-// while the resilient ladder still answers through the matrix engine.
+// while the hedged policy still answers, verified, through the matrix
+// engine.
 func TestExplosiveGraphFastFailure(t *testing.T) {
 	g := explosiveGraph(t, 1100) // Σq = 1 + 1100 + 1_210_000 > 10^6
 
@@ -60,9 +61,9 @@ func TestExplosiveGraphFastFailure(t *testing.T) {
 		t.Errorf("budget refusal took %v, want < 1s", d)
 	}
 
-	tp, rep, err := ComputeThroughputResilient(context.Background(), g)
+	tp, rep, err := ComputeThroughputHedged(context.Background(), g)
 	if err != nil {
-		t.Fatalf("resilient: %v\n%s", err, rep)
+		t.Fatalf("hedged: %v\n%s", err, rep)
 	}
 	if rep.Winner != MethodMatrix {
 		t.Errorf("winner = %v, want matrix\n%s", rep.Winner, rep)
@@ -70,7 +71,10 @@ func TestExplosiveGraphFastFailure(t *testing.T) {
 	// Period = max_a q[a]·exec[a] = 1100² for actor C.
 	want := int64(1100 * 1100)
 	if tp.Period.Num() != want || tp.Period.Den() != 1 {
-		t.Errorf("resilient period = %v, want %d", tp.Period, want)
+		t.Errorf("hedged period = %v, want %d", tp.Period, want)
+	}
+	if err := CheckCertificate(context.Background(), g, rep.Certificates[MethodMatrix]); err != nil {
+		t.Errorf("matrix certificate does not re-check: %v", err)
 	}
 	// The direct matrix engine agrees.
 	mtp, err := ComputeThroughput(g, MethodMatrix)
@@ -78,9 +82,9 @@ func TestExplosiveGraphFastFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !mtp.Period.Equal(tp.Period) {
-		t.Errorf("resilient %v != matrix %v", tp.Period, mtp.Period)
+		t.Errorf("hedged %v != matrix %v", tp.Period, mtp.Period)
 	}
-	// The HSDF rung was skipped by the static size estimate, not run.
+	// The HSDF engine never ran: the matrix engine answered first.
 	var hsdf *EngineAttempt
 	for i := range rep.Attempts {
 		if rep.Attempts[i].Method == MethodHSDF {
@@ -88,7 +92,7 @@ func TestExplosiveGraphFastFailure(t *testing.T) {
 		}
 	}
 	if hsdf == nil || !hsdf.Skipped {
-		t.Errorf("HSDF rung not skipped:\n%s", rep)
+		t.Errorf("HSDF engine not skipped:\n%s", rep)
 	}
 }
 
@@ -202,16 +206,16 @@ func TestOverflowRegressions(t *testing.T) {
 	})
 }
 
-// TestResilientReportOnTotalFailure checks the ladder reports every
-// attempt even when no engine can answer.
+// TestResilientReportOnTotalFailure checks the hedged policy reports
+// every attempt even when no engine can answer.
 func TestResilientReportOnTotalFailure(t *testing.T) {
 	g := hugeIterGraph(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	ctx = WithBudget(ctx, UnlimitedBudget())
-	_, rep, err := ComputeThroughputResilient(ctx, g)
+	_, rep, err := ComputeThroughputHedged(ctx, g)
 	if err == nil {
-		t.Fatal("resilient analysis under an expired deadline succeeded")
+		t.Fatal("hedged analysis under an expired deadline succeeded")
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want context.DeadlineExceeded in the chain", err)

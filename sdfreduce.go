@@ -101,10 +101,7 @@ type (
 	// EngineError is the structured failure of one engine: it names the
 	// engine and phase and carries the work counters at the stop.
 	EngineError = guard.EngineError
-	// ResilientReport explains a resilient analysis: which engine
-	// answered and why the others failed or were skipped.
-	ResilientReport = analysis.ResilientReport
-	// EngineAttempt is one rung of the resilient ladder.
+	// EngineAttempt is one engine's attempt in a HedgeReport.
 	EngineAttempt = analysis.EngineAttempt
 )
 
@@ -154,18 +151,6 @@ func ComputeThroughputCtx(ctx context.Context, g *Graph, m Method) (Throughput, 
 		return Throughput{}, err
 	}
 	return analysis.ComputeThroughputCtx(ctx, g, m)
-}
-
-// ComputeThroughputResilient analyses g with the engine-degradation
-// ladder: matrix first, state-space as fallback, traditional HSDF only
-// when the static size estimate fits the budget. The report says which
-// engine answered and why the others failed or were skipped; it is
-// returned even on total failure.
-func ComputeThroughputResilient(ctx context.Context, g *Graph) (Throughput, *ResilientReport, error) {
-	if err := lint.Precheck(g); err != nil {
-		return Throughput{}, nil, err
-	}
-	return analysis.ComputeThroughputResilient(ctx, g)
 }
 
 // ComputeLatency derives a latency report of one iteration of g, after

@@ -112,6 +112,25 @@ for g in testdata/graphs/*.sdf; do
     go run ./cmd/sdftool reduce -verify "$g" >/dev/null
 done
 
+echo '== sdftool reduce -verify over the corpus with the abstraction rule'
+# The same corpus under every rule: a chain with an abstraction step
+# lifts to a conservative Theorem 1 bound whose certificate must
+# re-check like an exact one. At least one chain must print a bound
+# (deadwood.sdf and irreducible.sdf do), so the inexact lift is tested
+# end to end.
+bounds=0
+for g in testdata/graphs/*.sdf; do
+    echo "   $g"
+    out=$(go run ./cmd/sdftool reduce -verify -rules prune-redundant,rate-gcd,dead-actor,chain-fusion,abstraction "$g")
+    case $out in
+    *'(conservative bound)'*) bounds=$((bounds + 1)) ;;
+    esac
+done
+if [ "$bounds" -eq 0 ]; then
+    echo 'reduce: no corpus chain printed a conservative bound'
+    exit 1
+fi
+
 echo '== sdfbench engine timings -> BENCH_3.json'
 # Per-engine throughput wall times over the seed benchmark graphs. The
 # short deadline keeps the gate fast; engines that cannot finish in

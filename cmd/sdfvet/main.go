@@ -20,11 +20,6 @@
 //	minmaxint math.MinInt*/math.MaxInt* literals outside the arithmetic
 //	          kernels internal/rat and internal/maxplus, where the
 //	          max-plus −∞ sentinel (or checked rat arithmetic) belongs
-//	rulelift  passes.Rule registrations missing (or nil) one of the
-//	          Name/Reduce/Restore/Lift members, or whose lift function
-//	          no _test.go file in the package references: a rule's lift
-//	          is the only path from a reduced-graph answer back to the
-//	          original graph, so it must be named and test-exercised
 //	kindmap   error kinds returned by serve.KindOf (string literals)
 //	          missing an explicit case in sdftool's exitCode table:
 //	          every kind the server can put on the wire must map to a
@@ -118,11 +113,6 @@ func run(args []string, out io.Writer) ([]finding, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Per-file checks run as files parse; the parsed set is kept per
-		// directory for the checks that correlate code with its tests
-		// (rulelift needs to know which lift functions the package's
-		// _test.go files actually reference).
-		var pkgFiles []parsedFile
 		for _, e := range entries {
 			if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 				continue
@@ -135,13 +125,7 @@ func run(args []string, out io.Writer) ([]finding, error) {
 			logical := logicalPath(path)
 			all = append(all, analyzeFile(fset, file, logical)...)
 			km.collect(fset, file, logical)
-			pkgFiles = append(pkgFiles, parsedFile{
-				file:    file,
-				logical: logical,
-				test:    strings.HasSuffix(e.Name(), "_test.go"),
-			})
 		}
-		all = append(all, analyzeRuleLift(fset, pkgFiles)...)
 	}
 	all = append(all, km.findings()...)
 	sort.Slice(all, func(i, j int) bool {

@@ -13,7 +13,7 @@ import (
 
 var knownChecks = map[string]bool{
 	"ratcmp": true, "mpcmp": true, "floatconv": true, "droperr": true, "minmaxint": true,
-	"rulelift": true, "kindmap": true,
+	"kindmap": true,
 }
 
 // wantMarkers reads every fixture file and returns, keyed by

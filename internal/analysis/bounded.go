@@ -100,7 +100,8 @@ func computeThroughputBounded(ctx context.Context, g *sdf.Graph, opts BoundedOpt
 
 	reg := obs.FromContext(ctx)
 	sp := reg.StartSpan("analysis.bounded-reduce")
-	red, err := passes.Reduce(bctx, g, passes.Options{Rules: passes.AllRules()})
+	facts := passes.NewFacts(g)
+	red, err := facts.Reduce(bctx, passes.Options{Rules: passes.AllRules()})
 	sp.Finish()
 	if err != nil {
 		return fail(err)
@@ -140,7 +141,7 @@ func computeThroughputBounded(ctx context.Context, g *sdf.Graph, opts BoundedOpt
 		b.Lower = cert.Period
 		return b, cert, nil
 	}
-	if floor, ok := passes.NewFacts(g).PeriodFloor(); ok {
+	if floor, ok := facts.PeriodFloor(); ok {
 		b.Lower = floor
 	}
 	if b.Lower.Cmp(b.Upper) > 0 {

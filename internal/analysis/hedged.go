@@ -49,7 +49,7 @@ func describeThroughput(tp Throughput) string {
 // HedgeOptions configures ComputeThroughputHedgedOpts.
 type HedgeOptions struct {
 	// Engines lists the engines in the order the policy tries them; nil
-	// means Matrix, StateSpace, HSDF.
+	// means DefaultEngines.
 	Engines []Method
 	// CrossCheck runs every engine in turn instead of stopping at the
 	// first verified answer, then compares all verified answers. The
@@ -152,6 +152,11 @@ func (r *HedgeReport) String() string {
 	return b.String()
 }
 
+// DefaultEngines returns the hedged policy's engines in the order it
+// tries them when HedgeOptions.Engines is nil: the matrix engine first,
+// the state-space and HSDF engines as its fallbacks.
+func DefaultEngines() []Method { return []Method{Matrix, StateSpace, HSDF} }
+
 // ComputeThroughputHedged runs the certified engines under the budget
 // carried by ctx, one at a time: the first engine whose answer survives
 // independent verification answers, and the engines after it do not
@@ -173,7 +178,7 @@ func ComputeThroughputHedged(ctx context.Context, g *sdf.Graph) (Throughput, *He
 func ComputeThroughputHedgedOpts(ctx context.Context, g *sdf.Graph, opts HedgeOptions) (Throughput, *HedgeReport, error) {
 	engines := opts.Engines
 	if len(engines) == 0 {
-		engines = []Method{Matrix, StateSpace, HSDF}
+		engines = DefaultEngines()
 	}
 	// The gate sheds engines before anything is spent on them: a gated
 	// engine gets no run, no meter and no budget charge, only a skipped

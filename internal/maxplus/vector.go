@@ -73,13 +73,6 @@ func (v Vec) AddScalar(c T) Vec {
 	return w
 }
 
-// AddScalarInPlace adds c to every finite entry of v.
-func (v Vec) AddScalarInPlace(c T) {
-	for i := range v {
-		v[i] = v[i].Add(c)
-	}
-}
-
 // MaxEntry returns the largest entry of v (−∞ for an empty or all-−∞
 // vector).
 func (v Vec) MaxEntry() T {

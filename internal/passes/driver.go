@@ -24,9 +24,9 @@ type Options struct {
 }
 
 // Reduction is the result of driving a rule set to fixpoint on a graph:
-// the reduced graph, the ordered rewrite chain, and the machinery to
-// lift answers and certificates computed on the reduced graph back to
-// the original.
+// the reduced graph, the ordered rewrite chain, and the one lift of
+// answers and certificates computed on the reduced graph back to the
+// original.
 type Reduction struct {
 	// Original and Final are the endpoints of the chain.
 	Original *sdf.Graph
@@ -44,7 +44,8 @@ type Reduction struct {
 
 // Facts returns the fact table of the final (reduced) graph, so
 // downstream consumers — admission cost, lint — reuse the driver's
-// analyses instead of recomputing them.
+// analyses instead of recomputing them. When no rule applied it is the
+// table the fixpoint started from.
 func (r *Reduction) Facts() *Facts { return r.facts }
 
 // Scale is the product of the step scales: one iteration of the
@@ -69,29 +70,23 @@ func (r *Reduction) Trace() []string {
 	return out
 }
 
-// Lift maps an answer about the reduced graph back to the original by
-// applying each step's lift function in reverse application order.
+// Lift maps an answer about the reduced graph back to the original:
+// every rule relates iteration periods by its step scale, so the lifted
+// period is the reduced one times the chain scale, which Reduce kept
+// within int64. Unboundedness lifts unchanged (no rule adds or removes
+// directed cycles), and Bound is set when the chain is not Exact — an
+// abstraction step makes the period a Theorem 1 upper bound.
 func (r *Reduction) Lift(v Value) (Value, error) {
-	for i := len(r.Steps) - 1; i >= 0; i-- {
-		s := r.Steps[i]
-		var err error
-		v, err = s.Rule.Lift(s, v)
-		if err != nil {
-			return Value{}, err
-		}
+	out := Value{Unbounded: v.Unbounded, Bound: !r.Exact}
+	if v.Unbounded {
+		return out, nil
 	}
-	return v, nil
-}
-
-// LiftPeriod lifts a bounded iteration period of the reduced graph to
-// the original graph's period (exact chains) or an upper bound on it
-// (chains with an abstraction step).
-func (r *Reduction) LiftPeriod(p rat.Rat) (rat.Rat, error) {
-	v, err := r.Lift(Value{Period: p})
+	p, err := v.Period.MulInt(r.scale)
 	if err != nil {
-		return rat.Rat{}, err
+		return Value{}, fmt.Errorf("passes: lifting period %v by chain scale %d: %w", v.Period, r.scale, err)
 	}
-	return v.Period, nil
+	out.Period = p
+	return out, nil
 }
 
 // LiftCert packages the chain and an inner throughput certificate of
@@ -124,17 +119,27 @@ func (r *Reduction) LiftCert(inner *verify.ThroughputCert) (*verify.ReductionCer
 	}, nil
 }
 
-// Reduce drives the rule set to fixpoint on g: each round applies the
-// first rule whose Reduce succeeds, rebinding the fact table with the
-// facts the rule preserves, until no rule applies. Rule order is the
-// slice order and rewrites are deterministic, so the same graph and
-// rule set always produce the same chain.
+// Reduce drives the rule set to fixpoint on g; it is
+// NewFacts(g).Reduce(ctx, opts).
+func Reduce(ctx context.Context, g *sdf.Graph, opts Options) (*Reduction, error) {
+	return NewFacts(g).Reduce(ctx, opts)
+}
+
+// Reduce drives the rule set to fixpoint on the graph of f, starting
+// from the facts f already holds — a caller that prechecked the graph
+// passes its own table, and a fixpoint with no steps hands that table
+// back as Reduction.Facts. Each round applies the first rule whose
+// Reduce succeeds, rebinding the fact table with the facts the rule
+// preserves, until no rule applies. Rule order is the slice order and
+// rewrites are deterministic, so the same graph and rule set always
+// produce the same chain.
 //
 // Inconsistent graphs reduce to themselves (no rule is period-sound
 // without a repetition vector); the caller's precheck owns that
 // diagnosis. The guard meter "reduce" charges one tick per attempted
 // round, so budgets and deadlines bound the fixpoint like any engine.
-func Reduce(ctx context.Context, g *sdf.Graph, opts Options) (*Reduction, error) {
+func (f *Facts) Reduce(ctx context.Context, opts Options) (*Reduction, error) {
+	g := f.Graph()
 	rules := opts.Rules
 	if rules == nil {
 		rules = DefaultRules()
@@ -148,10 +153,8 @@ func Reduce(ctx context.Context, g *sdf.Graph, opts Options) (*Reduction, error)
 	meter := guard.NewMeter(ctx, "reduce")
 	meter.Phase("fixpoint")
 
-	red := &Reduction{Original: g, Final: g, Exact: true, scale: 1}
-	facts := NewFacts(g)
-	red.facts = facts
-	if q, err := facts.Repetition(); err == nil {
+	red := &Reduction{Original: g, Final: g, Exact: true, scale: 1, facts: f}
+	if q, err := f.Repetition(); err == nil {
 		red.qOriginal = q
 	} else {
 		span.Finish("outcome", "inconsistent")
@@ -175,7 +178,7 @@ func Reduce(ctx context.Context, g *sdf.Graph, opts Options) (*Reduction, error)
 		var app *Application
 		var rule *Rule
 		for i := range rules {
-			a, err := rules[i].Reduce(facts)
+			a, err := rules[i].Reduce(red.facts)
 			if err != nil {
 				span.Finish("outcome", "error")
 				return nil, fmt.Errorf("passes: rule %s: %w", rules[i].Name, err)
@@ -199,11 +202,10 @@ func Reduce(ctx context.Context, g *sdf.Graph, opts Options) (*Reduction, error)
 		red.Steps = append(red.Steps, app)
 		red.Exact = red.Exact && rule.Exact
 		red.Final = app.After
-		facts = facts.Rebind(app.After, rule.Preserves)
+		red.facts = red.facts.Rebind(app.After, rule.Preserves)
 		if app.QAfter != nil {
-			facts.seedRepetition(app.QAfter)
+			red.facts.seedRepetition(app.QAfter)
 		}
-		red.facts = facts
 		reg.Counter(obs.MetricReduceSteps, "rule", rule.Name).Inc()
 	}
 	span.Finish(

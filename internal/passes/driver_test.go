@@ -164,3 +164,26 @@ func TestReductionFactsReused(t *testing.T) {
 		t.Fatal("reduced graph inconsistent")
 	}
 }
+
+// TestReduceStartsFromCallerFacts: the fixpoint runs on the caller's
+// fact table, so with no step it hands that very table back, analyses
+// already computed included.
+func TestReduceStartsFromCallerFacts(t *testing.T) {
+	g := sdf.NewGraph("irreducible")
+	a := g.MustAddActor("A", 2)
+	b := g.MustAddActor("B", 3)
+	g.MustAddChannel(a, b, 1, 1, 1)
+	g.MustAddChannel(b, a, 1, 1, 1)
+	f := NewFacts(g)
+	price := f.Cost()
+	red, err := f.Reduce(context.Background(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(red.Steps) != 0 || red.Facts() != f {
+		t.Fatalf("no-step fixpoint did not hand back the caller's table: %v", red.Trace())
+	}
+	if red.Facts().Have()&FactCost == 0 || red.Facts().Cost() != price {
+		t.Fatal("the caller's computed price was not kept")
+	}
+}

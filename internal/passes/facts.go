@@ -1,7 +1,8 @@
 // Package passes is the static-analysis pass manager of the repository:
 // a memoized fact layer over SDF graphs, a table of certified reduction
-// rules (reduce/restore/lift triples), and a deterministic fixpoint
-// driver that shrinks a graph before any expensive engine runs on it.
+// rules that only rewrite, and a deterministic fixpoint driver that
+// shrinks a graph before any expensive engine runs on it and lifts the
+// answer back by the chain's iteration scale.
 //
 // The paper's reduction techniques — redundant-channel pruning (§4.2),
 // abstraction (Definitions 3–4) — and the classical exact rewrites
@@ -16,7 +17,9 @@
 // analyses — repetition vector, connectivity, cycle membership, rate
 // gcds — and used to recompute them per consumer. Facts computes each
 // once per graph, on demand, and Rebind transfers exactly the facts a
-// rewrite declares preserved.
+// rewrite declares preserved. A caller that prechecks a graph starts the
+// fixpoint from the same table (Facts.Reduce), so one table serves the
+// precheck, the reduction and the admission price.
 package passes
 
 import (

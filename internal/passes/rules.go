@@ -11,11 +11,11 @@ import (
 	"repro/internal/verify"
 )
 
-// Value is an analysis answer flowing back up the reduction stack: the
-// iteration period of some graph in the chain, lifted step by step
-// towards the original. Bound turns true once a conservative
-// (abstraction) step is crossed, after which Period is an upper bound
-// on the original period rather than its exact value.
+// Value is an analysis answer on either end of a reduction chain: the
+// iteration period of the reduced graph, or its lift to the original
+// (Reduction.Lift). Bound is true when the chain crossed a conservative
+// (abstraction) step, so Period is an upper bound on the original
+// period rather than its exact value.
 type Value struct {
 	Period    rat.Rat
 	Unbounded bool
@@ -67,11 +67,11 @@ func (a *Application) LiftStep() verify.LiftStep {
 	}
 }
 
-// Rule is one reduction rule of the pass manager, the reduce/restore/
-// lift triple of the reduction-stack discipline: Reduce rewrites the
-// graph (or reports inapplicability), Restore recovers the pre-step
-// graph of an application, and Lift maps an analysis answer of the
-// reduced graph back across the step.
+// Rule is one reduction rule of the pass manager: Reduce rewrites the
+// graph or reports that the rule does not apply. Every rule relates
+// periods the same way — an exact rewrite keeps Λ up to the iteration
+// scale, an abstraction bounds it by N·Λ (Theorem 1) — so the one lift
+// lives on the Reduction, not on the rule.
 type Rule struct {
 	// Name identifies the rule; it doubles as the verify.LiftStep rule
 	// tag, so it must be one of the verify.Rule* constants.
@@ -90,60 +90,6 @@ type Rule struct {
 	// non-nil Application must describe a strictly smaller graph (fewer
 	// actors, channels or rate magnitude) so the fixpoint terminates.
 	Reduce func(*Facts) (*Application, error)
-	// Restore recovers the pre-step graph of an application (the
-	// reduction stack's pop).
-	Restore func(*Application) *sdf.Graph
-	// Lift maps an answer about the After graph to one about the Before
-	// graph of the application.
-	Lift func(*Application, Value) (Value, error)
-}
-
-// restoreBefore is the shared Restore implementation: every rule keeps
-// the pre-step graph intact in the application.
-func restoreBefore(a *Application) *sdf.Graph { return a.Before }
-
-// liftByScale lifts an exact answer across a scale-s step:
-// Λ_before = s·Λ_after, unboundedness unchanged (no rule here adds or
-// removes directed cycles).
-func liftByScale(a *Application, v Value) (Value, error) {
-	if v.Unbounded {
-		return v, nil
-	}
-	p, err := v.Period.MulInt(a.Scale)
-	if err != nil {
-		return Value{}, fmt.Errorf("passes: lifting period %v across %s (scale %d): %w",
-			v.Period, a.Rule.Name, a.Scale, err)
-	}
-	v.Period = p
-	return v, nil
-}
-
-// liftPruneRedundant lifts across a redundant-channel pruning (exact,
-// scale 1).
-func liftPruneRedundant(a *Application, v Value) (Value, error) { return liftByScale(a, v) }
-
-// liftRateGCD lifts across a rate normalisation (exact, scale 1).
-func liftRateGCD(a *Application, v Value) (Value, error) { return liftByScale(a, v) }
-
-// liftDeadActor lifts across a dead-actor elimination (exact up to the
-// uniform repetition-vector scale).
-func liftDeadActor(a *Application, v Value) (Value, error) { return liftByScale(a, v) }
-
-// liftChainFusion lifts across a chain fusion (exact up to the uniform
-// repetition-vector scale).
-func liftChainFusion(a *Application, v Value) (Value, error) { return liftByScale(a, v) }
-
-// liftAbstraction lifts across a Definitions 3–4 abstraction: Theorem 1
-// gives Λ(before) ≤ N·Λ(after), so the result is a bound. An unbounded
-// abstract graph is acyclic, and abstraction never destroys cycles, so
-// unboundedness lifts exactly.
-func liftAbstraction(a *Application, v Value) (Value, error) {
-	out, err := liftByScale(a, v)
-	if err != nil {
-		return out, err
-	}
-	out.Bound = true
-	return out, nil
 }
 
 // reducePruneRedundant removes §4.2-redundant channels: of several
@@ -555,8 +501,6 @@ func DefaultRules() []Rule {
 			Exact:     true,
 			Preserves: exactPreserved,
 			Reduce:    reducePruneRedundant,
-			Restore:   restoreBefore,
-			Lift:      liftPruneRedundant,
 		},
 		{
 			Name:      verify.RuleRateGCD,
@@ -564,24 +508,18 @@ func DefaultRules() []Rule {
 			Exact:     true,
 			Preserves: exactPreserved,
 			Reduce:    reduceRateGCD,
-			Restore:   restoreBefore,
-			Lift:      liftRateGCD,
 		},
 		{
-			Name:    verify.RuleDeadActor,
-			Doc:     "remove actors on no directed cycle; they never determine the maximum cycle mean",
-			Exact:   true,
-			Reduce:  reduceDeadActor,
-			Restore: restoreBefore,
-			Lift:    liftDeadActor,
+			Name:   verify.RuleDeadActor,
+			Doc:    "remove actors on no directed cycle; they never determine the maximum cycle mean",
+			Exact:  true,
+			Reduce: reduceDeadActor,
 		},
 		{
-			Name:    verify.RuleChainFusion,
-			Doc:     "fuse every maximal chain of matched-rate, token-free links into one sequential actor",
-			Exact:   true,
-			Reduce:  reduceChainFusion,
-			Restore: restoreBefore,
-			Lift:    liftChainFusion,
+			Name:   verify.RuleChainFusion,
+			Doc:    "fuse every maximal chain of matched-rate, token-free links into one sequential actor",
+			Exact:  true,
+			Reduce: reduceChainFusion,
 		},
 	}
 }
@@ -591,12 +529,10 @@ func DefaultRules() []Rule {
 // lifted answer into an upper bound and therefore must be opted into.
 func AllRules() []Rule {
 	return append(DefaultRules(), Rule{
-		Name:    verify.RuleAbstraction,
-		Doc:     "collapse a homogeneous graph into one abstract actor (Defs 3–4); lifted answers become Theorem 1 bounds",
-		Exact:   false,
-		Reduce:  reduceAbstraction,
-		Restore: restoreBefore,
-		Lift:    liftAbstraction,
+		Name:   verify.RuleAbstraction,
+		Doc:    "collapse a homogeneous graph into one abstract actor (Defs 3–4); lifted answers become Theorem 1 bounds",
+		Exact:  false,
+		Reduce: reduceAbstraction,
 	})
 }
 

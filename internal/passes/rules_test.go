@@ -12,6 +12,18 @@ import (
 	"repro/internal/sdfio"
 )
 
+// liftAcross lifts v across the one application app with
+// Reduction.Lift, the package's only lift.
+func liftAcross(t *testing.T, app *Application, v Value) Value {
+	t.Helper()
+	red := &Reduction{Original: app.Before, Final: app.After, Steps: []*Application{app}, Exact: app.Rule.Exact, scale: app.Scale}
+	out, err := red.Lift(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // pruneGraph has two parallel A->B channels with equal rates; the one
 // with more initial tokens is redundant (§4.2).
 func pruneGraph(t *testing.T) *sdf.Graph {
@@ -42,17 +54,14 @@ func TestPruneRedundantRule(t *testing.T) {
 	if app.After.NumChannels() != 2 {
 		t.Fatalf("got %d channels, want 2", app.After.NumChannels())
 	}
-	if got := restoreBefore(app); got != g {
-		t.Fatal("restore did not recover the pre-step graph")
+	if app.Before != g {
+		t.Fatal("application lost the pre-step graph")
 	}
 	step := app.LiftStep()
 	if err := step.Check(context.Background(), g); err != nil {
 		t.Fatalf("lift step rejected: %v", err)
 	}
-	v, err := liftPruneRedundant(app, Value{Period: rat.MustNew(7, 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := liftAcross(t, app, Value{Period: rat.MustNew(7, 2)})
 	if !v.Period.Equal(rat.MustNew(7, 2)) || v.Bound {
 		t.Fatalf("prune lift changed the value: %+v", v)
 	}
@@ -77,17 +86,14 @@ func TestRateGCDRule(t *testing.T) {
 	if c0.Prod != 1 || c0.Cons != 2 || c0.Initial != 1 {
 		t.Fatalf("channel not normalised: %+v", c0)
 	}
-	if got := restoreBefore(app); got != g {
-		t.Fatal("restore did not recover the pre-step graph")
+	if app.Before != g {
+		t.Fatal("application lost the pre-step graph")
 	}
 	step := app.LiftStep()
 	if err := step.Check(context.Background(), g); err != nil {
 		t.Fatalf("lift step rejected: %v", err)
 	}
-	v, err := liftRateGCD(app, Value{Period: rat.FromInt(5)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := liftAcross(t, app, Value{Period: rat.FromInt(5)})
 	if !v.Period.Equal(rat.FromInt(5)) {
 		t.Fatalf("rate-gcd lift changed the period: %v", v.Period)
 	}
@@ -130,17 +136,14 @@ func TestDeadActorRule(t *testing.T) {
 	if app.Scale != 3 {
 		t.Fatalf("got scale %d, want 3", app.Scale)
 	}
-	if got := restoreBefore(app); got != g {
-		t.Fatal("restore did not recover the pre-step graph")
+	if app.Before != g {
+		t.Fatal("application lost the pre-step graph")
 	}
 	step := app.LiftStep()
 	if err := step.Check(context.Background(), g); err != nil {
 		t.Fatalf("lift step rejected: %v", err)
 	}
-	v, err := liftDeadActor(app, Value{Period: rat.FromInt(5)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := liftAcross(t, app, Value{Period: rat.FromInt(5)})
 	if !v.Period.Equal(rat.FromInt(15)) {
 		t.Fatalf("dead-actor lift: got %v, want 15", v.Period)
 	}
@@ -192,17 +195,14 @@ func TestChainFusionRule(t *testing.T) {
 	if got := app.After.Actor(0).Exec; got != 7 {
 		t.Fatalf("fused exec %d, want 7", got)
 	}
-	if got := restoreBefore(app); got != g {
-		t.Fatal("restore did not recover the pre-step graph")
+	if app.Before != g {
+		t.Fatal("application lost the pre-step graph")
 	}
 	step := app.LiftStep()
 	if err := step.Check(context.Background(), g); err != nil {
 		t.Fatalf("lift step rejected: %v", err)
 	}
-	v, err := liftChainFusion(app, Value{Period: rat.FromInt(7)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := liftAcross(t, app, Value{Period: rat.FromInt(7)})
 	if !v.Period.Equal(rat.FromInt(7)) {
 		t.Fatalf("chain-fusion lift: got %v, want 7", v.Period)
 	}
@@ -336,17 +336,14 @@ func TestAbstractionRule(t *testing.T) {
 	if app.Scale != 2 {
 		t.Fatalf("got round length %d, want 2", app.Scale)
 	}
-	if got := restoreBefore(app); got != g {
-		t.Fatal("restore did not recover the pre-step graph")
+	if app.Before != g {
+		t.Fatal("application lost the pre-step graph")
 	}
 	step := app.LiftStep()
 	if err := step.Check(context.Background(), g); err != nil {
 		t.Fatalf("lift step rejected: %v", err)
 	}
-	v, err := liftAbstraction(app, Value{Period: rat.FromInt(4)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	v := liftAcross(t, app, Value{Period: rat.FromInt(4)})
 	if !v.Bound {
 		t.Fatal("abstraction lift did not mark the value as a bound")
 	}
@@ -388,8 +385,8 @@ func TestEveryRegisteredRuleIsComplete(t *testing.T) {
 		if r.Name == "" || r.Doc == "" {
 			t.Errorf("rule %+v lacks name or doc", r)
 		}
-		if r.Reduce == nil || r.Restore == nil || r.Lift == nil {
-			t.Errorf("rule %s has a nil reduce/restore/lift entry", r.Name)
+		if r.Reduce == nil {
+			t.Errorf("rule %s has a nil reduce entry", r.Name)
 		}
 	}
 }

@@ -362,19 +362,3 @@ func FloorDiv(a, b int64) int64 { return floorDiv(a, b) }
 
 // Mod returns the non-negative remainder a mod b for b > 0.
 func Mod(a, b int64) int64 { return mod(a, b) }
-
-// Max returns the larger of a and b.
-func Max(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Min returns the smaller of a and b.
-func Min(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}

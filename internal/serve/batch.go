@@ -19,7 +19,7 @@ import (
 // degraded or item-error, each success with its own lifted certificate —
 // so one hostile or explosive graph in a 100-item batch yields one error
 // entry, never a batch-wide 5xx. The planner prices every item with the
-// same passes-reduced EstimateCost admission uses, runs cheap items
+// same reduced price admission uses, runs cheap items
 // first, and carves the shared deadline into per-item budgets so a blown
 // deadline strands the fewest answers.
 

@@ -504,3 +504,27 @@ func TestHTTPTooLarge(t *testing.T) {
 		t.Fatalf("kind = %q, want too-large", ep.Kind)
 	}
 }
+
+// TestDecodersOverCapKind: each wire decoder fed one byte past its
+// endpoint's cap refuses with the too-large kind, the same 413 the HTTP
+// layer answers, so a caller that decodes directly (the fleet router)
+// classifies an oversized body exactly as a replica does.
+func TestDecodersOverCapKind(t *testing.T) {
+	cases := []struct {
+		name   string
+		limit  int
+		decode func([]byte) error
+	}{
+		{"throughput", MaxRequestBytes, func(b []byte) error { _, err := DecodeRequest(b); return err }},
+		{"sadf", MaxSADFRequestBytes, func(b []byte) error { _, err := DecodeSADFRequest(b); return err }},
+		{"batch", MaxBatchRequestBytes, func(b []byte) error { _, err := DecodeBatchRequest(b); return err }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.decode(bytes.Repeat([]byte(" "), c.limit+1))
+			if got := KindOf(err); got != "too-large" {
+				t.Fatalf("KindOf = %q (%v), want too-large", got, err)
+			}
+		})
+	}
+}

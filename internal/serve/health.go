@@ -1,5 +1,7 @@
 package serve
 
+import "repro/internal/analysis"
+
 // EngineHealth reports one engine's circuit breaker.
 type EngineHealth struct {
 	Engine string `json:"engine"`
@@ -50,7 +52,7 @@ func (s *Server) Health() Health {
 	s.mu.Lock()
 	draining, active := s.draining, s.active
 	s.mu.Unlock()
-	h := Health{
+	return Health{
 		Draining:       draining,
 		Degradation:    s.ctrl.current().String(),
 		InFlight:       active,
@@ -70,17 +72,25 @@ func (s *Server) Health() Health {
 		Served:         s.served.Load(),
 		Failed:         s.failed.Load(),
 		Overloaded:     s.overloaded.Load(),
+		Engines:        s.engineHealth(),
 	}
-	for _, m := range s.opts.Engines {
+}
+
+// engineHealth reports every engine's breaker in the hedged policy's
+// order; /healthz and /readyz both carry it.
+func (s *Server) engineHealth() []EngineHealth {
+	engines := analysis.DefaultEngines()
+	out := make([]EngineHealth, 0, len(engines))
+	for _, m := range engines {
 		b := s.breakers[m]
-		h.Engines = append(h.Engines, EngineHealth{
+		out = append(out, EngineHealth{
 			Engine: m.String(),
 			State:  b.State().String(),
 			Streak: b.Streak(),
 			Trips:  b.Trips(),
 		})
 	}
-	return h
+	return out
 }
 
 // BreakerState returns the named engine's breaker state, or "" for an

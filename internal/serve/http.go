@@ -244,16 +244,7 @@ func NewHandler(s *Server) http.Handler {
 			Evictions: s.cache.evictions.Load(),
 			Deduped:   s.flights.deduped.Load(),
 		}
-		breakers := make([]EngineHealth, 0, len(s.opts.Engines))
-		for _, m := range s.opts.Engines {
-			b := s.breakers[m]
-			breakers = append(breakers, EngineHealth{
-				Engine: m.String(),
-				State:  b.State().String(),
-				Streak: b.Streak(),
-				Trips:  b.Trips(),
-			})
-		}
+		breakers := s.engineHealth()
 		level := s.ctrl.current().String()
 		if s.Draining() {
 			w.Header().Set("Retry-After", strconv.Itoa(drainRetryAfter))

@@ -78,9 +78,10 @@ type ResultPayload struct {
 	Period    string `json:"period,omitempty"`
 	PeriodNum int64  `json:"period_num,omitempty"`
 	PeriodDen int64  `json:"period_den,omitempty"`
-	// Verified is true when the answer carries an independently checked
-	// certificate; every engine the server runs is certified, so it is
-	// false only for unbounded answers with no witness to check.
+	// Verified is true when the answer carries a certificate checked in
+	// exact arithmetic against this request's graph. Every engine the
+	// server runs is certified, and an unbounded answer carries a
+	// topological-order witness, so every served answer is verified.
 	Verified bool `json:"verified"`
 	// Certificate is the human-readable witness summary.
 	Certificate string `json:"certificate,omitempty"`
@@ -138,16 +139,17 @@ type Request struct {
 	ExactOnly bool
 }
 
-// DecodeRequest parses and validates the wire form of one request. All
-// failures wrap ErrBadRequest; the graph is structurally validated but
-// not prechecked (admission prechecks are the server's job, after the
-// queue has bounded the work).
+// DecodeRequest parses and validates the wire form of one request. A
+// body past MaxRequestBytes wraps ErrTooLarge, every other failure
+// ErrBadRequest; the graph is structurally validated but not prechecked
+// (admission prechecks are the server's job, after the queue has
+// bounded the work).
 func DecodeRequest(data []byte) (*Request, error) {
 	bad := func(format string, args ...any) (*Request, error) {
 		return nil, fmt.Errorf("%w: %s", ErrBadRequest, fmt.Sprintf(format, args...))
 	}
 	if len(data) > MaxRequestBytes {
-		return bad("payload of %d bytes exceeds the %d-byte limit", len(data), MaxRequestBytes)
+		return nil, fmt.Errorf("%w: payload of %d bytes exceeds the %d-byte limit", ErrTooLarge, len(data), MaxRequestBytes)
 	}
 	var p RequestPayload
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -273,8 +275,8 @@ const costClamp = passes.CostClamp
 // in abstract pool units: the structural size plus the iteration length
 // Σq (clamped at costClamp), which is the dominant term of the
 // state-space and HSDF engines. The arithmetic lives in the fact layer
-// (passes.Facts.Cost) so the server prices the same graph the reducer
-// and lint passes see; the server calls it on the *reduced* graph, so
+// (passes.Facts.Cost); the server reads it off the fact table its
+// precheck built, or the reduced graph's table after a reduction, so
 // admission charges what will actually run.
 func EstimateCost(g *sdf.Graph) int64 {
 	return passes.NewFacts(g).Cost()

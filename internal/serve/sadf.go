@@ -293,28 +293,36 @@ func (s *Server) AnalyzeSADF(ctx context.Context, req *SADFRequest) (*SADFResult
 
 // sadfJob is the FSM-SADF workload: one model.
 type sadfJob struct {
-	req  *SADFRequest
-	cost int64
+	req   *SADFRequest
+	facts []*passes.Facts // per scenario, built once by the precheck
+	cost  int64
 }
 
 // prepare runs the lint prechecks on every scenario graph — an
 // inconsistent or deadlocked scenario fails the whole model for almost
 // nothing — and prices the model by the sum of per-scenario reduced
-// costs: each scenario runs through the reduction fixpoint and is
-// charged at its reduced size, so the paper's reduction techniques
-// price this workload too. The sum saturates instead of overflowing.
+// costs: each scenario runs through the reduction fixpoint from its
+// precheck's fact table and is charged at its reduced size, so the
+// paper's reduction techniques price this workload too. A fixpoint that
+// fails charges the unreduced size. The sum saturates instead of
+// overflowing.
 func (j *sadfJob) prepare(s *Server) error {
 	sp := s.reg.StartSpan("sadf.precheck")
-	for _, sc := range j.req.Model.Scenarios {
-		if err := lint.PrecheckWith(passes.NewFacts(sc.Graph)); err != nil {
+	j.facts = make([]*passes.Facts, len(j.req.Model.Scenarios))
+	for k, sc := range j.req.Model.Scenarios {
+		j.facts[k] = passes.NewFacts(sc.Graph)
+		if err := lint.PrecheckWith(j.facts[k]); err != nil {
 			sp.Finish()
 			return fmt.Errorf("%w: scenario %q: %v", ErrBadScenario, sc.Name, err)
 		}
 	}
 	sp.Finish()
 	rctx := obs.WithRegistry(s.baseCtx, s.reg)
-	for _, sc := range j.req.Model.Scenarios {
-		next, ok := rat.AddChecked(j.cost, passes.ReducedCost(rctx, sc.Graph))
+	for _, f := range j.facts {
+		if r, err := f.Reduce(rctx, passes.Options{}); err == nil {
+			f = r.Facts()
+		}
+		next, ok := rat.AddChecked(j.cost, f.Cost())
 		if !ok {
 			// The running total is already far past any pool capacity,
 			// so the request is refused either way.
@@ -406,7 +414,7 @@ func (j *sadfJob) bounded(context.Context, *Server) (*SADFResultPayload, error) 
 	var upper, lower rat.Rat
 	hasLower := false
 	for k, sc := range m.Scenarios {
-		facts := passes.NewFacts(sc.Graph)
+		facts := j.facts[k]
 		q, err := facts.Repetition()
 		if err != nil {
 			return nil, fmt.Errorf("%w: scenario %q: %v", ErrBadScenario, sc.Name, err)

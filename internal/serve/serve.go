@@ -74,11 +74,9 @@ type Options struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps client-requested deadlines; default 30s.
 	MaxTimeout time.Duration
-	// Breaker configures every per-engine circuit breaker.
+	// Breaker configures every per-engine circuit breaker of the hedged
+	// policy's engines (analysis.DefaultEngines).
 	Breaker guard.BreakerOptions
-	// Engines lists the engines of the hedged policy, in the order it
-	// tries them; default matrix, statespace, hsdf.
-	Engines []analysis.Method
 	// AllowInjection permits requests to arm per-request faults. Only
 	// ever enable it for soak tests; it is how the failure paths are
 	// exercised deterministically through the real wire format.
@@ -122,9 +120,6 @@ func (o Options) normalized() Options {
 	}
 	if o.MaxTimeout <= 0 {
 		o.MaxTimeout = 30 * time.Second
-	}
-	if len(o.Engines) == 0 {
-		o.Engines = []analysis.Method{analysis.Matrix, analysis.StateSpace, analysis.HSDF}
 	}
 	return o
 }
@@ -173,7 +168,7 @@ func New(opts Options) *Server {
 	s := &Server{
 		opts:     opts,
 		reg:      opts.Obs,
-		breakers: make(map[analysis.Method]*guard.Breaker, len(opts.Engines)),
+		breakers: make(map[analysis.Method]*guard.Breaker),
 		pool:     guard.NewPool(opts.PoolCapacity),
 		cache:    newResultCache(opts.CacheEntries, opts.CacheTTL, opts.Obs),
 		memo:     newReductionMemo(opts.CacheEntries, opts.Obs),
@@ -184,7 +179,7 @@ func New(opts Options) *Server {
 		work:    make(chan struct{}, opts.Workers),
 		drained: make(chan struct{}),
 	}
-	for _, m := range opts.Engines {
+	for _, m := range analysis.DefaultEngines() {
 		bo := opts.Breaker
 		eng := m.String()
 		user := bo.OnTransition
@@ -517,18 +512,19 @@ func (s *Server) execute(cost int64, timeout time.Duration, run func(context.Con
 // engines, the pool and the cache all see the reduced graph, and the
 // answer is lifted back per request.
 type graphJob struct {
-	req  *Request
-	red  *passes.Reduction // nil when no reduction applied
-	cost int64             // admission price of the graph the engines see
+	req   *Request
+	facts *passes.Facts     // the original graph's table, built once by the precheck
+	red   *passes.Reduction // nil when no reduction applied
+	cost  int64             // admission price of the graph the engines see
 	// origKey is req.Key(); redKey is the key of red.Final. Neither is
 	// set on a fault-injected request.
 	origKey, redKey string
 }
 
 // prepare gates fault injection, runs the structural prechecks (an
-// inconsistent or deadlocked graph costs the server almost nothing;
-// the fact table is shared with the reducer) and the reduction
-// fixpoint, and prices the request by the graph the engines will see.
+// inconsistent or deadlocked graph costs the server almost nothing)
+// and the reduction fixpoint from the precheck's fact table, and prices
+// the request by the graph the engines will see.
 // Fault-injected requests skip the reduction — their faults must fire
 // in the engine they name, on the graph the test wrote — and a
 // reduction that fails or achieves nothing leaves the original graph.
@@ -538,14 +534,14 @@ func (j *graphJob) prepare(s *Server) error {
 	if len(j.req.Faults) > 0 && !s.opts.AllowInjection {
 		return ErrInjectionDisabled
 	}
-	facts := passes.NewFacts(j.req.Graph)
+	j.facts = passes.NewFacts(j.req.Graph)
 	sp := s.reg.StartSpan("analysis.precheck")
-	err := lint.PrecheckWith(facts)
+	err := lint.PrecheckWith(j.facts)
 	sp.Finish()
 	if err != nil {
 		return err
 	}
-	j.cost = facts.Cost()
+	j.cost = j.facts.Cost()
 	if len(j.req.Faults) > 0 {
 		return nil
 	}
@@ -555,7 +551,7 @@ func (j *graphJob) prepare(s *Server) error {
 		return nil
 	}
 	rctx := obs.WithRegistry(s.baseCtx, s.reg)
-	r, err := passes.Reduce(rctx, j.req.Graph, passes.Options{})
+	r, err := j.facts.Reduce(rctx, passes.Options{})
 	if err != nil {
 		// A failed fixpoint leaves the original graph and is not
 		// memoized: it may have been cut short by the server closing.
@@ -564,7 +560,7 @@ func (j *graphJob) prepare(s *Server) error {
 	if len(r.Steps) > 0 {
 		red := *j.req
 		red.Graph = r.Final
-		j.red, j.cost, j.redKey = r, EstimateCost(r.Final), red.Key()
+		j.red, j.cost, j.redKey = r, r.Facts().Cost(), red.Key()
 	}
 	s.memo.put(j.origKey, memoEntry{red: j.red, cost: j.cost, key: j.redKey})
 	return nil
@@ -615,7 +611,7 @@ func (j *graphJob) execute(s *Server) (*answer, error) {
 func (j *graphJob) bounded(ctx context.Context, s *Server) (*ResultPayload, error) {
 	orig := j.req.Graph
 	ans, err := s.dispatch(ctx, "bounded|"+j.origKey, func() (*answer, error) {
-		cost := min(EstimateCost(orig), analysis.DefaultBoundedCeiling)
+		cost := min(j.facts.Cost(), analysis.DefaultBoundedCeiling)
 		return s.execute(cost, j.req.Timeout, func(ctx context.Context) (*answer, error) {
 			b, cert, err := analysis.ComputeThroughputBounded(ctx, orig, analysis.BoundedOptions{})
 			if err != nil {
@@ -673,36 +669,32 @@ func (j *graphJob) render(ans *answer) (*ResultPayload, error) {
 	return res, nil
 }
 
-// lift renders an answer through the request's reduction chain. The
-// lifted certificate is re-checked against the original graph before
-// the payload claims Verified — the chain, not the server, is the proof.
+// lift renders an answer through the request's reduction chain. Every
+// exact answer carries its engine's certificate; the lifted certificate
+// is re-checked against the original graph before the payload claims
+// Verified — the chain, not the server, is the proof.
 func (j *graphJob) lift(ans *answer) (*ResultPayload, error) {
 	orig := j.req.Graph
-	res := &ResultPayload{Graph: orig.Name(), Engine: ans.engine, Reduction: j.red.Trace()}
-	v := passes.Value{Period: ans.tp.Period, Unbounded: ans.tp.Unbounded}
-	if ans.cert == nil {
-		var err error
-		if v, err = j.red.Lift(v); err != nil {
-			return nil, fmt.Errorf("serve: lift: %w", err)
-		}
-	} else {
-		lifted, err := j.red.LiftCert(ans.cert)
-		if err != nil {
-			return nil, fmt.Errorf("serve: lift: %w", err)
-		}
-		// The check is pure bounded CPU on a graph that already passed
-		// admission; it deliberately runs outside the request deadline so
-		// a last-millisecond expiry cannot turn a correct answer into an
-		// error.
-		if err := lifted.Check(context.Background(), orig); err != nil {
-			return nil, fmt.Errorf("serve: lifted certificate rejected: %w", err)
-		}
-		v = passes.Value{Period: lifted.Period, Unbounded: lifted.Unbounded}
-		res.Verified, res.Certificate = true, lifted.String()
+	lifted, err := j.red.LiftCert(ans.cert)
+	if err != nil {
+		return nil, fmt.Errorf("serve: lift: %w", err)
 	}
-	res.Unbounded = v.Unbounded
-	if !v.Unbounded {
-		res.Period, res.PeriodNum, res.PeriodDen = ratWire(v.Period)
+	// The check is pure bounded CPU on a graph that already passed
+	// admission; it deliberately runs outside the request deadline so a
+	// last-millisecond expiry cannot turn a correct answer into an error.
+	if err := lifted.Check(context.Background(), orig); err != nil {
+		return nil, fmt.Errorf("serve: lifted certificate rejected: %w", err)
+	}
+	res := &ResultPayload{
+		Graph:       orig.Name(),
+		Engine:      ans.engine,
+		Unbounded:   lifted.Unbounded,
+		Verified:    true,
+		Certificate: lifted.String(),
+		Reduction:   j.red.Trace(),
+	}
+	if !lifted.Unbounded {
+		res.Period, res.PeriodNum, res.PeriodDen = ratWire(lifted.Period)
 	}
 	return res, nil
 }
@@ -715,10 +707,7 @@ func (j *graphJob) record(reg *obs.Registry, outcome string, elapsed time.Durati
 // runHedged runs the hedged engine policy over the breaker-gated
 // engines and feeds every attempt's outcome back into its breaker.
 func (s *Server) runHedged(ctx context.Context, g *sdf.Graph) (*answer, error) {
-	tp, rep, err := analysis.ComputeThroughputHedgedOpts(ctx, g, analysis.HedgeOptions{
-		Engines: s.opts.Engines,
-		Gate:    s.gate,
-	})
+	tp, rep, err := analysis.ComputeThroughputHedgedOpts(ctx, g, analysis.HedgeOptions{Gate: s.gate})
 	if rep != nil {
 		s.recordOutcomes(rep.Attempts)
 	}

@@ -10,11 +10,12 @@ import (
 )
 
 // Reduction pass manager (internal/passes): a composable rule system
-// that shrinks a graph to a fixpoint before any engine runs. Each rule
-// is a reduce/restore/lift triple; every applied rewrite is recorded on
-// a reduction stack, and answers computed on the reduced graph are
-// lifted back to the original together with a checkable certificate
-// chain (ReductionCert) that internal/verify validates step by step.
+// that shrinks a graph to a fixpoint before any engine runs. Rules only
+// rewrite; every applied rewrite is recorded in the reduction chain,
+// and answers computed on the reduced graph are lifted back to the
+// original by the chain's iteration scale (Reduction.Lift), together
+// with a checkable certificate chain (ReductionCert) that
+// internal/verify validates step by step.
 //
 // The facade's throughput entry points (ComputeThroughput,
 // ComputeThroughputCtx) run the exact default rules implicitly; the
@@ -22,11 +23,11 @@ import (
 // graph, the trace, or the lifted certificate themselves.
 type (
 	// Reduction is the result of driving a rule set to fixpoint: the
-	// reduced graph, the rewrite chain, and the lifting machinery.
+	// reduced graph, the rewrite chain, and the one lift back.
 	Reduction = passes.Reduction
 	// ReduceOptions selects the rule set and step bound of ReduceGraph.
 	ReduceOptions = passes.Options
-	// ReductionRule is one pluggable reduce/restore/lift triple.
+	// ReductionRule is one pluggable rewrite rule of the pass manager.
 	ReductionRule = passes.Rule
 	// ReductionValue is an analysis answer being lifted through a chain.
 	ReductionValue = passes.Value
@@ -66,13 +67,15 @@ func ReductionRulesByName(names []string) ([]ReductionRule, error) {
 }
 
 // ReduceGraph drives the rule set to fixpoint on g after the lint
-// prechecks. Rule application is deterministic: the same graph and rule
-// set always produce the same chain.
+// prechecks, from the precheck's fact table. Rule application is
+// deterministic: the same graph and rule set always produce the same
+// chain.
 func ReduceGraph(ctx context.Context, g *Graph, opts ReduceOptions) (*Reduction, error) {
-	if err := lint.Precheck(g); err != nil {
+	facts := passes.NewFacts(g)
+	if err := lint.PrecheckWith(facts); err != nil {
 		return nil, err
 	}
-	return passes.Reduce(ctx, g, opts)
+	return facts.Reduce(ctx, opts)
 }
 
 // ComputeThroughputDirect analyses g with the chosen engine and no
@@ -98,10 +101,7 @@ func ComputeThroughputDirectCtx(ctx context.Context, g *Graph, m Method) (Throug
 // one; with a chain containing the abstraction rule the period is a
 // conservative Theorem-1 upper bound and the certificate says so.
 func CertifyReduction(ctx context.Context, g *Graph, opts ReduceOptions) (Throughput, *Reduction, *ReductionCert, error) {
-	if err := lint.Precheck(g); err != nil {
-		return Throughput{}, nil, nil, err
-	}
-	red, err := passes.Reduce(ctx, g, opts)
+	red, err := ReduceGraph(ctx, g, opts)
 	if err != nil {
 		return Throughput{}, nil, nil, err
 	}

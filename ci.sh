@@ -68,6 +68,12 @@ echo '== benchmark smoke: BenchmarkReduceRing512 (1 iteration)'
 # benchmark fails if the fixpoint ever returns to one step per link.
 go test -run XXX -bench ReduceRing512 -benchtime 1x ./internal/passes
 
+echo '== benchmark smoke: BenchmarkPrecheck (1 iteration)'
+# The cheap lint passes every served graph meets, on the 128-actor
+# fusible ring and the 96-actor ring with a dead tail; the benchmark
+# fails on any precheck error.
+go test -run XXX -bench Precheck -benchtime 1x ./internal/lint
+
 echo '== go test -race ./...'
 # Hard wall-clock cap on top of go test's own -timeout, so a scheduler
 # hang can never wedge the gate.
@@ -130,6 +136,51 @@ if [ "$bounds" -eq 0 ]; then
     echo 'reduce: no corpus chain printed a conservative bound'
     exit 1
 fi
+
+echo '== sdftool lint end to end'
+# Every corpus graph lints with exit 0. Exit 2 is sdftool's code for
+# error-level diagnostics. Two parallel A->B channels, 1:1 and 2:1, must
+# exit 2, and their -json must carry a consistency error with the rank
+# summary and one naming the 2:1 channel; a zero-token 2-cycle must exit
+# 2 with a deadlock error.
+LINT_DIR=$(mktemp -d)
+trap 'rm -rf "$LINT_DIR"' EXIT
+go build -o "$LINT_DIR/sdftool" ./cmd/sdftool
+for g in testdata/graphs/*.sdf; do
+    echo "   $g"
+    "$LINT_DIR/sdftool" lint "$g" >/dev/null
+done
+lint_json() { # lint -json of the graph file $1, which must exit 2
+    code=0
+    "$LINT_DIR/sdftool" lint -json "$1" 2>/dev/null || code=$?
+    if [ "$code" -ne 2 ]; then
+        echo "lint: $1 exited $code, want 2" >&2
+        return 1
+    fi
+}
+printf 'sdf par\nactor A 1\nactor B 1\nchan A B 1 1 0\nchan A B 2 1 0\n' >"$LINT_DIR/par.sdf"
+par=$(lint_json "$LINT_DIR/par.sdf")
+case $par in
+*'"pass": "consistency",
+      "severity": "error",
+      "msg": "graph is not consistent: topology matrix has rank 2 over 2 actors in 1 component(s);'*) ;;
+*) printf 'lint: no consistency rank summary:\n%s\n' "$par"; exit 1 ;;
+esac
+case $par in
+*'"pass": "consistency",
+      "severity": "error",
+      "channel": "A -\u003e B (prod=2 cons=1 init=0)",'*) ;;
+*) printf 'lint: no conflicting-channel witness:\n%s\n' "$par"; exit 1 ;;
+esac
+printf 'sdf dead\nactor A 1\nactor B 1\nchan A B 1 1 0\nchan B A 1 1 0\n' >"$LINT_DIR/dead.sdf"
+dead=$(lint_json "$LINT_DIR/dead.sdf")
+case $dead in
+*'"pass": "deadlock",
+      "severity": "error",'*) ;;
+*) printf 'lint: no deadlock error:\n%s\n' "$dead"; exit 1 ;;
+esac
+rm -rf "$LINT_DIR"
+trap - EXIT
 
 echo '== sdfbench engine timings -> BENCH_3.json'
 # Per-engine throughput wall times over the seed benchmark graphs. The

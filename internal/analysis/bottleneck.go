@@ -3,10 +3,8 @@ package analysis
 import (
 	"fmt"
 
-	"repro/internal/maxplus"
-	"repro/internal/rat"
-
 	"repro/internal/core"
+	"repro/internal/rat"
 	"repro/internal/sdf"
 )
 
@@ -31,22 +29,19 @@ type Bottleneck struct {
 }
 
 // FindBottleneck analyses g and returns its critical cycle in terms of
-// the original graph's channels.
+// the original graph's channels: the cycle Howard's iteration ends on
+// when it computes the matrix eigenvalue.
 func FindBottleneck(g *sdf.Graph) (*Bottleneck, error) {
 	r, err := core.SymbolicIteration(g)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: bottleneck: %w", err)
 	}
-	lam, hasCycle, err := r.Matrix.Eigenvalue()
+	lam, cycle, hasCycle, err := r.Matrix.CriticalCycle()
 	if err != nil {
 		return nil, fmt.Errorf("analysis: bottleneck: %w", err)
 	}
 	if !hasCycle {
 		return &Bottleneck{Unbounded: true}, nil
-	}
-	cycle, err := criticalCycle(r.Matrix, lam)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: bottleneck: %w", err)
 	}
 	b := &Bottleneck{Period: lam, CriticalTokens: cycle}
 	seen := make(map[sdf.ChannelID]bool)
@@ -58,73 +53,4 @@ func FindBottleneck(g *sdf.Graph) (*Bottleneck, error) {
 		}
 	}
 	return b, nil
-}
-
-// criticalCycle extracts one cycle of mean lam from the matrix's
-// precedence graph: normalise by lam (scaled to integers), then walk
-// zero-weight tight edges (B ⊗ B*)_cc == 0 from a critical node.
-func criticalCycle(m *maxplus.Matrix, lam rat.Rat) ([]int, error) {
-	n := m.Size()
-	num, den := lam.Num(), lam.Den()
-	b := maxplus.NewMatrix(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if v := m.At(i, j); !v.IsNegInf() {
-				b.Set(i, j, maxplus.T(int64(v)*den-num))
-			}
-		}
-	}
-	star, err := b.Star()
-	if err != nil {
-		return nil, err
-	}
-	plus := b.Mul(star)
-	start := -1
-	for c := 0; c < n; c++ {
-		if plus.At(c, c) == 0 {
-			start = c
-			break
-		}
-	}
-	if start < 0 {
-		return nil, fmt.Errorf("no critical node found")
-	}
-	// Follow tight edges: maintain the accumulated weight p of the walk
-	// start → v; an edge v → w (entry (w, v)) continues a zero-weight
-	// cycle through start exactly when p + weight + longestPath(w→start)
-	// equals zero.
-	var cycle []int
-	v := start
-	p := int64(0)
-	for {
-		cycle = append(cycle, v)
-		next := -1
-		var nextW int64
-		for w := 0; w < n; w++ {
-			e := b.At(w, v)
-			if e.IsNegInf() {
-				continue
-			}
-			back := star.At(start, w)
-			if back.IsNegInf() {
-				continue
-			}
-			if p+int64(e)+int64(back) == 0 {
-				next = w
-				nextW = int64(e)
-				break
-			}
-		}
-		if next < 0 {
-			return nil, fmt.Errorf("critical cycle walk stuck at token %d", v)
-		}
-		if next == start {
-			return cycle, nil
-		}
-		v = next
-		p += nextW
-		if len(cycle) > n {
-			return nil, fmt.Errorf("critical cycle walk did not close")
-		}
-	}
 }

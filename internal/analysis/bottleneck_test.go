@@ -1,9 +1,11 @@
 package analysis
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/rat"
 	"repro/internal/sdf"
@@ -80,6 +82,7 @@ func TestFindBottleneckUnbounded(t *testing.T) {
 // to a critical channel never makes the graph slower.
 func TestQuickBottleneckConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
+	var graphs []*sdf.Graph
 	for trial := 0; trial < 30; trial++ {
 		g, err := gen.RandomGraph(rng, gen.RandomOptions{
 			Actors: 2 + rng.Intn(4), MaxRep: 3, MaxExec: 9, Chords: rng.Intn(3), SelfLoop: true,
@@ -87,6 +90,26 @@ func TestQuickBottleneckConsistent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		graphs = append(graphs, g)
+	}
+	// The critical cycles above are nearly all one self-loop token. On a
+	// single-rate ring with tokens on several channels and one backward
+	// chord, the critical cycle passes through several tokens.
+	for trial := 0; trial < 20; trial++ {
+		g := sdf.NewGraph("ring")
+		n := 3 + rng.Intn(5)
+		for i := 0; i < n; i++ {
+			g.MustAddActor(fmt.Sprintf("a%d", i), 1+rng.Int63n(9))
+		}
+		for i := 0; i < n-1; i++ {
+			g.MustAddChannel(sdf.ActorID(i), sdf.ActorID(i+1), 1, 1, rng.Intn(2))
+		}
+		g.MustAddChannel(sdf.ActorID(n-1), 0, 1, 1, 1)
+		from := 1 + rng.Intn(n-1)
+		g.MustAddChannel(sdf.ActorID(from), sdf.ActorID(rng.Intn(from)), 1, 1, 1)
+		graphs = append(graphs, g)
+	}
+	for trial, g := range graphs {
 		res, err := FindBottleneck(g)
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, g)
@@ -96,6 +119,26 @@ func TestQuickBottleneckConsistent(t *testing.T) {
 		}
 		if len(res.CriticalChannels) == 0 {
 			t.Fatalf("trial %d: no critical channels", trial)
+		}
+		// The reported tokens must be a closed walk of the matrix's
+		// precedence graph (token cur feeds token next, wrapping around)
+		// whose entries average to the period.
+		r, err := core.SymbolicIteration(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cycle := res.CriticalTokens
+		var sum int64
+		for i, cur := range cycle {
+			next := cycle[(i+1)%len(cycle)]
+			e := r.Matrix.At(next, cur)
+			if e.IsNegInf() {
+				t.Fatalf("trial %d: critical tokens %v: no entry from token %d to %d", trial, cycle, cur, next)
+			}
+			sum += int64(e)
+		}
+		if mean := rat.MustNew(sum, int64(len(cycle))); !mean.Equal(res.Period) {
+			t.Errorf("trial %d: critical tokens %v have mean %v, period %v", trial, cycle, mean, res.Period)
 		}
 		// Adding a pipelining token to the first critical channel can
 		// only help (or leave the period unchanged if another cycle also

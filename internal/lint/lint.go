@@ -1,8 +1,7 @@
 // Package lint is the model-level static-analysis layer of the
-// repository: a pass-based diagnostics engine over timed SDF (and, in a
-// reduced form, CSDF) graphs that rejects structurally unsound inputs
-// *before* they reach the expensive reductions and conversions of the
-// DAC'09 paper.
+// repository: a pass-based diagnostics engine over timed SDF graphs that
+// rejects structurally unsound inputs *before* they reach the expensive
+// reductions and conversions of the DAC'09 paper.
 //
 // The reduction techniques are only sound on graphs that satisfy a stack
 // of preconditions — consistency of the balance equations, freedom from
@@ -14,7 +13,7 @@
 //
 // Passes:
 //
-//	consistency   balance-equation solvability (topology-matrix nullspace)
+//	consistency   balance-equation solvability (repetition-vector solver)
 //	deadlock      token-insufficient cycles (structural liveness precheck)
 //	overflow      repetition-vector and time-stamp magnitude bounds
 //	connectivity  disconnected / isolated actors
@@ -169,8 +168,9 @@ func (r *Report) String() string {
 }
 
 // Pass is one registered analysis. Cheap passes are linear (or nearly) in
-// the graph size and run as facade prechecks; expensive ones only run
-// through Analyze.
+// the graph size, the consistency verdict being the fact table's
+// repetition vector, and run as facade prechecks; expensive ones only
+// run through Analyze.
 type Pass struct {
 	Name  string
 	Doc   string
@@ -194,7 +194,7 @@ type context struct {
 func Passes() []Pass {
 	return []Pass{
 		{Name: "consistency", Cheap: true, run: runConsistency,
-			Doc: "balance equations must admit a non-trivial solution (topology-matrix nullspace)"},
+			Doc: "balance equations must admit a non-trivial solution (repetition-vector solver)"},
 		{Name: "deadlock", Cheap: true, run: runDeadlock,
 			Doc: "no cycle may be token-insufficient on every channel"},
 		{Name: "overflow", Cheap: true, run: runOverflow,

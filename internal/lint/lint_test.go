@@ -5,11 +5,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
-	"repro/internal/csdf"
+	"repro/internal/gen"
 	"repro/internal/passes"
+	"repro/internal/rat"
 	"repro/internal/schedule"
 	"repro/internal/sdf"
 )
@@ -261,6 +265,15 @@ func TestRatesPass(t *testing.T) {
 	if rep.Count(Warning) == 0 {
 		t.Errorf("coprime 65537:257 not warned:\n%s", rep)
 	}
+	// A coprime pair whose product wraps int64 is past the bound too.
+	g3 := sdf.NewGraph("coprime-wrap")
+	p = g3.MustAddActor("A", 1)
+	c = g3.MustAddActor("B", 1)
+	g3.MustAddChannel(p, c, 3037000501, 3037000502, 0)
+	rep = analyze(t, g3, "rates")
+	if rep.Count(Warning) == 0 {
+		t.Errorf("coprime 3037000501:3037000502 not warned:\n%s", rep)
+	}
 }
 
 func TestPrecheck(t *testing.T) {
@@ -336,55 +349,285 @@ func TestSeverityJSON(t *testing.T) {
 	}
 }
 
-func TestAnalyzeCSDF(t *testing.T) {
-	// Healthy two-phase producer/consumer.
-	g := csdf.NewGraph("cs")
-	a := g.MustAddActor("A", []int64{1, 2})
-	b := g.MustAddActor("B", []int64{3})
-	g.MustAddChannel(a, b, []int{1, 1}, []int{2}, 0)
-	g.MustAddChannel(b, a, []int{2}, []int{1, 1}, 4)
-	rep := AnalyzeCSDF(g)
-	if rep.HasErrors() {
-		t.Errorf("healthy CSDF graph has errors:\n%s", rep)
+// TestConsistencyMatchesReference runs the consistency pass and its
+// elimination-based reference over seeded graphs: random and regular
+// multirate consistent graphs, the same with one rate perturbed,
+// two-component unions, graphs with isolated actors and graphs with a
+// self-loop whose rates differ. The diagnostics must be identical
+// wherever the reference's elimination does not overflow, the reference
+// must never contradict the solver, and the solver's conflict list must
+// be the reference's witness list.
+func TestConsistencyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	base := func() *sdf.Graph {
+		if rng.Intn(2) == 0 {
+			g, err := gen.RandomGraph(rng, gen.RandomOptions{
+				Actors: 1 + rng.Intn(8), MaxRep: 1 + rng.Int63n(6), MaxExec: 5,
+				Chords: rng.Intn(4), SelfLoop: rng.Intn(2) == 0,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}
+		g, err := gen.RandomRegularMultirate(rng, gen.RegularOptions{
+			Groups: 1 + rng.Intn(3), Copies: 2 + rng.Intn(3), Links: rng.Intn(3), MaxExec: 5,
+		}, 1+rng.Int63n(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
 	}
-	// Deadlocked zero-token cycle.
-	g2 := csdf.NewGraph("csdead")
-	x := g2.MustAddActor("X", []int64{1})
-	y := g2.MustAddActor("Y", []int64{1})
-	g2.MustAddChannel(x, y, []int{1}, []int{1}, 0)
-	g2.MustAddChannel(y, x, []int{1}, []int{1}, 0)
-	rep = AnalyzeCSDF(g2)
-	if !rep.HasErrors() {
-		t.Errorf("deadlocked CSDF cycle not reported:\n%s", rep)
-	}
-	// Zero-time actor info.
-	g3 := csdf.NewGraph("cszero")
-	z := g3.MustAddActor("Z", []int64{0, 0})
-	g3.MustAddChannel(z, z, []int{1, 1}, []int{1, 1}, 2)
-	rep = AnalyzeCSDF(g3)
-	if rep.Count(Info) == 0 {
-		t.Errorf("zero-time CSDF actor not reported:\n%s", rep)
-	}
-	// Two token-starved cycles, the second reachable from the first:
-	// one diagnostic each, in a fixed order.
-	g4 := csdf.NewGraph("csdead2")
-	for _, name := range []string{"P", "Q", "R", "S", "T"} {
-		g4.MustAddActor(name, []int64{1})
-	}
-	for _, c := range [][2]csdf.ActorID{{3, 4}, {4, 2}, {2, 3}, {0, 1}, {1, 0}, {1, 2}} {
-		g4.MustAddChannel(c[0], c[1], []int{1}, []int{1}, 0)
-	}
-	var got []string
-	for _, d := range AnalyzeCSDF(g4).Diagnostics {
-		if d.Pass == "deadlock" {
-			got = append(got, d.Msg)
+	// into copies g's actors and channels into u, bumping one rate of
+	// channel bump (none when bump < 0).
+	into := func(u, g *sdf.Graph, bump int) {
+		off := sdf.ActorID(u.NumActors())
+		for _, a := range g.Actors() {
+			u.MustAddActor(fmt.Sprintf("%s.%d", a.Name, off), a.Exec)
+		}
+		for i, c := range g.Channels() {
+			if i == bump && rng.Intn(2) == 0 {
+				c.Prod += 1 + rng.Intn(3)
+			} else if i == bump {
+				c.Cons += 1 + rng.Intn(3)
+			}
+			u.MustAddChannel(off+c.Src, off+c.Dst, c.Prod, c.Cons, c.Initial)
 		}
 	}
-	want := []string{
-		"cycle through {P, Q} cannot enable any first-phase firing (initial < cons[0] everywhere)",
-		"cycle through {R, S, T} cannot enable any first-phase firing (initial < cons[0] everywhere)",
+	perturbed := func(g *sdf.Graph) *sdf.Graph {
+		u := sdf.NewGraph("perturbed")
+		into(u, g, rng.Intn(g.NumChannels()+1)-1)
+		return u
 	}
-	if strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Errorf("deadlock diagnostics =\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	var graphs []*sdf.Graph
+	for trial := 0; trial < 500; trial++ {
+		g := base()
+		graphs = append(graphs, g, perturbed(g))
+		u := sdf.NewGraph("union")
+		into(u, perturbed(g), -1)
+		into(u, base(), rng.Intn(2)-1)
+		graphs = append(graphs, u)
+		iso := perturbed(g)
+		for k := 1 + rng.Intn(2); k > 0; k-- {
+			iso.MustAddActor(fmt.Sprintf("lone%d", k), 1)
+		}
+		graphs = append(graphs, iso)
+		loop := sdf.NewGraph("selfloop")
+		into(loop, g, -1)
+		a := sdf.ActorID(rng.Intn(loop.NumActors()))
+		prod := 1 + rng.Intn(3)
+		loop.MustAddChannel(a, a, prod, prod+1+rng.Intn(2), prod)
+		graphs = append(graphs, loop)
 	}
+	compared, inconsistent := 0, 0
+	for i, g := range graphs {
+		cx := newContext(passes.NewFacts(g))
+		got, ref := runConsistency(cx), refConsistency(cx)
+		for _, d := range ref {
+			if strings.HasPrefix(d.Msg, "internal:") {
+				t.Fatalf("graph %d: reference contradicts the solver: %s\n%s", i, d.Msg, g)
+			}
+		}
+		if _, ok := topologyRank(g); ok {
+			compared++
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("graph %d: diagnostics differ\ngot  %v\nwant %v\n%s", i, got, ref, g)
+			}
+		}
+		var inc *sdf.InconsistentError
+		var conflicts []string
+		if errors.As(cx.qErr, &inc) {
+			inconsistent++
+			for _, id := range inc.Conflicts {
+				conflicts = append(conflicts, chanLabel(g, g.Channel(id)))
+			}
+		} else if cx.qErr != nil {
+			t.Fatalf("graph %d: solver failed: %v", i, cx.qErr)
+		}
+		var witnesses []string
+		for _, d := range unbalancedChannels(g) {
+			witnesses = append(witnesses, d.Channel)
+		}
+		if !reflect.DeepEqual(conflicts, witnesses) {
+			t.Fatalf("graph %d: solver conflicts %q, reference witnesses %q\n%s", i, conflicts, witnesses, g)
+		}
+	}
+	if compared < 2000 || inconsistent < len(graphs)/3 {
+		t.Errorf("compared %d of %d graphs, %d inconsistent: too few to pin the pass", compared, len(graphs), inconsistent)
+	}
+}
+
+// refConsistency is the consistency pass as it stood before the verdict
+// moved to the repetition-vector solver, kept as the reference that
+// TestConsistencyMatchesReference compares runConsistency against. It
+// decides solvability of the balance equations through the
+// nullspace of the topology matrix Γ (one row per channel: +prod at the
+// source column, −cons at the destination; self-loops contribute
+// prod−cons), computed by Gaussian elimination over internal/rat. A graph
+// with c weakly connected components is consistent iff rank(Γ) = n − c,
+// i.e. every component contributes exactly one nullspace dimension — the
+// ray spanned by its repetition vector (Lee & Messerschmitt).
+//
+// When the rank is too large, the pass localises the fault: rates are
+// propagated over a spanning forest and every non-tree channel whose
+// balance equation disagrees with the propagated rates is reported.
+func refConsistency(cx *context) []Diagnostic {
+	g := cx.g
+	n := g.NumActors()
+	if n == 0 || g.NumChannels() == 0 {
+		return nil
+	}
+	if cx.qErr != nil && !errors.Is(cx.qErr, sdf.ErrInconsistent) {
+		// The solver failed for a non-structural reason (rational
+		// overflow); the overflow pass owns that diagnostic.
+		return nil
+	}
+	rank, rankOK := topologyRank(g)
+	comps := cx.facts.Components()
+	nComps := 0
+	for _, c := range comps {
+		if len(c) > 0 {
+			nComps++
+		}
+	}
+	consistent := cx.qErr == nil
+	var out []Diagnostic
+	if rankOK && consistent != (rank == n-nComps) {
+		// The two decision procedures disagree: that is a bug in one of
+		// them, and worth shouting about rather than hiding.
+		out = append(out, Diagnostic{
+			Pass: "consistency", Severity: Error,
+			Msg: fmt.Sprintf("internal: topology-matrix rank %d (n=%d, components=%d) contradicts the repetition-vector solver", rank, n, nComps),
+		})
+		return out
+	}
+	if consistent {
+		return nil
+	}
+	if rankOK {
+		out = append(out, Diagnostic{
+			Pass: "consistency", Severity: Error,
+			Msg: fmt.Sprintf("graph is not consistent: topology matrix has rank %d over %d actors in %d component(s); the balance equations admit only the zero solution",
+				rank, n, nComps),
+			Fix: "adjust the rates of the channels reported below until every cycle's rate product is balanced",
+		})
+	}
+	out = append(out, unbalancedChannels(g)...)
+	return out
+}
+
+// topologyRank computes rank(Γ) by fraction-free-ish Gaussian elimination
+// over exact rationals. ok is false when an intermediate overflows int64
+// (absurd rates); callers then fall back to the propagation witnesses.
+func topologyRank(g *sdf.Graph) (rank int, ok bool) {
+	n := g.NumActors()
+	rows := make([][]rat.Rat, 0, g.NumChannels())
+	for _, c := range g.Channels() {
+		row := make([]rat.Rat, n)
+		if c.Src == c.Dst {
+			row[c.Src] = rat.FromInt(int64(c.Prod) - int64(c.Cons))
+		} else {
+			row[c.Src] = rat.FromInt(int64(c.Prod))
+			row[c.Dst] = rat.FromInt(int64(-c.Cons))
+		}
+		rows = append(rows, row)
+	}
+	for col := 0; col < n && rank < len(rows); col++ {
+		pivot := -1
+		for i := rank; i < len(rows); i++ {
+			if !rows[i][col].IsZero() {
+				pivot = i
+				break
+			}
+		}
+		if pivot < 0 {
+			continue
+		}
+		rows[rank], rows[pivot] = rows[pivot], rows[rank]
+		p := rows[rank][col]
+		for i := rank + 1; i < len(rows); i++ {
+			if rows[i][col].IsZero() {
+				continue
+			}
+			f, err := rows[i][col].Div(p)
+			if err != nil {
+				return 0, false
+			}
+			for j := col; j < n; j++ {
+				t, err := f.Mul(rows[rank][j])
+				if err != nil {
+					return 0, false
+				}
+				rows[i][j], err = rows[i][j].Sub(t)
+				if err != nil {
+					return 0, false
+				}
+			}
+		}
+		rank++
+	}
+	return rank, true
+}
+
+// unbalancedChannels propagates rational firing rates over a spanning
+// forest (BFS from an arbitrary root per component, rate 1) and reports
+// every channel whose balance equation q(src)·prod = q(dst)·cons the
+// propagated rates violate. Tree channels always agree by construction,
+// so each diagnostic names a genuinely conflicting constraint.
+func unbalancedChannels(g *sdf.Graph) []Diagnostic {
+	n := g.NumActors()
+	type half struct {
+		other        sdf.ActorID
+		mine, theirs int
+		ch           sdf.ChannelID
+	}
+	adj := make([][]half, n)
+	for i, c := range g.Channels() {
+		adj[c.Src] = append(adj[c.Src], half{other: c.Dst, mine: c.Prod, theirs: c.Cons, ch: sdf.ChannelID(i)})
+		adj[c.Dst] = append(adj[c.Dst], half{other: c.Src, mine: c.Cons, theirs: c.Prod, ch: sdf.ChannelID(i)})
+	}
+	rates := make([]rat.Rat, n)
+	assigned := make([]bool, n)
+	bad := make(map[sdf.ChannelID]bool)
+	for start := 0; start < n; start++ {
+		if assigned[start] {
+			continue
+		}
+		queue := []sdf.ActorID{sdf.ActorID(start)}
+		rates[start] = rat.One()
+		assigned[start] = true
+		for head := 0; head < len(queue); head++ {
+			a := queue[head]
+			for _, h := range adj[a] {
+				want, err := rates[a].Mul(rat.MustNew(int64(h.mine), int64(h.theirs)))
+				if err != nil {
+					bad[h.ch] = true
+					continue
+				}
+				if !assigned[h.other] {
+					rates[h.other] = want
+					assigned[h.other] = true
+					queue = append(queue, h.other)
+				} else if !rates[h.other].Equal(want) {
+					bad[h.ch] = true
+				}
+			}
+		}
+	}
+	ids := make([]sdf.ChannelID, 0, len(bad))
+	for id := range bad {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	out := make([]Diagnostic, 0, len(ids))
+	for _, id := range ids {
+		c := g.Channel(id)
+		out = append(out, Diagnostic{
+			Pass: "consistency", Severity: Error,
+			Channel: chanLabel(g, c),
+			Msg:     "balance equation q(src)·prod = q(dst)·cons conflicts with the rates implied by the rest of the graph",
+			Fix:     "change prod/cons on this channel (or on the conflicting path) so the cycle's rate product is 1",
+		})
+	}
+	return out
 }

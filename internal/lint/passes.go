@@ -20,171 +20,49 @@ func chanLabel(g *sdf.Graph, c sdf.Channel) string {
 
 // --- consistency -----------------------------------------------------------
 
-// runConsistency decides solvability of the balance equations through the
-// nullspace of the topology matrix Γ (one row per channel: +prod at the
-// source column, −cons at the destination; self-loops contribute
-// prod−cons), computed by Gaussian elimination over internal/rat. A graph
-// with c weakly connected components is consistent iff rank(Γ) = n − c,
-// i.e. every component contributes exactly one nullspace dimension — the
-// ray spanned by its repetition vector (Lee & Messerschmitt).
+// runConsistency reports a graph whose balance equations admit only the
+// zero solution. The verdict is the repetition-vector solver's, read off
+// the fact table, and its error lists the witnesses: every channel whose
+// balance equation conflicts with the rates it propagated over a
+// spanning forest (tree channels agree by construction).
 //
-// When the rank is too large, the pass localises the fault: rates are
-// propagated over a spanning forest and every non-tree channel whose
-// balance equation disagrees with the propagated rates is reported.
+// The summary's rank of the topology matrix Γ (one row per channel:
+// +prod at the source column, −cons at the destination; self-loops
+// contribute prod−cons) is derived, not eliminated. A weakly connected
+// component C's rows have rank |C|−1 when C is consistent, its
+// repetition vector spanning their nullspace, and |C| otherwise (Lee &
+// Messerschmitt), so rank(Γ) = n − #consistent components.
 func runConsistency(cx *context) []Diagnostic {
+	var inc *sdf.InconsistentError
+	if !errors.As(cx.qErr, &inc) {
+		// Consistent, or the solver overflowed: the overflow pass owns
+		// that diagnostic.
+		return nil
+	}
 	g := cx.g
 	n := g.NumActors()
-	if n == 0 || g.NumChannels() == 0 {
-		return nil
-	}
-	if cx.qErr != nil && !errors.Is(cx.qErr, sdf.ErrInconsistent) {
-		// The solver failed for a non-structural reason (rational
-		// overflow); the overflow pass owns that diagnostic.
-		return nil
-	}
-	rank, rankOK := topologyRank(g)
 	comps := cx.facts.Components()
-	nComps := 0
-	for _, c := range comps {
-		if len(c) > 0 {
-			nComps++
+	compOf := make([]int, n)
+	for i, comp := range comps {
+		for _, a := range comp {
+			compOf[a] = i
 		}
 	}
-	consistent := cx.qErr == nil
-	var out []Diagnostic
-	if rankOK && consistent != (rank == n-nComps) {
-		// The two decision procedures disagree: that is a bug in one of
-		// them, and worth shouting about rather than hiding.
+	inconsistent := make(map[int]bool)
+	for _, id := range inc.Conflicts {
+		inconsistent[compOf[g.Channel(id).Src]] = true
+	}
+	rank := n - (len(comps) - len(inconsistent))
+	out := []Diagnostic{{
+		Pass: "consistency", Severity: Error,
+		Msg: fmt.Sprintf("graph is not consistent: topology matrix has rank %d over %d actors in %d component(s); the balance equations admit only the zero solution",
+			rank, n, len(comps)),
+		Fix: "adjust the rates of the channels reported below until every cycle's rate product is balanced",
+	}}
+	for _, id := range inc.Conflicts {
 		out = append(out, Diagnostic{
 			Pass: "consistency", Severity: Error,
-			Msg: fmt.Sprintf("internal: topology-matrix rank %d (n=%d, components=%d) contradicts the repetition-vector solver", rank, n, nComps),
-		})
-		return out
-	}
-	if consistent {
-		return nil
-	}
-	if rankOK {
-		out = append(out, Diagnostic{
-			Pass: "consistency", Severity: Error,
-			Msg: fmt.Sprintf("graph is not consistent: topology matrix has rank %d over %d actors in %d component(s); the balance equations admit only the zero solution",
-				rank, n, nComps),
-			Fix: "adjust the rates of the channels reported below until every cycle's rate product is balanced",
-		})
-	}
-	out = append(out, unbalancedChannels(g)...)
-	return out
-}
-
-// topologyRank computes rank(Γ) by fraction-free-ish Gaussian elimination
-// over exact rationals. ok is false when an intermediate overflows int64
-// (absurd rates); callers then fall back to the propagation witnesses.
-func topologyRank(g *sdf.Graph) (rank int, ok bool) {
-	n := g.NumActors()
-	rows := make([][]rat.Rat, 0, g.NumChannels())
-	for _, c := range g.Channels() {
-		row := make([]rat.Rat, n)
-		if c.Src == c.Dst {
-			row[c.Src] = rat.FromInt(int64(c.Prod) - int64(c.Cons))
-		} else {
-			row[c.Src] = rat.FromInt(int64(c.Prod))
-			row[c.Dst] = rat.FromInt(int64(-c.Cons))
-		}
-		rows = append(rows, row)
-	}
-	for col := 0; col < n && rank < len(rows); col++ {
-		pivot := -1
-		for i := rank; i < len(rows); i++ {
-			if !rows[i][col].IsZero() {
-				pivot = i
-				break
-			}
-		}
-		if pivot < 0 {
-			continue
-		}
-		rows[rank], rows[pivot] = rows[pivot], rows[rank]
-		p := rows[rank][col]
-		for i := rank + 1; i < len(rows); i++ {
-			if rows[i][col].IsZero() {
-				continue
-			}
-			f, err := rows[i][col].Div(p)
-			if err != nil {
-				return 0, false
-			}
-			for j := col; j < n; j++ {
-				t, err := f.Mul(rows[rank][j])
-				if err != nil {
-					return 0, false
-				}
-				rows[i][j], err = rows[i][j].Sub(t)
-				if err != nil {
-					return 0, false
-				}
-			}
-		}
-		rank++
-	}
-	return rank, true
-}
-
-// unbalancedChannels propagates rational firing rates over a spanning
-// forest (BFS from an arbitrary root per component, rate 1) and reports
-// every channel whose balance equation q(src)·prod = q(dst)·cons the
-// propagated rates violate. Tree channels always agree by construction,
-// so each diagnostic names a genuinely conflicting constraint.
-func unbalancedChannels(g *sdf.Graph) []Diagnostic {
-	n := g.NumActors()
-	type half struct {
-		other        sdf.ActorID
-		mine, theirs int
-		ch           sdf.ChannelID
-	}
-	adj := make([][]half, n)
-	for i, c := range g.Channels() {
-		adj[c.Src] = append(adj[c.Src], half{other: c.Dst, mine: c.Prod, theirs: c.Cons, ch: sdf.ChannelID(i)})
-		adj[c.Dst] = append(adj[c.Dst], half{other: c.Src, mine: c.Cons, theirs: c.Prod, ch: sdf.ChannelID(i)})
-	}
-	rates := make([]rat.Rat, n)
-	assigned := make([]bool, n)
-	bad := make(map[sdf.ChannelID]bool)
-	for start := 0; start < n; start++ {
-		if assigned[start] {
-			continue
-		}
-		queue := []sdf.ActorID{sdf.ActorID(start)}
-		rates[start] = rat.One()
-		assigned[start] = true
-		for head := 0; head < len(queue); head++ {
-			a := queue[head]
-			for _, h := range adj[a] {
-				want, err := rates[a].Mul(rat.MustNew(int64(h.mine), int64(h.theirs)))
-				if err != nil {
-					bad[h.ch] = true
-					continue
-				}
-				if !assigned[h.other] {
-					rates[h.other] = want
-					assigned[h.other] = true
-					queue = append(queue, h.other)
-				} else if !rates[h.other].Equal(want) {
-					bad[h.ch] = true
-				}
-			}
-		}
-	}
-	ids := make([]sdf.ChannelID, 0, len(bad))
-	for id := range bad {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]Diagnostic, 0, len(ids))
-	for _, id := range ids {
-		c := g.Channel(id)
-		out = append(out, Diagnostic{
-			Pass: "consistency", Severity: Error,
-			Channel: chanLabel(g, c),
+			Channel: chanLabel(g, g.Channel(id)),
 			Msg:     "balance equation q(src)·prod = q(dst)·cons conflicts with the rates implied by the rest of the graph",
 			Fix:     "change prod/cons on this channel (or on the conflicting path) so the cycle's rate product is 1",
 		})
@@ -429,29 +307,30 @@ const coprimeBlowupBound = 1 << 16
 func runRates(cx *context) []Diagnostic {
 	g := cx.g
 	var out []Diagnostic
-	for i, c := range g.Channels() {
-		label := chanLabel(g, g.Channel(sdf.ChannelID(i)))
+	for _, c := range g.Channels() {
 		if c.Src == c.Dst {
 			if c.Prod != c.Cons {
 				out = append(out, Diagnostic{
 					Pass: "rates", Severity: Error,
-					Actor: g.Actor(c.Src).Name, Channel: label,
+					Actor: g.Actor(c.Src).Name, Channel: chanLabel(g, c),
 					Msg: "self-loop with prod ≠ cons makes the balance equations unsolvable for this actor",
 					Fix: "use equal production and consumption rates on self-loops",
 				})
 			} else if c.Initial >= 2*c.Cons && c.Cons > 0 {
 				out = append(out, Diagnostic{
 					Pass: "rates", Severity: Info,
-					Actor: g.Actor(c.Src).Name, Channel: label,
+					Actor: g.Actor(c.Src).Name, Channel: chanLabel(g, c),
 					Msg: fmt.Sprintf("self-loop allows %d concurrent firings; auto-concurrency guards usually carry exactly cons tokens", c.Initial/c.Cons),
 				})
 			}
 			continue
 		}
-		if d := gcdInt(c.Prod, c.Cons); d == 1 && c.Prod > 1 && c.Cons > 1 && c.Prod*c.Cons > coprimeBlowupBound {
+		// A product past int64 is past the bound too.
+		p, ok := rat.MulChecked(int64(c.Prod), int64(c.Cons))
+		if c.Prod > 1 && c.Cons > 1 && gcdInt(c.Prod, c.Cons) == 1 && (!ok || p > coprimeBlowupBound) {
 			out = append(out, Diagnostic{
 				Pass: "rates", Severity: Warning,
-				Channel: label,
+				Channel: chanLabel(g, c),
 				Msg:     fmt.Sprintf("coprime rates %d:%d multiply the repetition vector by their product; verify they are intended", c.Prod, c.Cons),
 			})
 		}

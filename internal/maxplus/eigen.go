@@ -29,6 +29,22 @@ func (m *Matrix) Eigenvalue() (lambda rat.Rat, hasCycle bool, err error) {
 // ctx and the context is polled once, so dense matrices respect budgets
 // and a cancelled request stops here.
 func (m *Matrix) EigenvalueCtx(ctx context.Context) (lambda rat.Rat, hasCycle bool, err error) {
+	res, err := m.howard(ctx)
+	return res.CycleRatio, res.HasCycle, err
+}
+
+// CriticalCycle returns the eigenvalue together with the critical cycle
+// Howard's iteration ends on: node indices c_0 … c_{k−1} with every
+// entry At(c_{i+1 mod k}, c_i) finite and the k entries summing to k·λ.
+// When hasCycle is false the cycle is nil.
+func (m *Matrix) CriticalCycle() (lambda rat.Rat, cycle []int, hasCycle bool, err error) {
+	res, err := m.howard(guard.WithBudget(context.Background(), guard.Unlimited()))
+	return res.CycleRatio, res.Critical, res.HasCycle, err
+}
+
+// howard hands the precedence graph to mcm.MaxCycleRatioEdges, the one
+// place the matrix becomes an edge list.
+func (m *Matrix) howard(ctx context.Context) (mcm.EdgeResult, error) {
 	meter := guard.NewMeter(ctx, "matrix")
 	meter.Phase("eigenvalue")
 	edges := make([]mcm.Edge, 0, m.FiniteCount())
@@ -40,14 +56,10 @@ func (m *Matrix) EigenvalueCtx(ctx context.Context) (lambda rat.Rat, hasCycle bo
 		}
 	}
 	if err := meter.States(int64(m.n) * int64(len(edges))); err != nil {
-		return rat.Rat{}, false, err
+		return mcm.EdgeResult{}, err
 	}
 	if err := meter.Canceled(); err != nil {
-		return rat.Rat{}, false, err
+		return mcm.EdgeResult{}, err
 	}
-	res, err := mcm.MaxCycleRatioEdges(m.n, edges)
-	if err != nil {
-		return rat.Rat{}, false, err
-	}
-	return res.CycleRatio, res.HasCycle, nil
+	return mcm.MaxCycleRatioEdges(m.n, edges)
 }

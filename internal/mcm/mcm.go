@@ -4,10 +4,10 @@
 // cycle. The reciprocal is the self-timed throughput of the HSDF graph,
 // the quantity the traditional conversion path of the paper feeds into.
 //
-// The primary algorithm is Howard's policy iteration, the consistently
+// The algorithm is Howard's policy iteration, the consistently
 // fastest algorithm in the comparison of Dasdan, Irani and Gupta (DAC'99)
-// that the paper cites; a parametric Bellman–Ford feasibility check is
-// provided for cross-validation.
+// that the paper cites. The tests cross-check it against a parametric
+// Bellman–Ford feasibility oracle.
 package mcm
 
 import (

@@ -2,6 +2,7 @@ package mcm
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -297,4 +298,62 @@ func checkCriticalCycle(t *testing.T, g *sdf.Graph, res Result) {
 	if mean.Cmp(res.CycleMean) > 0 {
 		t.Errorf("critical cycle mean %v exceeds λ* %v", mean, res.CycleMean)
 	}
+}
+
+// LambdaFeasible reports whether the cycle ratio λ = num/den is an upper
+// bound for every cycle of the HSDF graph g, by checking the parametric
+// graph with edge weights exec(src)·den − num·tokens for a positive-weight
+// cycle with Bellman–Ford. λ is feasible exactly when λ ≥ the maximum
+// cycle ratio, which makes this an independent oracle for cross-checking
+// Howard's algorithm in the tests.
+func LambdaFeasible(g *sdf.Graph, lambda rat.Rat) (bool, error) {
+	if !g.IsHSDF() {
+		return false, ErrNotHSDF
+	}
+	n := g.NumActors()
+	type wedge struct {
+		from, to int
+		w        int64
+	}
+	edges := make([]wedge, 0, g.NumChannels())
+	for _, c := range g.Channels() {
+		exec := g.Actor(c.Src).Exec
+		// w = exec·den − num·tokens; overflow-checked via rat helpers.
+		t1, err := rat.FromInt(exec).MulInt(lambda.Den())
+		if err != nil {
+			return false, fmt.Errorf("mcm: feasibility: %w", err)
+		}
+		t2, err := rat.FromInt(int64(c.Initial)).MulInt(lambda.Num())
+		if err != nil {
+			return false, fmt.Errorf("mcm: feasibility: %w", err)
+		}
+		d, err := t1.Sub(t2)
+		if err != nil {
+			return false, fmt.Errorf("mcm: feasibility: %w", err)
+		}
+		edges = append(edges, wedge{from: int(c.Src), to: int(c.Dst), w: d.Num()})
+	}
+
+	// Longest-path Bellman–Ford from a virtual source connected to all
+	// nodes with weight 0; a relaxation in round n reveals a positive
+	// cycle.
+	dist := make([]int64, n)
+	for round := 0; round < n; round++ {
+		changed := false
+		for _, e := range edges {
+			if d := dist[e.from] + e.w; d > dist[e.to] {
+				dist[e.to] = d
+				changed = true
+			}
+		}
+		if !changed {
+			return true, nil
+		}
+	}
+	for _, e := range edges {
+		if dist[e.from]+e.w > dist[e.to] {
+			return false, nil // still relaxing: positive cycle
+		}
+	}
+	return true, nil
 }

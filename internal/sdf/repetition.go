@@ -3,6 +3,7 @@ package sdf
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/rat"
 )
@@ -12,14 +13,29 @@ import (
 // distribution (§3).
 var ErrInconsistent = errors.New("sdf: graph is not consistent")
 
+// InconsistentError is RepetitionVector's error when the balance
+// equations admit only the zero solution. It prints the first conflict
+// the rate propagation meets and unwraps to ErrInconsistent.
+type InconsistentError struct {
+	// Conflicts lists, ascending, every channel whose balance equation
+	// disagrees with the rates propagated over a BFS spanning forest;
+	// past the first conflict, also one whose rate product overflows.
+	Conflicts []ChannelID
+	first     string
+}
+
+func (e *InconsistentError) Error() string { return e.first + ": " + ErrInconsistent.Error() }
+func (e *InconsistentError) Unwrap() error { return ErrInconsistent }
+
 // RepetitionVector solves the balance equations q(src)·prod = q(dst)·cons
 // for every channel and returns the minimal positive integer solution.
 // For a graph with several weakly connected components, each component is
 // scaled to its own minimal solution (the convention of the SDF3 tool
 // set). Actors with no channels get repetition count 1.
 //
-// It returns ErrInconsistent (wrapped) when the equations only admit the
-// zero solution.
+// When the equations only admit the zero solution it propagates on past
+// the first conflict and returns an *InconsistentError naming every
+// conflicting channel. An overflow met first is returned instead.
 func (g *Graph) RepetitionVector() ([]int64, error) {
 	n := len(g.actors)
 	if n == 0 {
@@ -42,6 +58,7 @@ func (g *Graph) RepetitionVector() ([]int64, error) {
 	rates := make([]rat.Rat, n)
 	assigned := make([]bool, n)
 	q := make([]int64, n)
+	var inc *InconsistentError
 
 	for start := 0; start < n; start++ {
 		if assigned[start] {
@@ -56,19 +73,27 @@ func (g *Graph) RepetitionVector() ([]int64, error) {
 			for _, h := range adj[a] {
 				// q(a)·mine = q(other)·theirs  =>  q(other) = q(a)·mine/theirs
 				want, err := rates[a].Mul(rat.MustNew(int64(h.mine), int64(h.theirs)))
-				if err != nil {
+				switch {
+				case err != nil && inc == nil:
 					return nil, fmt.Errorf("sdf: repetition vector: %w", err)
-				}
-				if !assigned[h.other] {
+				case err != nil:
+					inc.Conflicts = append(inc.Conflicts, h.chID)
+				case !assigned[h.other]:
 					rates[h.other] = want
 					assigned[h.other] = true
 					comp = append(comp, h.other)
-				} else if !rates[h.other].Equal(want) {
-					c := g.channels[h.chID]
-					return nil, fmt.Errorf("sdf: channel %s -> %s (prod=%d cons=%d) violates balance: %w",
-						g.actors[c.Src].Name, g.actors[c.Dst].Name, c.Prod, c.Cons, ErrInconsistent)
+				case !rates[h.other].Equal(want):
+					if inc == nil {
+						c := g.channels[h.chID]
+						inc = &InconsistentError{first: fmt.Sprintf("sdf: channel %s -> %s (prod=%d cons=%d) violates balance",
+							g.actors[c.Src].Name, g.actors[c.Dst].Name, c.Prod, c.Cons)}
+					}
+					inc.Conflicts = append(inc.Conflicts, h.chID)
 				}
 			}
+		}
+		if inc != nil {
+			continue // no repetition vector to scale, only conflicts to find
 		}
 		// Scale the component to the minimal integer solution: multiply by
 		// the lcm of denominators, then divide by the gcd of numerators.
@@ -95,7 +120,12 @@ func (g *Graph) RepetitionVector() ([]int64, error) {
 			q[a] = scaled[i] / gcd
 		}
 	}
-	return q, nil
+	if inc == nil {
+		return q, nil
+	}
+	slices.Sort(inc.Conflicts) // met from both ends, a channel may appear twice
+	inc.Conflicts = slices.Compact(inc.Conflicts)
+	return nil, inc
 }
 
 // IsConsistent reports whether the balance equations have a non-trivial

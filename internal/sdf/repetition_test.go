@@ -2,7 +2,10 @@ package sdf
 
 import (
 	"errors"
+	"slices"
 	"testing"
+
+	"repro/internal/rat"
 )
 
 // twoActorGraph builds A -(p,c)-> B.
@@ -123,6 +126,59 @@ func TestInconsistentCycle(t *testing.T) {
 	g.MustAddChannel(c, a, 1, 1, 0)
 	if _, err := g.RepetitionVector(); !errors.Is(err, ErrInconsistent) {
 		t.Errorf("err = %v, want ErrInconsistent", err)
+	}
+}
+
+// TestInconsistentErrorListsEveryConflict: the solver runs on past the
+// first conflict, so its error prints that one and lists every
+// conflicting channel of every component. An overflow met before any
+// conflict stays the overflow error; one met after is listed.
+func TestInconsistentErrorListsEveryConflict(t *testing.T) {
+	g := NewGraph("bad")
+	a := g.MustAddActor("A", 1)
+	b := g.MustAddActor("B", 1)
+	c := g.MustAddActor("C", 1)
+	d := g.MustAddActor("D", 1)
+	g.MustAddChannel(a, b, 1, 1, 0)
+	g.MustAddChannel(a, b, 2, 1, 0) // conflicts with channel 0
+	g.MustAddChannel(c, d, 1, 1, 0)
+	g.MustAddChannel(d, d, 2, 3, 1) // self-loop with prod != cons
+	_, err := g.RepetitionVector()
+	var inc *InconsistentError
+	if !errors.As(err, &inc) || !errors.Is(err, ErrInconsistent) {
+		t.Fatalf("err = %v, want *InconsistentError", err)
+	}
+	if want := "sdf: channel A -> B (prod=2 cons=1) violates balance: sdf: graph is not consistent"; err.Error() != want {
+		t.Errorf("err = %q, want %q", err, want)
+	}
+	if want := []ChannelID{1, 3}; !slices.Equal(inc.Conflicts, want) {
+		t.Errorf("conflicts = %v, want %v", inc.Conflicts, want)
+	}
+
+	// Rates 2^62 twice along a chain overflow int64.
+	chain := func(g *Graph) {
+		x := g.MustAddActor("X", 1)
+		y := g.MustAddActor("Y", 1)
+		z := g.MustAddActor("Z", 1)
+		g.MustAddChannel(x, y, 1<<62, 1, 0)
+		g.MustAddChannel(y, z, 1<<62, 1, 0)
+	}
+	conflict := func(g *Graph) {
+		p := g.MustAddActor("P", 1)
+		g.MustAddChannel(p, p, 1, 2, 1)
+	}
+	first := NewGraph("overflow-first")
+	chain(first)
+	conflict(first)
+	if _, err := first.RepetitionVector(); !errors.Is(err, rat.ErrOverflow) || errors.Is(err, ErrInconsistent) {
+		t.Errorf("overflow before the conflict: err = %v, want the overflow", err)
+	}
+	after := NewGraph("conflict-first")
+	conflict(after)
+	chain(after)
+	_, err = after.RepetitionVector()
+	if !errors.As(err, &inc) || !slices.Equal(inc.Conflicts, []ChannelID{0, 2}) {
+		t.Errorf("overflow after the conflict: err = %v, want conflicts [0 2]", err)
 	}
 }
 

@@ -43,6 +43,7 @@ func BenchmarkTable1Traditional(b *testing.B) {
 func BenchmarkTable1Symbolic(b *testing.B) {
 	for _, c := range benchmarks.All() {
 		b.Run(slug(c.Name), func(b *testing.B) {
+			b.ReportAllocs()
 			g := c.Graph()
 			var actors int
 			for i := 0; i < b.N; i++ {
@@ -252,6 +253,7 @@ func BenchmarkSymbolicConversionScaling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, _, err := ConvertSymbolic(g); err != nil {
 					b.Fatal(err)

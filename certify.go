@@ -29,8 +29,8 @@ type (
 	// replays of the schedule it was derived from.
 	MatrixCert = verify.MatrixCert
 	// ThroughputCert certifies an iteration period with a paired
-	// critical-cycle witness (lower bound) and node-potential
-	// feasibility witness (upper bound).
+	// critical-cycle witness (lower bound) and potential feasibility
+	// witness (upper bound).
 	ThroughputCert = verify.ThroughputCert
 	// TraceCert certifies a timed simulation trace by event replay.
 	TraceCert = verify.TraceCert

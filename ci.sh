@@ -74,6 +74,12 @@ echo '== benchmark smoke: BenchmarkPrecheck (1 iteration)'
 # fails on any precheck error.
 go test -run XXX -bench Precheck -benchtime 1x ./internal/lint
 
+echo '== benchmark smoke: BenchmarkSymbolicConversionScaling (1 iteration)'
+# Algorithm 1 and the HSDF build on the 8-, 32- and 128-block prefetch
+# graphs, with allocations reported; TestSymbolicAllocsPerIteration
+# holds the allocation bound itself.
+go test -run XXX -bench SymbolicConversionScaling -benchtime 1x .
+
 echo '== go test -race ./...'
 # Hard wall-clock cap on top of go test's own -timeout, so a scheduler
 # hang can never wedge the gate.

@@ -54,8 +54,8 @@ func certify(ctx context.Context, g *sdf.Graph, method Method, run engineRun) (*
 	if run.hsdf != nil {
 		cert, err = verify.NewHSDFThroughputCert(ctx, g, run.hsdf, run.tp.Repetition, run.tp.Unbounded, run.tp.Period)
 	} else {
-		mc := &verify.MatrixCert{Matrix: run.sym.Matrix, Schedule: run.sym.Schedule}
-		cert, err = verify.NewMatrixThroughputCert(ctx, g, mc, run.tp.Repetition, run.tp.Unbounded, run.tp.Period)
+		cert, err = verify.NewMatrixThroughputCert(ctx, run.sym.Matrix, run.sym.Schedule,
+			run.tp.Repetition, run.tp.Unbounded, run.tp.Period, run.critical)
 	}
 	if err != nil {
 		sp.Finish("outcome", "error")

@@ -31,10 +31,10 @@ func TestCertifiedEnginesAgreeAndVerify(t *testing.T) {
 		// Anchor shape: matrix-family engines carry the matrix anchor,
 		// the classical engine the converted graph.
 		if m == HSDF {
-			if cert.HSDF == nil || cert.Matrix != nil {
+			if cert.HSDF == nil || cert.Schedule != nil {
 				t.Errorf("%v: wrong anchor", m)
 			}
-		} else if cert.Matrix == nil || cert.HSDF != nil {
+		} else if cert.Schedule == nil || cert.HSDF != nil {
 			t.Errorf("%v: wrong anchor", m)
 		}
 		// The certificate re-verifies from scratch.

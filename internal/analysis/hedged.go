@@ -15,8 +15,8 @@ import (
 
 // ErrEngineDisagreement marks two engines that both produced *verified*
 // throughput certificates for the same graph but claim different
-// answers. With the matrix anchor this cannot happen (the anchor is
-// fully re-derived from the graph); the HSDF anchor trusts the
+// answers. With the matrix anchor this cannot happen (its replays run
+// on the graph itself); the HSDF anchor trusts the
 // converted graph's edge set and delays, which is the documented gap a
 // disagreement squeezes through.
 var ErrEngineDisagreement = errors.New("analysis: verified engines disagree")

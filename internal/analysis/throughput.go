@@ -156,12 +156,14 @@ func ComputeThroughputDirectCtx(ctx context.Context, g *sdf.Graph, method Method
 }
 
 // engineRun is one engine's answer together with what its certificate
-// is built from: the symbolic iteration of the matrix engines, or the
-// traditionally converted graph of the HSDF engine.
+// is built from: the symbolic iteration of the matrix engines (with the
+// critical cycle, when Howard found it), or the traditionally converted
+// graph of the HSDF engine.
 type engineRun struct {
-	tp   Throughput
-	sym  *core.SymbolicResult
-	hsdf *sdf.Graph
+	tp       Throughput
+	sym      *core.SymbolicResult
+	critical []int
+	hsdf     *sdf.Graph
 }
 
 // runEngine is the one front end of the three engines. Each pipeline
@@ -186,7 +188,7 @@ func runEngine(ctx context.Context, g *sdf.Graph, method Method) (engineRun, err
 		}
 		if method == Matrix {
 			sp = reg.StartSpan("analysis.eigenvalue", "engine", eng)
-			run.tp.Period, hasCycle, err = run.sym.Matrix.EigenvalueCtx(ctx)
+			run.tp.Period, run.critical, hasCycle, err = run.sym.Matrix.CriticalCycleCtx(ctx)
 		} else {
 			const maxIter = 1 << 22
 			sp = reg.StartSpan("analysis.power-iteration", "engine", eng)

@@ -14,6 +14,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/guard"
 	"repro/internal/maxplus"
@@ -92,79 +94,246 @@ func SymbolicIterationCtx(ctx context.Context, g *sdf.Graph) (*SymbolicResult, e
 		return nil, fmt.Errorf("core: symbolic iteration: %w", err)
 	}
 	meter.Phase("execute")
+	it, err := newSlabIteration(g, sched)
+	if err != nil {
+		return nil, fmt.Errorf("core: symbolic iteration: %w", err)
+	}
+	for _, a := range sched {
+		if err := meter.Firings(1); err != nil {
+			return nil, fmt.Errorf("core: symbolic iteration: %w", err)
+		}
+		it.fire(a)
+	}
+	return it.result(sched), nil
+}
 
-	// Global numbering of initial tokens.
-	n := g.TotalInitialTokens()
-	tokenChannel := make([]sdf.ChannelID, 0, n)
-	queues := make([][]maxplus.Vec, g.NumChannels())
-	idx := 0
+// slabChunkBytes bounds one chunk of the slab once a graph's live time
+// stamps outgrow a single chunk.
+const slabChunkBytes = 1 << 18
+
+// slabIteration is the working state of one symbolic iteration. Every
+// time stamp vector (N entries, one per initial token) lives in a slot
+// of one slab: the N initial unit vectors first, then one slot per
+// firing for its end stamp, shared by all the tokens it produces. A
+// slot counts its holders (queued tokens, plus the actor whose latest
+// firing it is) and goes back on the free list when the last one lets
+// go, so the slab holds only the live stamps. It grows by whole chunks
+// of 2^shift slots that never move, not per firing. Channel queues are
+// rings of slot indices, each as long as its channel's peak occupancy
+// over the schedule.
+type slabIteration struct {
+	g       *sdf.Graph
+	ch      []sdf.Channel
+	n       int
+	in, out [][]sdf.ChannelID
+	base    []int // first ring index of each channel
+	size    []int // ring length of each channel
+	head    []int // ring index of each channel's front token
+	count   []int // tokens each channel holds
+	kept    []int // initial tokens each channel still holds when the iteration ends
+	ring    []int // slot of every queued token
+	chunks  [][]maxplus.T
+	shift   uint
+	holders []int // per slot
+	free    []int // stack of free slots
+	last    []int // per actor: slot of its latest end stamp, −1 before it fires
+	start   maxplus.Vec
+	// sinkEnd is the entrywise maximum of the end stamps of firings that
+	// produce no token. Every other end stamp is consumed by a later
+	// firing, whose end is entrywise at least as late (execution times
+	// are non-negative), or is still queued when the iteration ends, so
+	// the completion vector is sinkEnd joined with the final tokens that
+	// firings produced.
+	sinkEnd maxplus.Vec
+}
+
+// newSlabIteration numbers the initial tokens into the first N slots
+// and sizes every ring by one count pass over sched, which also rejects
+// a schedule that underflows a channel or does not restore the marking.
+func newSlabIteration(g *sdf.Graph, sched []sdf.ActorID) (*slabIteration, error) {
+	n, nc, na := g.TotalInitialTokens(), g.NumChannels(), g.NumActors()
+	it := &slabIteration{
+		g: g, ch: g.Channels(), n: n,
+		in: make([][]sdf.ChannelID, na), out: make([][]sdf.ChannelID, na),
+		base: make([]int, nc), size: make([]int, nc), head: make([]int, nc), count: make([]int, nc),
+		kept:    make([]int, nc),
+		last:    make([]int, na),
+		start:   make(maxplus.Vec, n),
+		sinkEnd: maxplus.NewVec(n),
+	}
+	for i, c := range g.Channels() {
+		id := sdf.ChannelID(i)
+		it.in[c.Dst] = append(it.in[c.Dst], id)
+		it.out[c.Src] = append(it.out[c.Src], id)
+		it.count[i], it.size[i], it.kept[i] = c.Initial, max(c.Initial, 1), c.Initial
+	}
+	for pos, a := range sched {
+		for _, id := range it.in[a] {
+			c := g.Channel(id)
+			if it.count[id] < c.Cons {
+				return nil, fmt.Errorf("schedule step %d: channel %s -> %s underflows",
+					pos, g.Actor(c.Src).Name, g.Actor(c.Dst).Name)
+			}
+			it.count[id] -= c.Cons
+			it.kept[id] = max(it.kept[id]-c.Cons, 0)
+		}
+		for _, id := range it.out[a] {
+			it.count[id] += g.Channel(id).Prod
+			it.size[id] = max(it.size[id], it.count[id])
+		}
+	}
+	slots := 0
+	for i, c := range g.Channels() {
+		if it.count[i] != c.Initial {
+			return nil, fmt.Errorf("channel %s -> %s ends with %d tokens, want %d",
+				g.Actor(c.Src).Name, g.Actor(c.Dst).Name, it.count[i], c.Initial)
+		}
+		it.base[i] = slots
+		slots += it.size[i]
+	}
+	it.ring = make([]int, slots)
+	// Each live slot has a holder, so the queued tokens and one hold per
+	// actor bound the slots ever live: a graph whose bound fits one chunk
+	// gets exactly one.
+	perChunk := max(1, slabChunkBytes/(8*max(n, 1)))
+	it.shift = uint(bits.Len(uint(min(slots+na, perChunk))))
+	if 1<<it.shift > perChunk {
+		it.shift--
+	}
+	// Initial token k holds slot k, the unit vector e_k.
+	k := 0
 	for i, c := range g.Channels() {
 		for t := 0; t < c.Initial; t++ {
-			queues[i] = append(queues[i], maxplus.UnitVec(n, idx))
+			s := it.alloc()
+			v := it.vec(s)
+			for j := range v {
+				v[j] = maxplus.NegInf
+			}
+			v[k] = 0
+			it.holders[s] = 1
+			it.ring[it.base[i]+t] = s
+			k++
+		}
+	}
+	for a := range it.last {
+		it.last[a] = -1
+	}
+	return it, nil
+}
+
+// vec is slot s of the slab.
+func (it *slabIteration) vec(s int) maxplus.Vec {
+	c := it.chunks[s>>it.shift]
+	o := (s & (1<<it.shift - 1)) * it.n
+	return maxplus.Vec(c[o : o+it.n : o+it.n])
+}
+
+// alloc pops a free slot, adding a chunk when none is left. Free slots
+// come off the stack lowest first.
+func (it *slabIteration) alloc() int {
+	if len(it.free) == 0 {
+		per := 1 << it.shift
+		first := len(it.chunks) * per
+		it.chunks = append(it.chunks, make([]maxplus.T, per*it.n))
+		it.holders = slices.Grow(it.holders, per)[:first+per]
+		for s := first + per - 1; s >= first; s-- {
+			it.free = append(it.free, s)
+		}
+	}
+	k := len(it.free) - 1
+	s := it.free[k]
+	it.free = it.free[:k]
+	return s
+}
+
+// release drops one holder of slot s.
+func (it *slabIteration) release(s int) {
+	if it.holders[s]--; it.holders[s] == 0 {
+		it.free = append(it.free, s)
+	}
+}
+
+// fire executes one firing of actor a (Algorithm 1, lines 7–10).
+func (it *slabIteration) fire(a sdf.ActorID) {
+	// Start time stamp: entrywise max over all consumed tokens
+	// (line 7: fire a consuming tokens W ⊆ V).
+	start := it.start
+	for j := range start {
+		start[j] = maxplus.NegInf
+	}
+	for _, id := range it.in[a] {
+		h, size, cons := it.head[id], it.size[id], it.ch[id].Cons
+		for t := cons; t > 0; t-- {
+			s := it.ring[it.base[id]+h]
+			start.MaxInto(it.vec(s))
+			it.release(s)
+			if h++; h == size {
+				h = 0
+			}
+		}
+		it.head[id] = h
+		it.count[id] -= cons
+	}
+	// End time stamp: ḡ_p = max{ḡ(t) | t ∈ W} + T(a) (line 9), written
+	// once into the slot every produced token shares (line 10).
+	s := it.alloc()
+	end, exec := it.vec(s), it.g.Actors()[a].Exec
+	for j, x := range start {
+		if !x.IsNegInf() {
+			x += maxplus.T(exec)
+		}
+		end[j] = x
+	}
+	holders := 1 // the actor's own hold: its latest end stamp
+	for _, id := range it.out[a] {
+		size, prod := it.size[id], it.ch[id].Prod
+		tail := (it.head[id] + it.count[id]) % size
+		for t := prod; t > 0; t-- {
+			it.ring[it.base[id]+tail] = s
+			if tail++; tail == size {
+				tail = 0
+			}
+		}
+		it.count[id] += prod
+		holders += prod
+	}
+	if holders == 1 {
+		it.sinkEnd.MaxInto(end)
+	}
+	it.holders[s] = holders
+	if prev := it.last[a]; prev >= 0 {
+		it.release(prev)
+	}
+	it.last[a] = s
+}
+
+// result reads the matrix off the final token distribution, token by
+// token (line 12), and copies out the completion vectors.
+func (it *slabIteration) result(sched []sdf.ActorID) *SymbolicResult {
+	n := it.n
+	m := maxplus.NewMatrix(n)
+	completion := it.sinkEnd
+	tokenChannel := make([]sdf.ChannelID, 0, n)
+	idx := 0
+	for i, c := range it.ch {
+		for t := 0; t < c.Initial; t++ {
+			v := it.vec(it.ring[it.base[i]+(it.head[i]+t)%it.size[i]])
+			for j, x := range v {
+				m.Set(idx, j, x)
+			}
+			if t >= it.kept[i] {
+				completion.MaxInto(v)
+			}
 			tokenChannel = append(tokenChannel, sdf.ChannelID(i))
 			idx++
 		}
 	}
-
-	inCh := make([][]sdf.ChannelID, g.NumActors())
-	outCh := make([][]sdf.ChannelID, g.NumActors())
-	for i := range g.Channels() {
-		id := sdf.ChannelID(i)
-		c := g.Channel(id)
-		inCh[c.Dst] = append(inCh[c.Dst], id)
-		outCh[c.Src] = append(outCh[c.Src], id)
-	}
-
-	completion := maxplus.NewVec(n)
-	actorCompletion := make([]maxplus.Vec, g.NumActors())
-	for pos, a := range sched {
-		if err := meter.Firings(1); err != nil {
-			return nil, fmt.Errorf("core: symbolic iteration: %w", err)
-		}
-		// Start time stamp: entrywise max over all consumed tokens
-		// (line 7: fire a consuming tokens W ⊆ V).
-		start := maxplus.NewVec(n)
-		for _, id := range inCh[a] {
-			c := g.Channel(id)
-			q := queues[id]
-			if len(q) < c.Cons {
-				return nil, fmt.Errorf("core: symbolic iteration: schedule step %d: channel %s -> %s underflows",
-					pos, g.Actor(c.Src).Name, g.Actor(c.Dst).Name)
-			}
-			for t := 0; t < c.Cons; t++ {
-				start.MaxInto(q[t])
-			}
-			queues[id] = q[c.Cons:]
-		}
-		// End time stamp: ḡ_p = max{ḡ(t) | t ∈ W} + T(a) (line 9).
-		end := start.AddScalar(maxplus.FromInt(g.Actor(a).Exec))
-		completion.MaxInto(end)
-		actorCompletion[a] = end
-		// Produce output tokens carrying the end time stamp (line 10).
-		// Produced vectors are immutable from here on, so all copies of
-		// one firing's output may share the same backing array.
-		for _, id := range outCh[a] {
-			c := g.Channel(id)
-			for t := 0; t < c.Prod; t++ {
-				queues[id] = append(queues[id], end)
-			}
-		}
-	}
-
-	// The iteration has returned the graph to its initial token
-	// distribution; read off the matrix columns token by token (line 12).
-	m := maxplus.NewMatrix(n)
-	idx = 0
-	for i, c := range g.Channels() {
-		if len(queues[i]) != c.Initial {
-			return nil, fmt.Errorf("core: symbolic iteration: channel %s -> %s ends with %d tokens, want %d",
-				g.Actor(c.Src).Name, g.Actor(c.Dst).Name, len(queues[i]), c.Initial)
-		}
-		for _, v := range queues[i] {
-			for j, x := range v {
-				m.Set(idx, j, x)
-			}
-			idx++
+	actorCompletion := make([]maxplus.Vec, len(it.last))
+	backing := make([]maxplus.T, len(it.last)*n)
+	for a, s := range it.last {
+		if s >= 0 {
+			actorCompletion[a] = maxplus.Vec(backing[a*n : (a+1)*n : (a+1)*n])
+			copy(actorCompletion[a], it.vec(s))
 		}
 	}
 	return &SymbolicResult{
@@ -173,7 +342,7 @@ func SymbolicIterationCtx(ctx context.Context, g *sdf.Graph) (*SymbolicResult, e
 		Schedule:        sched,
 		Completion:      completion,
 		ActorCompletion: actorCompletion,
-	}, nil
+	}
 }
 
 // checkTimeHeadroom refuses graphs whose execution times are so large

@@ -165,16 +165,23 @@ func (r *Router) routeOn(ctx context.Context, path, key string, hedgeDelay time.
 	}
 	launch(false)
 
-	// The hedge timer arms once, for the second attempt. Later failover
+	// The hedge arms once, for the second attempt. Later failover
 	// attempts are failure-driven, not latency-driven: hedging them too
-	// would let one slow request fan out across the whole fleet.
+	// would let one slow request fan out across the whole fleet. A zero
+	// delay launches it right away: a zero timer could lose the select
+	// below to the primary's answer and leave the request unhedged.
 	var hedgeCh <-chan time.Time
-	if hedgeDelay >= 0 && next < len(order) {
+	hedgeLaunched := false
+	switch {
+	case hedgeDelay < 0 || next >= len(order):
+	case hedgeDelay == 0:
+		hedgeLaunched = true
+		launch(true)
+	default:
 		ht := time.NewTimer(hedgeDelay)
 		defer ht.Stop()
 		hedgeCh = ht.C
 	}
-	hedgeLaunched := false
 
 	var backoffCh <-chan time.Time
 	var backoffTimer *time.Timer

@@ -399,7 +399,23 @@ func TestConsistencyMatchesReference(t *testing.T) {
 		into(u, g, rng.Intn(g.NumChannels()+1)-1)
 		return u
 	}
-	var graphs []*sdf.Graph
+	// A conflict met first, then a consistent chain whose rates
+	// overflow int64 past A6: the chain's component is consistent, and
+	// its overflowed channel is no conflict.
+	found := sdf.NewGraph("conflict-then-overflow")
+	p, q := found.MustAddActor("P", 1), found.MustAddActor("Q", 1)
+	found.MustAddChannel(p, q, 1, 1, 0)
+	found.MustAddChannel(p, q, 2, 1, 0)
+	prev := found.MustAddActor("A0", 1)
+	var overflowed sdf.ChannelID // A6 -> A7, where the rate passes 10^18
+	for i := 1; i <= 8; i++ {
+		next := found.MustAddActor(fmt.Sprintf("A%d", i), 1)
+		if id := found.MustAddChannel(prev, next, 1000, 1, 0); i == 7 {
+			overflowed = id
+		}
+		prev = next
+	}
+	graphs := []*sdf.Graph{found}
 	for trial := 0; trial < 500; trial++ {
 		g := base()
 		graphs = append(graphs, g, perturbed(g))
@@ -454,6 +470,12 @@ func TestConsistencyMatchesReference(t *testing.T) {
 	}
 	if compared < 2000 || inconsistent < len(graphs)/3 {
 		t.Errorf("compared %d of %d graphs, %d inconsistent: too few to pin the pass", compared, len(graphs), inconsistent)
+	}
+	// The overflow pass, not the consistency pass, names the chain
+	// channel whose rate overflowed.
+	d := runOverflow(newContext(passes.NewFacts(found)))
+	if len(d) != 1 || d[0].Channel != chanLabel(found, found.Channel(overflowed)) || d[0].Severity != Error {
+		t.Errorf("overflow diagnostics %v, want one error on A6 -> A7", d)
 	}
 }
 
@@ -588,6 +610,7 @@ func unbalancedChannels(g *sdf.Graph) []Diagnostic {
 	}
 	rates := make([]rat.Rat, n)
 	assigned := make([]bool, n)
+	unknown := make([]bool, n) // reached past an overflow: no rate to compare
 	bad := make(map[sdf.ChannelID]bool)
 	for start := 0; start < n; start++ {
 		if assigned[start] {
@@ -600,8 +623,14 @@ func unbalancedChannels(g *sdf.Graph) []Diagnostic {
 			a := queue[head]
 			for _, h := range adj[a] {
 				want, err := rates[a].Mul(rat.MustNew(int64(h.mine), int64(h.theirs)))
-				if err != nil {
-					bad[h.ch] = true
+				if err != nil || unknown[a] {
+					if !assigned[h.other] {
+						assigned[h.other], unknown[h.other] = true, true
+						queue = append(queue, h.other)
+					}
+					continue
+				}
+				if unknown[h.other] {
 					continue
 				}
 				if !assigned[h.other] {

@@ -176,7 +176,22 @@ func runOverflow(cx *context) []Diagnostic {
 				Fix: "reduce the rate ratios along long chains; coprime rates multiply into the repetition vector",
 			}}
 		}
-		return nil // inconsistent: the consistency pass already reported
+		// Inconsistent: the consistency pass reports the conflicts, this
+		// one the channels whose rates overflowed past them.
+		var inc *sdf.InconsistentError
+		if !errors.As(cx.qErr, &inc) {
+			return nil
+		}
+		var out []Diagnostic
+		for _, id := range inc.Overflows {
+			out = append(out, Diagnostic{
+				Pass: "overflow", Severity: Error,
+				Channel: chanLabel(cx.g, cx.g.Channel(id)),
+				Msg:     "the firing rate propagated across this channel overflows int64: the rate ratios compound beyond machine integers",
+				Fix:     "reduce the rate ratios along long chains; coprime rates multiply into the repetition vector",
+			})
+		}
+		return out
 	}
 	g := cx.g
 	q := cx.q

@@ -38,7 +38,12 @@ func (m *Matrix) EigenvalueCtx(ctx context.Context) (lambda rat.Rat, hasCycle bo
 // entry At(c_{i+1 mod k}, c_i) finite and the k entries summing to k·λ.
 // When hasCycle is false the cycle is nil.
 func (m *Matrix) CriticalCycle() (lambda rat.Rat, cycle []int, hasCycle bool, err error) {
-	res, err := m.howard(guard.WithBudget(context.Background(), guard.Unlimited()))
+	return m.CriticalCycleCtx(guard.WithBudget(context.Background(), guard.Unlimited()))
+}
+
+// CriticalCycleCtx is CriticalCycle under the budget of EigenvalueCtx.
+func (m *Matrix) CriticalCycleCtx(ctx context.Context) (lambda rat.Rat, cycle []int, hasCycle bool, err error) {
+	res, err := m.howard(ctx)
 	return res.CycleRatio, res.Critical, res.HasCycle, err
 }
 

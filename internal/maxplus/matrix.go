@@ -16,11 +16,13 @@ type Matrix struct {
 	rows []Vec
 }
 
-// NewMatrix returns an n×n matrix with all entries −∞.
+// NewMatrix returns an n×n matrix with all entries −∞. The rows share
+// one backing array.
 func NewMatrix(n int) *Matrix {
 	m := &Matrix{n: n, rows: make([]Vec, n)}
+	all := NewVec(n * n)
 	for i := range m.rows {
-		m.rows[i] = NewVec(n)
+		m.rows[i] = all[i*n : (i+1)*n : (i+1)*n]
 	}
 	return m
 }

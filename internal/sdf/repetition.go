@@ -18,9 +18,13 @@ var ErrInconsistent = errors.New("sdf: graph is not consistent")
 // the rate propagation meets and unwraps to ErrInconsistent.
 type InconsistentError struct {
 	// Conflicts lists, ascending, every channel whose balance equation
-	// disagrees with the rates propagated over a BFS spanning forest;
-	// past the first conflict, also one whose rate product overflows.
+	// disagrees with the rates propagated over a BFS spanning forest.
 	Conflicts []ChannelID
+	// Overflows lists, ascending, every channel met past the first
+	// conflict across which the propagated rate overflows int64. The
+	// actors behind such a channel get no rate, so no balance equation
+	// that needs one counts as a conflict.
+	Overflows []ChannelID
 	first     string
 }
 
@@ -35,7 +39,8 @@ func (e *InconsistentError) Unwrap() error { return ErrInconsistent }
 //
 // When the equations only admit the zero solution it propagates on past
 // the first conflict and returns an *InconsistentError naming every
-// conflicting channel. An overflow met first is returned instead.
+// conflicting channel, and apart from them every channel whose rate
+// overflows. An overflow met first is returned instead.
 func (g *Graph) RepetitionVector() ([]int64, error) {
 	n := len(g.actors)
 	if n == 0 {
@@ -57,6 +62,7 @@ func (g *Graph) RepetitionVector() ([]int64, error) {
 
 	rates := make([]rat.Rat, n)
 	assigned := make([]bool, n)
+	unknown := make([]bool, n) // reached only past an overflow: no rate
 	q := make([]int64, n)
 	var inc *InconsistentError
 
@@ -72,12 +78,24 @@ func (g *Graph) RepetitionVector() ([]int64, error) {
 			a := comp[head]
 			for _, h := range adj[a] {
 				// q(a)·mine = q(other)·theirs  =>  q(other) = q(a)·mine/theirs
-				want, err := rates[a].Mul(rat.MustNew(int64(h.mine), int64(h.theirs)))
+				var want rat.Rat
+				var err error
+				if !unknown[a] {
+					want, err = rates[a].Mul(rat.MustNew(int64(h.mine), int64(h.theirs)))
+				}
 				switch {
 				case err != nil && inc == nil:
 					return nil, fmt.Errorf("sdf: repetition vector: %w", err)
-				case err != nil:
-					inc.Conflicts = append(inc.Conflicts, h.chID)
+				case err != nil || unknown[a]:
+					if err != nil {
+						inc.Overflows = append(inc.Overflows, h.chID)
+					}
+					if !assigned[h.other] {
+						assigned[h.other], unknown[h.other] = true, true
+						comp = append(comp, h.other)
+					}
+				case unknown[h.other]:
+					// No rate to compare against.
 				case !assigned[h.other]:
 					rates[h.other] = want
 					assigned[h.other] = true
@@ -125,6 +143,8 @@ func (g *Graph) RepetitionVector() ([]int64, error) {
 	}
 	slices.Sort(inc.Conflicts) // met from both ends, a channel may appear twice
 	inc.Conflicts = slices.Compact(inc.Conflicts)
+	slices.Sort(inc.Overflows)
+	inc.Overflows = slices.Compact(inc.Overflows)
 	return nil, inc
 }
 

@@ -53,6 +53,27 @@ func injected(g *sdf.Graph, method string, faults ...guard.Fault) *Request {
 	return &Request{Graph: g, Method: method, Faults: faults}
 }
 
+// TestAnalyzeN2001Verified serves, with default options, a graph of
+// N = 2001 tokens and Σq = 3003 firings: inside the default budget, and
+// past the 2^22 replay cap where a matrix certificate used to bind only
+// the row maxima. The answer must be the exact period 11 with a
+// matrix-anchored certificate checked in full.
+func TestAnalyzeN2001Verified(t *testing.T) {
+	defer noLeaks(t)
+	s := New(Options{})
+	defer s.Close()
+	res, err := s.Analyze(context.Background(), &Request{Graph: testutil.N2001Graph(), Method: "hedged"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Verified || res.Unbounded || res.Period != "11" || res.PeriodNum != 11 || res.PeriodDen != 1 || res.Degradation != "" {
+		t.Fatalf("answer = %+v, want the verified exact period 11", res)
+	}
+	if !strings.HasPrefix(res.Certificate, "throughput certificate [matrix anchor]: period 11") {
+		t.Errorf("certificate = %q, want the matrix anchor", res.Certificate)
+	}
+}
+
 func TestAnalyzeHedged(t *testing.T) {
 	defer noLeaks(t)
 	s := New(Options{})

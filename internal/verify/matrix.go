@@ -34,7 +34,9 @@ const exhaustiveReplayLimit = 1 << 22
 //
 // The replays use overflow-checked scalar max-plus arithmetic; the
 // matrix is schedule-independent, so certifying it against the carried
-// schedule certifies it for every schedule.
+// schedule certifies it for every schedule. A MatrixCert is for claims
+// about the matrix itself (CertifyIterationMatrix, the SADF scenario
+// matrices); a throughput claim needs no matrix (see ThroughputCert).
 type MatrixCert struct {
 	// Matrix is the claimed iteration matrix in Apply convention
 	// (Matrix.At(k, j) is the paper's g_{j,k}).
@@ -66,7 +68,7 @@ func (c *MatrixCert) Check(ctx context.Context, g *sdf.Graph) error {
 	if _, err := replayCounts(ctx, g, c.Schedule); err != nil {
 		return err
 	}
-	r, err := newTokenReplay(g, c.Schedule)
+	r, err := newTokenReplay(g, c.Schedule, maxReplayLanes)
 	if err != nil {
 		return err
 	}
@@ -75,7 +77,7 @@ func (c *MatrixCert) Check(ctx context.Context, g *sdf.Graph) error {
 
 	// One concrete simulated iteration from the zero vector: final token
 	// times are the row maxima of the true matrix.
-	if err := r.walk(meter, 1, 0, 0); err != nil {
+	if err := r.walk(meter, 1, zeroStart); err != nil {
 		return err
 	}
 	m0 := int64(0)
@@ -115,7 +117,14 @@ func (c *MatrixCert) Check(ctx context.Context, g *sdf.Graph) error {
 	}
 	for first := 0; first < n; first += r.lanes {
 		lanes := min(r.lanes, n-first)
-		if err := r.walk(meter, lanes, first, b); err != nil {
+		// Lane l starts token first+l at b, every other token at 0.
+		shifted := func(k, l int) maxplus.T {
+			if k == first+l {
+				return maxplus.FromInt(b)
+			}
+			return 0
+		}
+		if err := r.walk(meter, lanes, shifted); err != nil {
 			return err
 		}
 		for l := 0; l < lanes; l++ {
@@ -168,10 +177,10 @@ type tokenReplay struct {
 	at, end []maxplus.T // per-firing scratch, one entry per lane
 }
 
-// newTokenReplay prepares the replays of sched on g. The schedule must
-// already be certified by replayCounts; token underflow and an
-// unrestored marking are still rejected defensively.
-func newTokenReplay(g *sdf.Graph, sched []sdf.ActorID) (*tokenReplay, error) {
+// newTokenReplay prepares the replays of sched on g, up to maxLanes per
+// walk. The schedule must already be certified by replayCounts; token
+// underflow and an unrestored marking are still rejected defensively.
+func newTokenReplay(g *sdf.Graph, sched []sdf.ActorID, maxLanes int) (*tokenReplay, error) {
 	nc, na := g.NumChannels(), g.NumActors()
 	r := &tokenReplay{
 		sched: sched,
@@ -218,18 +227,34 @@ func newTokenReplay(g *sdf.Graph, sched []sdf.ActorID) (*tokenReplay, error) {
 		r.base[i] = slots
 		slots += r.size[i]
 	}
-	r.lanes = max(1, min(maxReplayLanes, g.TotalInitialTokens(), laneSlotCap/max(slots, 1)))
+	r.lanes = max(1, min(maxLanes, g.TotalInitialTokens(), laneSlotCap/max(slots, 1)))
 	r.buf = make([]maxplus.T, slots*r.lanes)
 	r.at, r.end = make([]maxplus.T, r.lanes), make([]maxplus.T, r.lanes)
 	r.tokSlot = make([]int, g.TotalInitialTokens())
 	return r, nil
 }
 
-// walk replays one iteration in lanes lockstep lanes (lanes ≤ r.lanes).
-// Every initial token starts at time 0, except that lane l starts token
-// first+l at shift. One meter tick per lane per firing keeps the
+// zeroStart starts every token of every lane at time 0.
+func zeroStart(int, int) maxplus.T { return 0 }
+
+// scale multiplies every execution time by den, so that later walks run
+// in units of 1/den.
+func (r *tokenReplay) scale(den int64) error {
+	for a, e := range r.exec {
+		v, ok := rat.MulChecked(e, den)
+		if !ok {
+			return invalidf("execution time %d scaled by %d overflows int64", e, den)
+		}
+		r.exec[a] = v
+	}
+	return nil
+}
+
+// walk replays one iteration in lanes lockstep lanes (lanes ≤ r.lanes):
+// lane l starts initial token k (global channel-order numbering) at
+// start(k, l). One meter tick per lane per firing keeps the
 // cancellation cadence of separate replays.
-func (r *tokenReplay) walk(meter *guard.Meter, lanes, first int, shift int64) error {
+func (r *tokenReplay) walk(meter *guard.Meter, lanes int, start func(k, l int) maxplus.T) error {
 	buf := r.buf[:len(r.buf)/r.lanes*lanes]
 	tok := 0
 	for c, init := range r.initial {
@@ -237,10 +262,7 @@ func (r *tokenReplay) walk(meter *guard.Meter, lanes, first int, shift int64) er
 		for t := 0; t < init; t++ {
 			lane := buf[(r.base[c]+t)*lanes:][:lanes]
 			for l := range lane {
-				lane[l] = 0
-			}
-			if l := tok - first; l >= 0 && l < lanes {
-				lane[l] = maxplus.FromInt(shift)
+				lane[l] = start(tok, l)
 			}
 			tok++
 		}

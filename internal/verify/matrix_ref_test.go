@@ -13,6 +13,7 @@ import (
 	"repro/internal/maxplus"
 	"repro/internal/rat"
 	"repro/internal/sdf"
+	"repro/internal/testutil"
 )
 
 // refMatrixCheck is the column-at-a-time MatrixCert checker that the
@@ -152,6 +153,169 @@ func replayTokens(ctx context.Context, g *sdf.Graph, sched []sdf.ActorID, start 
 		final = append(final, queues[i]...)
 	}
 	return final, nil
+}
+
+// refThroughputCert is the matrix-anchored throughput certificate as it
+// stood before it became schedule-anchored: it carried the N×N matrix,
+// bound to the graph by MatrixCert's replays (exhaustive only while
+// N·Σq ≤ 2^22), with potentials and a critical cycle of reference edges
+// over it. It is kept, with newRefThroughputCert and
+// refThroughputCheck, as the reference of
+// TestThroughputCertMatchesReference.
+type refThroughputCert struct {
+	Unbounded  bool
+	Period     rat.Rat
+	Q          []int64
+	Matrix     *MatrixCert
+	Potentials []int64
+	Cycle      []int
+	Order      []int
+}
+
+func newRefThroughputCert(ctx context.Context, mc *MatrixCert, q []int64, unbounded bool, period rat.Rat) (*refThroughputCert, error) {
+	cert := &refThroughputCert{Unbounded: unbounded, Period: period, Q: q, Matrix: mc}
+	nodes, edges := matrixRef(mc.Matrix)
+	var err error
+	if unbounded {
+		cert.Order, err = extractTopoOrder(nodes, edges)
+	} else {
+		cert.Potentials, cert.Cycle, err = extractWitness(ctx, nodes, edges, period)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return cert, nil
+}
+
+func refThroughputCheck(ctx context.Context, c *refThroughputCert, g *sdf.Graph) error {
+	if err := checkRepetition(g, c.Q); err != nil {
+		return err
+	}
+	if err := c.Matrix.Check(ctx, g); err != nil {
+		return err
+	}
+	nodes, edges := matrixRef(c.Matrix.Matrix)
+	if c.Unbounded {
+		return checkTopoOrder(nodes, edges, c.Order)
+	}
+	if err := checkPotentials(nodes, edges, c.Potentials, c.Period); err != nil {
+		return err
+	}
+	return checkCycle(edges, c.Cycle, c.Period)
+}
+
+// engineCerts runs Algorithm 1 and Howard on g and certifies the answer
+// both ways: with the schedule anchor and with the reference's matrix.
+func engineCerts(t *testing.T, g *sdf.Graph) (*core.SymbolicResult, *ThroughputCert, *refThroughputCert) {
+	t.Helper()
+	ctx := context.Background()
+	r, err := core.SymbolicIteration(g)
+	if err != nil {
+		t.Fatalf("%s: symbolic iteration: %v", g.Name(), err)
+	}
+	lam, cyc, hasCycle, err := r.Matrix.CriticalCycle()
+	if err != nil {
+		t.Fatalf("%s: critical cycle: %v", g.Name(), err)
+	}
+	q, err := g.RepetitionVector()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := NewMatrixThroughputCert(ctx, r.Matrix, r.Schedule, q, !hasCycle, lam, cyc)
+	if err != nil {
+		t.Fatalf("%s: certificate: %v", g.Name(), err)
+	}
+	ref, err := newRefThroughputCert(ctx, &MatrixCert{Matrix: r.Matrix, Schedule: r.Schedule}, q, !hasCycle, lam)
+	if err != nil {
+		t.Fatalf("%s: reference certificate: %v", g.Name(), err)
+	}
+	return r, cert, ref
+}
+
+// acyclicGraphs are seeded random DAGs with initial tokens on their
+// channels: their token dependencies have no cycle, so their
+// certificates claim unbounded throughput.
+func acyclicGraphs(t *testing.T, rng *rand.Rand, count int) []*sdf.Graph {
+	t.Helper()
+	var out []*sdf.Graph
+	for len(out) < count {
+		base, err := gen.RandomGraph(rng, gen.RandomOptions{
+			Actors: 2 + rng.Intn(6), MaxRep: 1 + rng.Int63n(4), MaxExec: 9, Chords: rng.Intn(4),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := sdf.NewGraph(fmt.Sprintf("acyclic-%d", len(out)))
+		for _, a := range base.Actors() {
+			g.MustAddActor(a.Name, a.Exec)
+		}
+		for _, c := range base.Channels() {
+			if c.Src < c.Dst { // drop the feedback channel
+				g.MustAddChannel(c.Src, c.Dst, c.Prod, c.Cons, rng.Intn(2*c.Cons+1))
+			}
+		}
+		if g.TotalInitialTokens() > 1 {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// TestThroughputCertMatchesReference pins the schedule-anchored check to
+// the matrix-anchored reference: every engine certificate the reference
+// accepts, the new check accepts; and a tampered potential vector is
+// rejected exactly when the reference's feasibility check rejects it.
+func TestThroughputCertMatchesReference(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(26))
+	graphs := append(differentialGraphs(t), acyclicGraphs(t, rng, 12)...)
+	graphs = append(graphs, testutil.N2001Graph())
+	accepted, rejected, unbounded := 0, 0, 0
+	for _, g := range graphs {
+		r, cert, ref := engineCerts(t, g)
+		if err := refThroughputCheck(ctx, ref, g); err != nil {
+			t.Fatalf("%s: reference rejects the engine certificate: %v", g.Name(), err)
+		}
+		if err := cert.Check(ctx, g); err != nil {
+			t.Fatalf("%s: engine certificate rejected, the reference accepts it: %v", g.Name(), err)
+		}
+		if cert.Unbounded {
+			unbounded++
+			continue
+		}
+		nodes, edges := matrixRef(r.Matrix)
+		for trial := 0; trial < 6; trial++ {
+			p := append([]int64(nil), cert.Potentials...)
+			delta := []int64{-1, 1, -1 << 20, 1 << 20}[rng.Intn(4)]
+			switch trial % 3 {
+			case 0: // one token
+				p[rng.Intn(len(p))] += delta
+			case 1: // one critical token
+				p[cert.Critical[rng.Intn(len(cert.Critical))]] += delta
+			default: // a seeded subset
+				for i := range p {
+					if rng.Intn(3) == 0 {
+						p[i] += delta
+					}
+				}
+			}
+			tampered := *cert
+			tampered.Potentials = p
+			got, want := tampered.Check(ctx, g), checkPotentials(nodes, edges, p, cert.Period)
+			if (got == nil) != (want == nil) {
+				t.Fatalf("%s: potential tamper %d: check = %v, reference feasibility = %v", g.Name(), trial, got, want)
+			}
+			if got == nil {
+				accepted++
+			} else {
+				rejected++
+			}
+		}
+	}
+	t.Logf("potential tampers: %d accepted, %d rejected by both; %d unbounded certificates", accepted, rejected, unbounded)
+	if accepted == 0 || rejected == 0 || unbounded == 0 {
+		t.Errorf("potential tampers: %d accepted, %d rejected, %d unbounded; want every kind", accepted, rejected, unbounded)
+	}
 }
 
 // deepFIFOGraph has a 20000-token peak on two channels and 28 initial
@@ -305,7 +469,7 @@ func TestTokenReplayLaneCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := newTokenReplay(g, r.Schedule)
+	tr, err := newTokenReplay(g, r.Schedule, maxReplayLanes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package verify
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/guard"
 	"repro/internal/maxplus"
@@ -19,15 +20,15 @@ type refEdge struct {
 	w, d     int64
 }
 
-// ThroughputCert certifies an iteration period Λ (or unboundedness) of
-// a timed SDF graph. The claim is anchored in exactly one of two
-// reference precedence graphs:
+// ThroughputCert certifies an iteration period Λ = num/den (or
+// unboundedness) of a timed SDF graph. The claim is anchored in exactly
+// one of two places:
 //
-//   - Matrix anchor: the precedence graph of a certified iteration
-//     matrix (one node per initial token, one unit-delay edge per
-//     finite entry). The matrix itself is bound to the graph by
-//     MatrixCert's concrete replays, so the anchor inherits no trust
-//     from the producing engine.
+//   - Matrix anchor: the iteration matrix M of Algorithm 1, which the
+//     certificate does not carry. It carries the Schedule of one
+//     iteration instead: replaying that schedule from initial token
+//     times x ends the tokens at M ⊗ x, so single-lane replays from
+//     the witnesses check the claim against g itself, at every size.
 //   - HSDF anchor: the classical converted graph (one node per firing,
 //     edge delay = initial tokens). The checker pins the node count to
 //     Σq and every edge weight to the execution time of the original
@@ -36,19 +37,16 @@ type refEdge struct {
 //     a narrower binding than the matrix anchor's, and the documented
 //     reason two *verified* engines can still disagree.
 //
-// On top of the anchor, the certificate pairs two witnesses:
-//
-//   - Potentials (upper bound): integers p with
-//     p[from] + w·den − num·d ≤ p[to] for every reference edge, where
-//     Λ = num/den. Summing around any cycle gives Σw/Σd ≤ Λ — feasible
-//     potentials are exactly a max-plus sub-eigenvector for Λ.
-//   - Cycle (lower bound): a closed walk of reference edges with
-//     Σd ≥ 1 and Σw/Σd = Λ exactly, exhibiting a critical cycle that
-//     attains the claim.
-//
-// Together the witnesses prove Λ is exactly the maximum cycle ratio of
-// the reference graph. An unbounded claim instead carries Order, a
-// topological order proving the reference graph has no cycle at all.
+// A bounded claim pairs two witnesses. The upper bound is Potentials:
+// integers p, scaled by den, with no dependency gaining on them faster
+// than the period — for the matrix anchor den·M_ij + p_j ≤ p_i + num
+// for every finite entry, for the HSDF anchor
+// p[from] + w·den − num·d ≤ p[to] for every edge. Summing around any
+// cycle bounds its ratio by Λ. The lower bound exhibits a cycle that
+// attains Λ: for the matrix anchor the token set Critical of one, for
+// the HSDF anchor the closed walk Cycle of reference edges. An
+// unbounded claim instead carries Order, a topological order proving
+// the dependencies have no cycle at all.
 type ThroughputCert struct {
 	// Unbounded claims no dependency cycle constrains the steady state.
 	Unbounded bool
@@ -58,20 +56,24 @@ type ThroughputCert struct {
 	// against the balance equations.
 	Q []int64
 
-	// Matrix anchors the claim in a certified iteration matrix.
-	Matrix *MatrixCert
+	// Schedule anchors the claim in the iteration matrix it replays.
+	Schedule []sdf.ActorID
 	// HSDF anchors the claim in a classical converted graph.
 	HSDF *sdf.Graph
 
-	// Potentials is the feasibility witness (one entry per reference
-	// node); nil when Unbounded.
-	Potentials []int64
-	// Cycle is the critical-cycle witness: indices into the canonical
-	// reference edge enumeration forming a closed walk; nil when
+	// Potentials is the upper-bound witness: one entry per initial token
+	// (matrix anchor) or reference node (HSDF anchor); nil when
 	// Unbounded.
+	Potentials []int64
+	// Critical is the matrix anchor's lower-bound witness: the initial
+	// tokens of a critical cycle; nil when Unbounded.
+	Critical []int
+	// Cycle is the HSDF anchor's lower-bound witness: indices into the
+	// canonical reference edge enumeration forming a closed walk; nil
+	// when Unbounded.
 	Cycle []int
-	// Order is the topological-order witness (a permutation of the
-	// reference nodes); nil unless Unbounded.
+	// Order is the unboundedness witness, a permutation of the initial
+	// tokens or reference nodes; nil unless Unbounded.
 	Order []int
 }
 
@@ -80,58 +82,192 @@ func (c *ThroughputCert) Kind() Kind { return KindThroughput }
 
 // Engine-facing description, used by the CLI's -verify output.
 func (c *ThroughputCert) String() string {
-	anchor := "matrix"
-	if c.HSDF != nil {
-		anchor = "hsdf"
-	}
-	if c.Unbounded {
-		return fmt.Sprintf("throughput certificate [%s anchor]: unbounded (topological order over %d nodes)",
-			anchor, len(c.Order))
-	}
-	return fmt.Sprintf("throughput certificate [%s anchor]: period %v (critical cycle of %d edges, %d potentials)",
-		anchor, c.Period, len(c.Cycle), len(c.Potentials))
-}
-
-// refGraph derives the canonical reference precedence graph of the
-// anchor for g. Both Check and the witness extractor use this exact
-// enumeration, so Cycle indices align by construction.
-func (c *ThroughputCert) refGraph(ctx context.Context, g *sdf.Graph) (nodes int, edges []refEdge, err error) {
 	switch {
-	case c.Matrix != nil && c.HSDF == nil:
-		if err := c.Matrix.Check(ctx, g); err != nil {
-			return 0, nil, err
-		}
-		nodes, edges = matrixRef(c.Matrix.Matrix)
-		return nodes, edges, nil
-	case c.HSDF != nil && c.Matrix == nil:
-		return hsdfRef(g, c.HSDF, c.Q)
+	case c.HSDF != nil && c.Unbounded:
+		return fmt.Sprintf("throughput certificate [hsdf anchor]: unbounded (topological order over %d nodes)", len(c.Order))
+	case c.HSDF != nil:
+		return fmt.Sprintf("throughput certificate [hsdf anchor]: period %v (critical cycle of %d edges, %d potentials)",
+			c.Period, len(c.Cycle), len(c.Potentials))
+	case c.Unbounded:
+		return fmt.Sprintf("throughput certificate [matrix anchor]: unbounded (topological order over %d tokens)", len(c.Order))
 	default:
-		return 0, nil, invalidf("throughput certificate must carry exactly one anchor")
+		return fmt.Sprintf("throughput certificate [matrix anchor]: period %v (critical cycle over %d tokens, %d potentials)",
+			c.Period, len(c.Critical), len(c.Potentials))
 	}
 }
 
-// Check validates the anchor and both witnesses against g.
+// Check validates the anchor and the witnesses against g.
 func (c *ThroughputCert) Check(ctx context.Context, g *sdf.Graph) error {
-	if err := checkRepetition(g, c.Q); err != nil {
-		return err
+	switch {
+	case c.HSDF == nil:
+		return c.checkReplays(ctx, g)
+	case c.Schedule == nil:
+		if err := checkRepetition(g, c.Q); err != nil {
+			return err
+		}
+		nodes, edges, err := hsdfRef(g, c.HSDF, c.Q)
+		if err != nil {
+			return err
+		}
+		if c.Unbounded {
+			return checkTopoOrder(nodes, edges, c.Order)
+		}
+		if err := checkPotentials(nodes, edges, c.Potentials, c.Period); err != nil {
+			return err
+		}
+		return checkCycle(edges, c.Cycle, c.Period)
+	default:
+		return invalidf("throughput certificate must carry exactly one anchor")
 	}
-	nodes, edges, err := c.refGraph(ctx, g)
+}
+
+// checkReplays checks a matrix-anchored claim with single-lane replays
+// of the certified schedule, never forming M: an iteration replayed
+// from token times x ends token i at (M ⊗ x)_i = max_j (M_ij + x_j).
+func (c *ThroughputCert) checkReplays(ctx context.Context, g *sdf.Graph) error {
+	// replayCounts certifies the firing counts as the minimal repetition
+	// vector, which is unique: Q is certified by equality with them.
+	counts, err := replayCounts(ctx, g, c.Schedule)
 	if err != nil {
 		return err
 	}
-	if c.Unbounded {
-		return checkTopoOrder(nodes, edges, c.Order)
+	if !slices.Equal(counts, c.Q) {
+		return invalidf("repetition vector %v differs from the schedule's firing counts", c.Q)
 	}
-	if err := checkPotentials(nodes, edges, c.Potentials, c.Period); err != nil {
+	r, err := newTokenReplay(g, c.Schedule, 1)
+	if err != nil {
 		return err
 	}
-	return checkCycle(edges, c.Cycle, c.Period)
+	meter := guard.NewMeter(ctx, "verify")
+	meter.Phase("token-replay")
+	if c.Unbounded {
+		return c.checkOrderReplay(meter, r, g.TotalInitialTokens())
+	}
+	return c.checkPeriodReplays(meter, r, g.TotalInitialTokens())
+}
+
+// checkPeriodReplays proves Λ = num/den exactly, with execution times
+// scaled by den.
+//
+//   - Upper bound: the replay from p ends every token i at or below
+//     p_i + num, i.e. den·M_ij + p_j ≤ p_i + num for every finite entry,
+//     so no cycle of M has a mean above Λ.
+//   - Lower bound: the replay from p on Critical (−∞ elsewhere) ends
+//     every critical token i at or above p_i + num, so i has a critical
+//     predecessor j with den·M_ij + p_j ≥ p_i + num. Following
+//     predecessors inside the finite set closes a cycle, and summing
+//     its inequalities puts its mean at or above Λ.
+func (c *ThroughputCert) checkPeriodReplays(meter *guard.Meter, r *tokenReplay, n int) error {
+	num, den := c.Period.Num(), c.Period.Den()
+	p := c.Potentials
+	if den < 1 {
+		return invalidf("claimed period %v has no positive denominator", c.Period)
+	}
+	if len(p) != n {
+		return invalidf("potential witness covers %d of %d tokens", len(p), n)
+	}
+	target := make([]int64, n) // p_i + num
+	for i, v := range p {
+		t, ok := rat.AddChecked(v, num)
+		if !ok || maxplus.FromInt(v).IsNegInf() {
+			return invalidf("potential %d of token %d is not a finite time", v, i)
+		}
+		target[i] = t
+	}
+	inS := make([]bool, n)
+	for _, k := range c.Critical {
+		if k < 0 || k >= n || inS[k] {
+			return invalidf("critical token set names token %d twice or out of range", k)
+		}
+		inS[k] = true
+	}
+	if len(c.Critical) == 0 {
+		return invalidf("critical token set is empty")
+	}
+	if err := r.scale(den); err != nil {
+		return err
+	}
+	if err := r.walk(meter, 1, func(k, _ int) maxplus.T { return maxplus.FromInt(p[k]) }); err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		if f := r.final(i, 0); !f.IsNegInf() && f.Int() > target[i] {
+			return invalidf("token %d ends the replay from its potential at %d, above p+num = %d: some cycle exceeds the claimed period %v",
+				i, f.Int(), target[i], c.Period)
+		}
+	}
+	onS := func(k, _ int) maxplus.T {
+		if inS[k] {
+			return maxplus.FromInt(p[k])
+		}
+		return maxplus.NegInf
+	}
+	if err := r.walk(meter, 1, onS); err != nil {
+		return err
+	}
+	for _, i := range c.Critical {
+		if f := r.final(i, 0); f.IsNegInf() || f.Int() < target[i] {
+			return invalidf("critical token %d ends the replay from the critical set at %v, below p+num = %d: no cycle attains the claimed period %v",
+				i, f, target[i], c.Period)
+		}
+	}
+	return nil
+}
+
+// checkOrderReplay proves that M has no cycle. With M0 the makespan of
+// the replay from 0, every finite entry lies in [0, M0]; starting token
+// j at B·σ(j), B = M0 + 1 and σ(j) its position in Order, token i ends
+// below B·σ(i) exactly when every token it depends on comes earlier in
+// the order. So Order is a topological order of M's precedence graph,
+// which is acyclic.
+func (c *ThroughputCert) checkOrderReplay(meter *guard.Meter, r *tokenReplay, n int) error {
+	if len(c.Order) != n {
+		return invalidf("topological order covers %d of %d tokens", len(c.Order), n)
+	}
+	pos := make([]int64, n)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, k := range c.Order {
+		if k < 0 || k >= n || pos[k] >= 0 {
+			return invalidf("topological order is not a permutation of the tokens")
+		}
+		pos[k] = int64(i)
+	}
+	if err := r.walk(meter, 1, zeroStart); err != nil {
+		return err
+	}
+	m0 := int64(0)
+	for k := 0; k < n; k++ {
+		if f := r.final(k, 0); !f.IsNegInf() {
+			m0 = max(m0, f.Int())
+		}
+	}
+	b, ok := rat.AddChecked(m0, 1)
+	for k := range pos {
+		if ok {
+			pos[k], ok = rat.MulChecked(b, pos[k])
+		}
+	}
+	if !ok {
+		return invalidf("order shift (%d+1)·%d overflows int64", m0, n)
+	}
+	if err := r.walk(meter, 1, func(k, _ int) maxplus.T { return maxplus.FromInt(pos[k]) }); err != nil {
+		return err
+	}
+	for i := 0; i < n; i++ {
+		if f := r.final(i, 0); !f.IsNegInf() && f.Int() >= pos[i] {
+			return invalidf("token %d depends on a token at or after it in the order: the token dependencies have a cycle", i)
+		}
+	}
+	return nil
 }
 
 // matrixRef enumerates the precedence graph of an iteration matrix:
 // node per token, and for each finite entry At(i, j) an edge j→i of
 // weight At(i, j) and delay 1 (each matrix application is one
-// iteration).
+// iteration). The producer extracts the matrix anchor's witnesses from
+// it; the checker never builds it.
 func matrixRef(m *maxplus.Matrix) (int, []refEdge) {
 	n := m.Size()
 	var edges []refEdge
@@ -285,14 +421,12 @@ func checkTopoOrder(nodes int, edges []refEdge, order []int) error {
 	return nil
 }
 
-// extractWitness derives the (Potentials, Cycle) pair for a bounded
-// claim by Bellman–Ford longest paths over the scaled weights followed
-// by a cycle search in the tight subgraph. Extraction succeeds exactly
-// when the claimed period equals the maximum cycle ratio of the
-// reference graph: if some cycle exceeds it the relaxation never
-// stabilises, and if every cycle is strictly below it no tight cycle
-// with delay exists.
-func extractWitness(ctx context.Context, nodes int, edges []refEdge, period rat.Rat) ([]int64, []int, error) {
+// extractPotentials derives the upper-bound witness by Bellman–Ford
+// longest paths over the scaled weights from an implicit all-zero
+// source. It succeeds exactly when no cycle of the reference graph has
+// a ratio above the claimed period: with every scaled cycle weight ≤ 0
+// the relaxation stabilises within `nodes` rounds.
+func extractPotentials(ctx context.Context, nodes int, edges []refEdge, period rat.Rat) ([]int64, []int64, error) {
 	meter := guard.NewMeter(ctx, "verify")
 	meter.Phase("witness-extraction")
 	num, den := period.Num(), period.Den()
@@ -304,9 +438,6 @@ func extractWitness(ctx context.Context, nodes int, edges []refEdge, period rat.
 		}
 		scaled[i] = s
 	}
-	// Longest-path potentials from an implicit all-zero source. With the
-	// true maximum cycle ratio ≤ period, every scaled cycle weight is
-	// ≤ 0 and the relaxation stabilises within `nodes` rounds.
 	p := make([]int64, nodes)
 	for round := 0; ; round++ {
 		if err := meter.States(int64(len(edges)) + 1); err != nil {
@@ -324,15 +455,36 @@ func extractWitness(ctx context.Context, nodes int, edges []refEdge, period rat.
 			}
 		}
 		if !changed {
-			break
+			return p, scaled, nil
 		}
 		if round >= nodes {
 			return nil, nil, invalidf("claimed period %v is below some cycle ratio of the reference graph", period)
 		}
 	}
-	// Tight subgraph: edges whose inequality is met with equality. Every
-	// closed walk of tight edges has scaled weight exactly zero, so any
-	// such walk through a delay-carrying edge is a critical cycle.
+}
+
+// extractWitness derives the (Potentials, Cycle) pair of an HSDF or
+// SADF certificate: the potentials, then a critical cycle among their
+// tight edges. It fails exactly when the claimed period is not the
+// maximum cycle ratio of the reference graph.
+func extractWitness(ctx context.Context, nodes int, edges []refEdge, period rat.Rat) ([]int64, []int, error) {
+	p, scaled, err := extractPotentials(ctx, nodes, edges, period)
+	if err != nil {
+		return nil, nil, err
+	}
+	cycle, err := tightCycle(nodes, edges, p, scaled, period)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, cycle, nil
+}
+
+// tightCycle finds a critical cycle among the edges that are tight
+// under the potentials p (scaled[i] is edge i's scaled weight): every
+// closed walk of tight edges has scaled weight exactly zero, so any such
+// walk through a delay-carrying edge attains the claimed period. It
+// fails exactly when every cycle is strictly below the period.
+func tightCycle(nodes int, edges []refEdge, p, scaled []int64, period rat.Rat) ([]int, error) {
 	tight := make([][]int, nodes) // node -> outgoing tight edge indices
 	for i, e := range edges {
 		if p[e.from]+scaled[i] == p[e.to] {
@@ -344,13 +496,13 @@ func extractWitness(ctx context.Context, nodes int, edges []refEdge, period rat.
 			continue
 		}
 		if e.from == e.to {
-			return p, []int{i}, nil
+			return []int{i}, nil
 		}
 		if back, ok := tightPath(edges, tight, e.to, e.from); ok {
-			return p, append([]int{i}, back...), nil
+			return append([]int{i}, back...), nil
 		}
 	}
-	return nil, nil, invalidf("claimed period %v is above every cycle ratio of the reference graph", period)
+	return nil, invalidf("claimed period %v is above every cycle ratio of the reference graph", period)
 }
 
 // tightPath finds a path of tight edges from src to dst (BFS), returned
@@ -416,15 +568,55 @@ func extractTopoOrder(nodes int, edges []refEdge) ([]int, error) {
 }
 
 // NewMatrixThroughputCert assembles and proves a matrix-anchored
-// throughput certificate: mc must already describe g's iteration
-// matrix, q its repetition vector, and the claim (unbounded, period)
-// the engine's answer. Witness extraction fails — and with it
-// certification — exactly when the claim is not the true maximum cycle
-// ratio of the matrix's precedence graph.
-func NewMatrixThroughputCert(ctx context.Context, g *sdf.Graph, mc *MatrixCert, q []int64, unbounded bool, period rat.Rat) (*ThroughputCert, error) {
-	cert := &ThroughputCert{Unbounded: unbounded, Period: period, Q: q, Matrix: mc}
-	nodes, edges := matrixRef(mc.Matrix)
-	return finishThroughputCert(ctx, cert, nodes, edges)
+// throughput certificate: m must be g's iteration matrix computed along
+// sched, q its repetition vector, (unbounded, period) the engine's
+// claim, and critical the tokens of the cycle Howard's iteration ended
+// on (maxplus CriticalCycle, in cycle order), or nil to search the
+// potentials' tight edges for one. The potentials come from
+// Bellman–Ford over m, and every edge of a critical cycle is tight
+// under them. Construction fails — and with it certification — exactly
+// when the claim is not the maximum cycle mean of m, or critical is not
+// a cycle attaining it.
+func NewMatrixThroughputCert(ctx context.Context, m *maxplus.Matrix, sched []sdf.ActorID, q []int64, unbounded bool, period rat.Rat, critical []int) (*ThroughputCert, error) {
+	cert := &ThroughputCert{Unbounded: unbounded, Period: period, Q: q, Schedule: sched}
+	nodes, edges := matrixRef(m)
+	if unbounded {
+		order, err := extractTopoOrder(nodes, edges)
+		if err != nil {
+			return nil, err
+		}
+		cert.Order = order
+		return cert, nil
+	}
+	p, scaled, err := extractPotentials(ctx, nodes, edges, period)
+	if err != nil {
+		return nil, err
+	}
+	if critical == nil {
+		cycle, err := tightCycle(nodes, edges, p, scaled, period)
+		if err != nil {
+			return nil, err
+		}
+		for _, i := range cycle {
+			critical = append(critical, edges[i].from)
+		}
+	}
+	for i, from := range critical {
+		to := critical[(i+1)%len(critical)]
+		w := m.At(to, from)
+		if w.IsNegInf() {
+			return nil, invalidf("critical cycle steps from token %d to %d along no matrix entry", from, to)
+		}
+		s, err := scaledWeight(refEdge{from: from, to: to, w: w.Int(), d: 1}, period.Num(), period.Den())
+		if err != nil {
+			return nil, err
+		}
+		if p[from]+s != p[to] {
+			return nil, invalidf("claimed period %v is above the critical cycle's mean", period)
+		}
+	}
+	cert.Potentials, cert.Critical = p, critical
+	return cert, nil
 }
 
 // NewHSDFThroughputCert assembles and proves an HSDF-anchored
@@ -435,10 +627,6 @@ func NewHSDFThroughputCert(ctx context.Context, g *sdf.Graph, h *sdf.Graph, q []
 	if err != nil {
 		return nil, err
 	}
-	return finishThroughputCert(ctx, cert, nodes, edges)
-}
-
-func finishThroughputCert(ctx context.Context, cert *ThroughputCert, nodes int, edges []refEdge) (*ThroughputCert, error) {
 	if cert.Unbounded {
 		order, err := extractTopoOrder(nodes, edges)
 		if err != nil {

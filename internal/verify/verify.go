@@ -22,9 +22,10 @@
 //     MatrixCert);
 //   - a throughput certificate pairs a critical-cycle witness (lower
 //     bound: the cycle attains the claimed period) with a
-//     node-potential feasibility witness (upper bound: feasible
-//     potentials are a max-plus sub-eigenvector, proving no cycle
-//     exceeds the claimed period);
+//     potential feasibility witness (upper bound: feasible potentials
+//     are a max-plus sub-eigenvector, proving no cycle exceeds the
+//     claimed period); with the matrix anchor both are checked by
+//     replaying one iteration from the witnesses, without the matrix;
 //   - a trace certificate replays a timed simulation event by event;
 //   - an abstraction certificate discharges the Theorem 1 obligation
 //     mechanically through the Proposition 1 machinery of

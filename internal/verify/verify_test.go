@@ -192,14 +192,14 @@ func TestMatrixCertRejectsCorruption(t *testing.T) {
 func TestMatrixThroughputCertRoundTrip(t *testing.T) {
 	for _, g := range []*sdf.Graph{gen.Figure2(), gen.Figure3(4)} {
 		mc := matrixCertFor(t, g)
-		lam, hasCycle, err := mc.Matrix.Eigenvalue()
+		lam, cyc, hasCycle, err := mc.Matrix.CriticalCycle()
 		if err != nil {
 			t.Fatalf("%s: eigenvalue: %v", g.Name(), err)
 		}
 		if !hasCycle {
 			t.Fatalf("%s: unexpected unbounded throughput", g.Name())
 		}
-		cert, err := NewMatrixThroughputCert(ctxT(t), g, mc, repetitionOf(t, g), false, lam)
+		cert, err := NewMatrixThroughputCert(ctxT(t), mc.Matrix, mc.Schedule, repetitionOf(t, g), false, lam, cyc)
 		if err != nil {
 			t.Fatalf("%s: certificate construction: %v", g.Name(), err)
 		}
@@ -212,17 +212,17 @@ func TestMatrixThroughputCertRoundTrip(t *testing.T) {
 func TestMatrixThroughputCertConstructionRejectsWrongPeriod(t *testing.T) {
 	g := gen.Figure2()
 	mc := matrixCertFor(t, g)
-	lam, _, err := mc.Matrix.Eigenvalue()
+	lam, cyc, _, err := mc.Matrix.CriticalCycle()
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := repetitionOf(t, g)
 	tooBig, _ := lam.Add(rat.One())
-	if _, err := NewMatrixThroughputCert(ctxT(t), g, mc, q, false, tooBig); !errors.Is(err, ErrInvalid) {
+	if _, err := NewMatrixThroughputCert(ctxT(t), mc.Matrix, mc.Schedule, q, false, tooBig, cyc); !errors.Is(err, ErrInvalid) {
 		t.Errorf("period above the true value extracted a witness: %v", err)
 	}
 	tooSmall, _ := lam.Sub(rat.One())
-	if _, err := NewMatrixThroughputCert(ctxT(t), g, mc, q, false, tooSmall); !errors.Is(err, ErrInvalid) {
+	if _, err := NewMatrixThroughputCert(ctxT(t), mc.Matrix, mc.Schedule, q, false, tooSmall, cyc); !errors.Is(err, ErrInvalid) {
 		t.Errorf("period below the true value extracted a witness: %v", err)
 	}
 }
@@ -230,12 +230,12 @@ func TestMatrixThroughputCertConstructionRejectsWrongPeriod(t *testing.T) {
 func TestThroughputCertRejectsTamperedWitnesses(t *testing.T) {
 	g := gen.Figure2()
 	mc := matrixCertFor(t, g)
-	lam, _, err := mc.Matrix.Eigenvalue()
+	lam, cyc, _, err := mc.Matrix.CriticalCycle()
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := repetitionOf(t, g)
-	cert, err := NewMatrixThroughputCert(ctxT(t), g, mc, q, false, lam)
+	cert, err := NewMatrixThroughputCert(ctxT(t), mc.Matrix, mc.Schedule, q, false, lam, cyc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,14 +250,14 @@ func TestThroughputCertRejectsTamperedWitnesses(t *testing.T) {
 	// A corrupted potential breaks feasibility.
 	tampered = *cert
 	tampered.Potentials = append([]int64(nil), cert.Potentials...)
-	tampered.Potentials[cert.Cycle[0]%len(tampered.Potentials)] -= 1 << 20
+	tampered.Potentials[cert.Critical[0]] -= 1 << 20
 	if err := tampered.Check(ctxT(t), g); !errors.Is(err, ErrInvalid) {
 		t.Errorf("corrupted potentials accepted: %v", err)
 	}
 
-	// An empty cycle is no lower bound.
+	// An empty critical set is no lower bound.
 	tampered = *cert
-	tampered.Cycle = nil
+	tampered.Critical = nil
 	if err := tampered.Check(ctxT(t), g); !errors.Is(err, ErrInvalid) {
 		t.Errorf("missing cycle accepted: %v", err)
 	}
@@ -279,7 +279,7 @@ func TestThroughputCertUnbounded(t *testing.T) {
 	b := g.MustAddActor("B", 2)
 	g.MustAddChannel(a, b, 1, 1, 1)
 	mc := matrixCertFor(t, g)
-	cert, err := NewMatrixThroughputCert(ctxT(t), g, mc, repetitionOf(t, g), true, rat.Rat{})
+	cert, err := NewMatrixThroughputCert(ctxT(t), mc.Matrix, mc.Schedule, repetitionOf(t, g), true, rat.Rat{}, nil)
 	if err != nil {
 		t.Fatalf("unbounded certificate construction: %v", err)
 	}
@@ -289,7 +289,7 @@ func TestThroughputCertUnbounded(t *testing.T) {
 	// Claiming unbounded on a cyclic graph must fail at construction.
 	g2 := gen.Figure2()
 	mc2 := matrixCertFor(t, g2)
-	if _, err := NewMatrixThroughputCert(ctxT(t), g2, mc2, repetitionOf(t, g2), true, rat.Rat{}); !errors.Is(err, ErrInvalid) {
+	if _, err := NewMatrixThroughputCert(ctxT(t), mc2.Matrix, mc2.Schedule, repetitionOf(t, g2), true, rat.Rat{}, nil); !errors.Is(err, ErrInvalid) {
 		t.Errorf("unbounded claim on cyclic graph extracted a witness: %v", err)
 	}
 }
@@ -437,11 +437,11 @@ func TestAbstractionCertRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	mc := matrixCertFor(t, abstract)
-	lam, hasCycle, err := mc.Matrix.Eigenvalue()
+	lam, cyc, hasCycle, err := mc.Matrix.CriticalCycle()
 	if err != nil || !hasCycle {
 		t.Fatalf("abstract eigenvalue: %v (cycle=%v)", err, hasCycle)
 	}
-	inner, err := NewMatrixThroughputCert(ctxT(t), abstract, mc, repetitionOf(t, abstract), false, lam)
+	inner, err := NewMatrixThroughputCert(ctxT(t), mc.Matrix, mc.Schedule, repetitionOf(t, abstract), false, lam, cyc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestCertifiedPeriodsAgreeAcrossAnchors(t *testing.T) {
 	for _, g := range []*sdf.Graph{gen.Figure2(), gen.Figure3(4), gen.Figure3(7)} {
 		q := repetitionOf(t, g)
 		mc := matrixCertFor(t, g)
-		lam, _, err := mc.Matrix.Eigenvalue()
+		lam, cyc, _, err := mc.Matrix.CriticalCycle()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -493,7 +493,7 @@ func TestCertifiedPeriodsAgreeAcrossAnchors(t *testing.T) {
 		if !res.CycleMean.Equal(lam) {
 			t.Fatalf("%s: hsdf cycle mean %v != matrix eigenvalue %v", g.Name(), res.CycleMean, lam)
 		}
-		a, err := NewMatrixThroughputCert(ctxT(t), g, mc, q, false, lam)
+		a, err := NewMatrixThroughputCert(ctxT(t), mc.Matrix, mc.Schedule, q, false, lam, cyc)
 		if err != nil {
 			t.Fatal(err)
 		}

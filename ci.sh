@@ -57,6 +57,12 @@ echo '== benchmark smoke: BenchmarkMatrixCertCheck (1 iteration)'
 # failing benchmark shows in the gate rather than when someone profiles.
 go test -run XXX -bench MatrixCertCheck -benchtime 1x ./internal/verify
 
+echo '== benchmark smoke: BenchmarkSADFCertCheck (1 iteration)'
+# One iteration of the schedule-anchored SADF certificate check on the
+# 1,024-node sadf-cold-shaped model and the N2001 one-state model, with
+# allocations reported; the benchmark fails if either check rejects.
+go test -run XXX -bench SADFCertCheck -benchtime 1x ./internal/verify
+
 echo '== benchmark smoke: BenchmarkMaxCycleRatioEdges (1 iteration)'
 # One iteration of Howard's iteration on the two automata that once hit
 # its round cap and on a 1,024-node sadf-cold-shaped automaton; the

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -121,41 +122,39 @@ func TestSADFBadModelBouncesAtRouter(t *testing.T) {
 	}
 }
 
-// ringLadderModel builds a model shaped like the sdfbench -sadf ladder: a
-// ring of actors with one token per channel under scenarios that differ
-// only in execution times, and an FSM cycling through every scenario
-// state with a self-loop on each.
-func ringLadderModel(t *testing.T, scenarios, ring int) *sadf.Model {
+// longWalkModel builds a one-scenario model whose answer is large
+// without being expensive: a ring of actors with one token per channel,
+// whose only token cycle runs through every token, under one FSM state
+// with a long name and a self-loop. The critical walk visits that state
+// once per ring token, and the answer's critical list names it on every
+// visit.
+func longWalkModel(t *testing.T, ring, nameLen int) *sadf.Model {
 	t.Helper()
-	m := &sadf.Model{Name: fmt.Sprintf("synth-s%d-r%d", scenarios, ring)}
-	for k := 0; k < scenarios; k++ {
-		g := sdf.NewGraph(fmt.Sprintf("scn%d", k))
-		for i := 0; i < ring; i++ {
-			g.MustAddActor(fmt.Sprintf("A%d", i), int64(1+(i*7+k*3)%5))
-		}
-		for i := 0; i < ring; i++ {
-			g.MustAddChannelByName(fmt.Sprintf("A%d", i), fmt.Sprintf("A%d", (i+1)%ring), 1, 1, 1)
-		}
-		m.Scenarios = append(m.Scenarios, sadf.Scenario{Name: fmt.Sprintf("s%d", k), Graph: g})
+	g := sdf.NewGraph("ring")
+	for i := 0; i < ring; i++ {
+		g.MustAddActor(fmt.Sprintf("A%d", i), int64(1+i%5))
 	}
-	for k := 0; k < scenarios; k++ {
-		q := fmt.Sprintf("q%d", k)
-		m.States = append(m.States, sadf.State{Name: q, Scenario: fmt.Sprintf("s%d", k)})
-		m.Transitions = append(m.Transitions,
-			sadf.Transition{From: q, To: fmt.Sprintf("q%d", (k+1)%scenarios)},
-			sadf.Transition{From: q, To: q})
+	for i := 0; i < ring; i++ {
+		g.MustAddChannelByName(fmt.Sprintf("A%d", i), fmt.Sprintf("A%d", (i+1)%ring), 1, 1, 1)
 	}
-	m.Initial = "q0"
+	q := strings.Repeat("q", nameLen)
+	m := &sadf.Model{
+		Name:        fmt.Sprintf("long-walk-r%d", ring),
+		Scenarios:   []sadf.Scenario{{Name: "s", Graph: g}},
+		States:      []sadf.State{{Name: q, Scenario: "s"}},
+		Transitions: []sadf.Transition{{From: q, To: q}},
+		Initial:     q,
+	}
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
 
-// TestSADFLargeAnswerThroughFleet: an answer past 4 MiB (the 16 x 232
-// ladder model's certificate carries 16 dense 232 x 232 matrices) is
-// relayed whole, not cut to a prefix, and its certificate re-proves
-// after the hop.
+// TestSADFLargeAnswerThroughFleet: an answer past 4 MiB (the critical
+// list of a 64-token ring names a 72 KiB state 64 times) is relayed
+// whole, not cut to a prefix, and its certificate re-proves after the
+// hop.
 func TestSADFLargeAnswerThroughFleet(t *testing.T) {
 	defer noLeaks(t)
 	s := serve.New(serve.Options{DefaultTimeout: time.Minute})
@@ -166,7 +165,7 @@ func TestSADFLargeAnswerThroughFleet(t *testing.T) {
 	defer r.Close()
 	h := NewHandler(r)
 
-	m := ringLadderModel(t, 16, 232)
+	m := longWalkModel(t, 64, 72<<10)
 	body, err := json.Marshal(serve.SADFRequestPayload{ModelText: sdfio.SADFTextString(m)})
 	if err != nil {
 		t.Fatal(err)
@@ -182,8 +181,9 @@ func TestSADFLargeAnswerThroughFleet(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
 		t.Fatalf("relayed answer does not parse: %v", err)
 	}
-	if !res.Verified || res.Cert == nil {
-		t.Fatalf("relayed answer not certified (verified %v)", res.Verified)
+	if !res.Verified || res.Cert == nil || len(res.Critical) != 64 {
+		t.Fatalf("relayed answer not certified (verified %v) or critical walk of %d states, want 64",
+			res.Verified, len(res.Critical))
 	}
 	cert, err := res.Cert.Cert(m)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/maxplus"
 	"repro/internal/mcm"
 	"repro/internal/rat"
+	"repro/internal/sdf"
 	"repro/internal/verify"
 )
 
@@ -32,24 +33,24 @@ type Result struct {
 }
 
 // Analyze computes the worst-case iteration period of the model and a
-// certificate for it: per-scenario max-plus matrices via the symbolic
-// iteration of Algorithm 1, the max-plus automaton over the FSM, its
-// maximum cycle mean and a critical cycle via Howard's policy
-// iteration, and a verify.SADFCert with double-sided witnesses plus the
-// critical scenario sequence for exact replay.
+// certificate for it: per-scenario max-plus matrices and schedules via
+// the symbolic iteration of Algorithm 1, the max-plus automaton over the
+// FSM, its maximum cycle mean and a critical cycle via Howard's policy
+// iteration, and a matrix-free verify.SADFCert whose witnesses are
+// checked by replaying the scenario schedules.
 func Analyze(ctx context.Context, m *Model) (*Result, *verify.SADFCert, error) {
 	if err := m.Validate(); err != nil {
 		return nil, nil, err
 	}
 	graphs := m.Graphs()
-	mcs := make([]*verify.MatrixCert, len(graphs))
+	schedules := make([][]sdf.ActorID, len(graphs))
 	mats := make([]*maxplus.Matrix, len(graphs))
 	for k, g := range graphs {
 		sym, err := core.SymbolicIterationCtx(ctx, g)
 		if err != nil {
 			return nil, nil, fmt.Errorf("sadf: scenario %q: %w", m.Scenarios[k].Name, err)
 		}
-		mcs[k] = &verify.MatrixCert{Matrix: sym.Matrix, Schedule: sym.Schedule}
+		schedules[k] = sym.Schedule
 		mats[k] = sym.Matrix.Permute(verify.SADFTokenPerm(g))
 	}
 	stateScenario, transitions, initial := m.indices()
@@ -59,7 +60,7 @@ func Analyze(ctx context.Context, m *Model) (*Result, *verify.SADFCert, error) {
 	}
 	edges := make([]mcm.Edge, len(sedges))
 	for i, e := range sedges {
-		edges[i] = mcm.Edge{From: e.From, To: e.To, W: e.W, D: e.D}
+		edges[i] = mcm.Edge(e)
 	}
 	ratio, err := mcm.MaxCycleRatioEdges(nodes, edges)
 	if err != nil {
@@ -74,8 +75,8 @@ func Analyze(ctx context.Context, m *Model) (*Result, *verify.SADFCert, error) {
 	if ratio.HasCycle {
 		res.Period = ratio.CycleRatio
 	}
-	cert, err := verify.NewSADFCert(ctx, graphs, m.ScenarioNames(), mcs,
-		m.StateNames(), stateScenario, transitions, initial, res.Unbounded, res.Period)
+	cert, err := verify.NewSADFCert(ctx, m.ScenarioNames(), schedules,
+		m.StateNames(), stateScenario, transitions, initial, nodes, sedges, res.Unbounded, res.Period, ratio.Critical)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sadf: certificate: %w", err)
 	}

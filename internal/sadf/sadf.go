@@ -16,6 +16,7 @@ package sadf
 
 import (
 	"fmt"
+	"unicode/utf8"
 
 	"repro/internal/sdf"
 	"repro/internal/verify"
@@ -96,12 +97,16 @@ func (m *Model) indices() (stateScenario []int, transitions [][2]int, initial in
 }
 
 // Validate checks the model's structure: at least one scenario and one
-// state, unique non-empty names, valid scenario graphs, resolvable
-// cross-references, no duplicate transitions, an initial state from
-// which every state is reachable, and a shared non-empty token
-// signature across all scenarios (the max-plus matrices of the
-// scenarios must act on one global token coordinate system).
+// state, unique non-empty names that are valid UTF-8 (the JSON form
+// could not carry any other bytes back unchanged), valid scenario
+// graphs, resolvable cross-references, no duplicate transitions, an
+// initial state from which every state is reachable, and a shared
+// non-empty token signature across all scenarios (the max-plus matrices
+// of the scenarios must act on one global token coordinate system).
 func (m *Model) Validate() error {
+	if err := m.validateUTF8(); err != nil {
+		return err
+	}
 	if len(m.Scenarios) == 0 {
 		return fmt.Errorf("sadf: model has no scenarios")
 	}
@@ -186,6 +191,38 @@ func (m *Model) Validate() error {
 		if verify.SADFTokenSignature(s.Graph) != sig {
 			return fmt.Errorf("sadf: scenario %q does not share the initial-token signature of %q (same src->dst channels with the same token counts required)",
 				s.Name, m.Scenarios[0].Name)
+		}
+	}
+	return nil
+}
+
+// validateUTF8 rejects a model, scenario, actor or state name that is
+// not valid UTF-8. Transitions, state labels and the
+// initial state name states and scenarios, so they resolve only to
+// valid names.
+func (m *Model) validateUTF8() error {
+	invalid := func(what, name string) error {
+		return fmt.Errorf("sadf: %s name %q is not valid UTF-8", what, name)
+	}
+	if !utf8.ValidString(m.Name) {
+		return invalid("model", m.Name)
+	}
+	for _, s := range m.Scenarios {
+		if !utf8.ValidString(s.Name) {
+			return invalid("scenario", s.Name)
+		}
+		if s.Graph == nil {
+			continue
+		}
+		for _, a := range s.Graph.Actors() {
+			if !utf8.ValidString(a.Name) {
+				return invalid("actor", a.Name)
+			}
+		}
+	}
+	for _, st := range m.States {
+		if !utf8.ValidString(st.Name) {
+			return invalid("state", st.Name)
 		}
 	}
 	return nil

@@ -150,6 +150,25 @@ func TestValidateRejections(t *testing.T) {
 		{"unreachable state", func(m *Model) {
 			m.Transitions = []Transition{{From: "slo", To: "slo"}}
 		}},
+		{"scenario name not UTF-8", func(m *Model) {
+			m.Scenarios[1].Name = "\xff"
+			m.States[1].Scenario = "\xff"
+		}},
+		{"actor name not UTF-8", func(m *Model) {
+			g := sdf.NewGraph("hi")
+			g.MustAddActor("A\xfe", 1)
+			g.MustAddActor("B", 1)
+			g.MustAddChannelByName("A\xfe", "B", 1, 1, 1)
+			g.MustAddChannelByName("B", "A\xfe", 1, 1, 1)
+			m.Scenarios[1].Graph = g
+		}},
+		{"state name not UTF-8", func(m *Model) {
+			m.States[0].Name = "s\xc3"
+			m.Initial = "s\xc3"
+			m.Transitions[0] = Transition{From: "s\xc3", To: "s\xc3"}
+			m.Transitions[1].From = "s\xc3"
+			m.Transitions[2].To = "s\xc3"
+		}},
 		{"token signature mismatch", func(m *Model) {
 			g := sdf.NewGraph("odd")
 			g.MustAddActor("A", 1)
@@ -179,19 +198,8 @@ func TestCertTamperDetected(t *testing.T) {
 		mutate func(c *verify.SADFCert)
 	}{
 		{"period", func(c *verify.SADFCert) { c.Period = rat.FromInt(7) }},
-		{"matrix entry", func(c *verify.SADFCert) {
-			mat := c.Matrices[0].Matrix.Clone()
-			for i := 0; i < mat.Size(); i++ {
-				for j := 0; j < mat.Size(); j++ {
-					if !mat.At(i, j).IsNegInf() {
-						mat.Set(i, j, mat.At(i, j).Add(maxplus.FromInt(1)))
-						c.Matrices[0] = &verify.MatrixCert{Matrix: mat, Schedule: c.Matrices[0].Schedule}
-						return
-					}
-				}
-			}
-		}},
-		{"cycle witness", func(c *verify.SADFCert) { c.Cycle = c.Cycle[:len(c.Cycle)-1] }},
+		{"schedule firing", func(c *verify.SADFCert) { c.Schedules[0] = c.Schedules[0][1:] }},
+		{"walk", func(c *verify.SADFCert) { c.Walk = c.Walk[:len(c.Walk)-1] }},
 		{"potentials", func(c *verify.SADFCert) { c.Potentials = c.Potentials[:len(c.Potentials)-1] }},
 		{"unbounded flag", func(c *verify.SADFCert) { c.Unbounded = true }},
 		{"scenario label", func(c *verify.SADFCert) { c.StateScenario[1] = 0 }},

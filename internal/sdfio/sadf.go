@@ -27,34 +27,48 @@ import (
 // actor and chan lines belong to the most recent scenario directive.
 // Blank lines and lines starting with '#' are comments on input.
 func WriteSADFText(w io.Writer, m *sadf.Model) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "sadf %s\n", m.Name)
-	for _, s := range m.Scenarios {
-		fmt.Fprintf(bw, "scenario %s\n", s.Name)
-		for _, a := range s.Graph.Actors() {
-			fmt.Fprintf(bw, "actor %s %d\n", a.Name, a.Exec)
-		}
-		for _, c := range s.Graph.Channels() {
-			fmt.Fprintf(bw, "chan %s %s %d %d %d\n",
-				s.Graph.Actor(c.Src).Name, s.Graph.Actor(c.Dst).Name, c.Prod, c.Cons, c.Initial)
-		}
-	}
-	for _, st := range m.States {
-		fmt.Fprintf(bw, "state %s %s\n", st.Name, st.Scenario)
-	}
-	for _, tr := range m.Transitions {
-		fmt.Fprintf(bw, "trans %s %s\n", tr.From, tr.To)
-	}
-	fmt.Fprintf(bw, "initial %s\n", m.Initial)
-	return bw.Flush()
+	_, err := w.Write(AppendSADFText(nil, m))
+	return err
 }
 
 // SADFTextString renders m in the native text format.
 func SADFTextString(m *sadf.Model) string {
-	var b strings.Builder
-	// strings.Builder's Write never fails.
-	_ = WriteSADFText(&b, m)
-	return b.String()
+	return string(AppendSADFText(nil, m))
+}
+
+// AppendSADFText appends m's native text rendering to b: the bytes
+// WriteSADFText writes, built with strconv appends into one buffer.
+func AppendSADFText(b []byte, m *sadf.Model) []byte {
+	line := func(directive string, fields ...string) {
+		b = append(b, directive...)
+		for _, f := range fields {
+			b = append(append(b, ' '), f...)
+		}
+		b = append(b, '\n')
+	}
+	line("sadf", m.Name)
+	for _, s := range m.Scenarios {
+		line("scenario", s.Name)
+		for _, a := range s.Graph.Actors() {
+			b = strconv.AppendInt(append(append(append(b, "actor "...), a.Name...), ' '), a.Exec, 10)
+			b = append(b, '\n')
+		}
+		for _, c := range s.Graph.Channels() {
+			b = append(append(append(b, "chan "...), s.Graph.Actor(c.Src).Name...), ' ')
+			b = append(append(b, s.Graph.Actor(c.Dst).Name...), ' ')
+			b = append(strconv.AppendInt(b, int64(c.Prod), 10), ' ')
+			b = append(strconv.AppendInt(b, int64(c.Cons), 10), ' ')
+			b = append(strconv.AppendInt(b, int64(c.Initial), 10), '\n')
+		}
+	}
+	for _, st := range m.States {
+		line("state", st.Name, st.Scenario)
+	}
+	for _, tr := range m.Transitions {
+		line("trans", tr.From, tr.To)
+	}
+	line("initial", m.Initial)
+	return b
 }
 
 // ReadSADFText parses the native FSM-SADF text format. Accepted models

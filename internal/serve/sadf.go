@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/guard"
 	"repro/internal/lint"
-	"repro/internal/maxplus"
 	"repro/internal/obs"
 	"repro/internal/passes"
 	"repro/internal/rat"
@@ -105,31 +104,31 @@ func (p *SADFRequestPayload) decode() (*SADFRequest, error) {
 // and the initial state. Two syntactically different documents of the
 // same model share a key.
 func (r *SADFRequest) Key() string {
-	h := sha256.New()
-	fmt.Fprintf(h, "sadf\n%s", sdfio.SADFTextString(r.Model))
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(sdfio.AppendSADFText([]byte("sadf\n"), r.Model))
+	return hex.EncodeToString(sum[:])
 }
 
 // SADFCertPayload is the JSON wire form of a verify.SADFCert, complete
 // enough for a client to rebuild the certificate and re-check it
 // against its own parse of the model — certified answers survive any
 // number of proxy hops (the fleet router included) because the proof
-// travels with them. Matrix entries use null for −∞; schedules carry
-// actor names, resolved against the client's scenario graphs.
+// travels with them. It carries no matrix: schedules carry actor names,
+// resolved against the client's scenario graphs, and the lower-bound
+// witness is a closed FSM walk of state indices with its entry token.
 type SADFCertPayload struct {
-	ScenarioNames []string     `json:"scenario_names"`
-	Matrices      [][][]*int64 `json:"matrices"`
-	Schedules     [][]string   `json:"schedules"`
-	StateNames    []string     `json:"state_names"`
-	StateScenario []int        `json:"state_scenario"`
-	Transitions   [][2]int     `json:"transitions"`
-	Initial       int          `json:"initial"`
-	Unbounded     bool         `json:"unbounded,omitempty"`
-	PeriodNum     int64        `json:"period_num,omitempty"`
-	PeriodDen     int64        `json:"period_den,omitempty"`
-	Potentials    []int64      `json:"potentials,omitempty"`
-	Cycle         []int        `json:"cycle,omitempty"`
-	Order         []int        `json:"order,omitempty"`
+	ScenarioNames []string   `json:"scenario_names"`
+	Schedules     [][]string `json:"schedules"`
+	StateNames    []string   `json:"state_names"`
+	StateScenario []int      `json:"state_scenario"`
+	Transitions   [][2]int   `json:"transitions"`
+	Initial       int        `json:"initial"`
+	Unbounded     bool       `json:"unbounded,omitempty"`
+	PeriodNum     int64      `json:"period_num,omitempty"`
+	PeriodDen     int64      `json:"period_den,omitempty"`
+	Potentials    []int64    `json:"potentials,omitempty"`
+	Walk          []int      `json:"walk,omitempty"`
+	Entry         int        `json:"entry,omitempty"`
+	Order         []int      `json:"order,omitempty"`
 }
 
 // NewSADFCertPayload renders a certificate for the wire.
@@ -142,30 +141,20 @@ func NewSADFCertPayload(c *verify.SADFCert, scenarios []*sdf.Graph) *SADFCertPay
 		Initial:       c.Initial,
 		Unbounded:     c.Unbounded,
 		Potentials:    c.Potentials,
-		Cycle:         c.Cycle,
+		Walk:          c.Walk,
+		Entry:         c.Entry,
 		Order:         c.Order,
 	}
 	if !c.Unbounded {
 		p.PeriodNum, p.PeriodDen = c.Period.Num(), c.Period.Den()
 	}
-	for k, mc := range c.Matrices {
-		n := mc.Matrix.Size()
-		rows := make([][]*int64, n)
-		for i := 0; i < n; i++ {
-			rows[i] = make([]*int64, n)
-			for j := 0; j < n; j++ {
-				if e := mc.Matrix.At(i, j); !e.IsNegInf() {
-					v := e.Int()
-					rows[i][j] = &v
-				}
-			}
+	p.Schedules = make([][]string, len(c.Schedules))
+	for k, sched := range c.Schedules {
+		names := make([]string, len(sched))
+		for i, a := range sched {
+			names[i] = scenarios[k].Actor(a).Name
 		}
-		p.Matrices = append(p.Matrices, rows)
-		sched := make([]string, len(mc.Schedule))
-		for i, a := range mc.Schedule {
-			sched[i] = scenarios[k].Actor(a).Name
-		}
-		p.Schedules = append(p.Schedules, sched)
+		p.Schedules[k] = names
 	}
 	return p
 }
@@ -175,9 +164,9 @@ func NewSADFCertPayload(c *verify.SADFCert, scenarios []*sdf.Graph) *SADFCertPay
 // scenario order is matched by name. Everything the rebuild cannot
 // resolve is a certificate error.
 func (p *SADFCertPayload) Cert(m *sadf.Model) (*verify.SADFCert, error) {
-	if len(p.Matrices) != len(p.ScenarioNames) || len(p.Schedules) != len(p.ScenarioNames) {
-		return nil, fmt.Errorf("serve: sadf certificate payload: %d names, %d matrices, %d schedules",
-			len(p.ScenarioNames), len(p.Matrices), len(p.Schedules))
+	if len(p.Schedules) != len(p.ScenarioNames) {
+		return nil, fmt.Errorf("serve: sadf certificate payload: %d names, %d schedules",
+			len(p.ScenarioNames), len(p.Schedules))
 	}
 	cert := &verify.SADFCert{
 		ScenarioNames: p.ScenarioNames,
@@ -187,7 +176,8 @@ func (p *SADFCertPayload) Cert(m *sadf.Model) (*verify.SADFCert, error) {
 		Initial:       p.Initial,
 		Unbounded:     p.Unbounded,
 		Potentials:    p.Potentials,
-		Cycle:         p.Cycle,
+		Walk:          p.Walk,
+		Entry:         p.Entry,
 		Order:         p.Order,
 	}
 	if !p.Unbounded {
@@ -197,24 +187,13 @@ func (p *SADFCertPayload) Cert(m *sadf.Model) (*verify.SADFCert, error) {
 		}
 		cert.Period = period
 	}
+	cert.Schedules = make([][]sdf.ActorID, len(p.Schedules))
 	for k, name := range p.ScenarioNames {
 		idx, ok := m.ScenarioIndex(name)
 		if !ok {
 			return nil, fmt.Errorf("serve: sadf certificate names unknown scenario %q", name)
 		}
 		g := m.Scenarios[idx].Graph
-		n := len(p.Matrices[k])
-		mat := maxplus.NewMatrix(n)
-		for i, row := range p.Matrices[k] {
-			if len(row) != n {
-				return nil, fmt.Errorf("serve: sadf certificate matrix %d is ragged", k)
-			}
-			for j, e := range row {
-				if e != nil {
-					mat.Set(i, j, maxplus.FromInt(*e))
-				}
-			}
-		}
 		sched := make([]sdf.ActorID, len(p.Schedules[k]))
 		for i, an := range p.Schedules[k] {
 			id, ok := g.ActorByName(an)
@@ -223,7 +202,7 @@ func (p *SADFCertPayload) Cert(m *sadf.Model) (*verify.SADFCert, error) {
 			}
 			sched[i] = id
 		}
-		cert.Matrices = append(cert.Matrices, &verify.MatrixCert{Matrix: mat, Schedule: sched})
+		cert.Schedules[k] = sched
 	}
 	return cert, nil
 }

@@ -35,8 +35,8 @@ const exhaustiveReplayLimit = 1 << 22
 // The replays use overflow-checked scalar max-plus arithmetic; the
 // matrix is schedule-independent, so certifying it against the carried
 // schedule certifies it for every schedule. A MatrixCert is for claims
-// about the matrix itself (CertifyIterationMatrix, the SADF scenario
-// matrices); a throughput claim needs no matrix (see ThroughputCert).
+// about the matrix itself (CertifyIterationMatrix); throughput and SADF
+// claims need no matrix (see ThroughputCert and SADFCert).
 type MatrixCert struct {
 	// Matrix is the claimed iteration matrix in Apply convention
 	// (Matrix.At(k, j) is the paper's g_{j,k}).

@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
+	"repro/internal/guard"
 	"repro/internal/maxplus"
 	"repro/internal/rat"
 	"repro/internal/sdf"
@@ -75,19 +77,19 @@ func SADFTokenSignature(g *sdf.Graph) string {
 		if c.Initial == 0 {
 			continue
 		}
-		lines = append(lines, fmt.Sprintf("%s\x00%s\x00%d", g.Actor(c.Src).Name, g.Actor(c.Dst).Name, c.Initial))
+		lines = append(lines, g.Actor(c.Src).Name+"\x00"+g.Actor(c.Dst).Name+"\x00"+strconv.Itoa(c.Initial))
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\x01")
 }
 
 // SADFAutomaton enumerates the max-plus automaton of an FSM-SADF model
-// from its per-scenario matrices in global token coordinates. The
-// enumeration is deterministic — transitions in slice order, matrix
-// entries in row-major order — so the analyzer and the certificate
-// checker derive the identical edge list, and critical-cycle witnesses
-// can reference edges by index. All matrices must share one dimension N
-// ≥ 1 and every state/transition index must be in range.
+// from its per-scenario matrices in global token coordinates. Each
+// matrix's finite entries are listed once, in row-major order; every
+// transition then emits the entries of its destination state's
+// scenario. The enumeration is deterministic — transitions in slice
+// order, matrix entries in row-major order. All matrices must share one
+// dimension N ≥ 1 and every state/transition index must be in range.
 func SADFAutomaton(stateScenario []int, transitions [][2]int, mats []*maxplus.Matrix) (int, []SADFEdge, error) {
 	if len(mats) == 0 {
 		return 0, nil, fmt.Errorf("verify: sadf automaton needs at least one scenario matrix")
@@ -96,9 +98,21 @@ func SADFAutomaton(stateScenario []int, transitions [][2]int, mats []*maxplus.Ma
 	if n < 1 {
 		return 0, nil, fmt.Errorf("verify: sadf automaton needs at least one shared token")
 	}
+	type entry struct {
+		i, j int
+		w    int64
+	}
+	finite := make([][]entry, len(mats))
 	for k, m := range mats {
 		if m == nil || m.Size() != n {
 			return 0, nil, fmt.Errorf("verify: scenario matrix %d does not share dimension %d", k, n)
+		}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if e := m.At(i, j); !e.IsNegInf() {
+					finite[k] = append(finite[k], entry{i: i, j: j, w: e.Int()})
+				}
+			}
 		}
 	}
 	states := len(stateScenario)
@@ -110,42 +124,39 @@ func SADFAutomaton(stateScenario []int, transitions [][2]int, mats []*maxplus.Ma
 			return 0, nil, fmt.Errorf("verify: state %d labels unknown scenario %d", q, s)
 		}
 	}
-	var edges []SADFEdge
+	total := 0
 	for _, tr := range transitions {
 		q1, q2 := tr[0], tr[1]
 		if q1 < 0 || q1 >= states || q2 < 0 || q2 >= states {
 			return 0, nil, fmt.Errorf("verify: transition %d->%d outside 0..%d", q1, q2, states-1)
 		}
-		m := mats[stateScenario[q2]]
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if e := m.At(i, j); !e.IsNegInf() {
-					edges = append(edges, SADFEdge{From: q1*n + j, To: q2*n + i, W: e.Int(), D: 1})
-				}
-			}
+		total += len(finite[stateScenario[q2]])
+	}
+	edges := make([]SADFEdge, 0, total)
+	for _, tr := range transitions {
+		from, to := tr[0]*n, tr[1]*n
+		for _, e := range finite[stateScenario[tr[1]]] {
+			edges = append(edges, SADFEdge{From: from + e.j, To: to + e.i, W: e.w, D: 1})
 		}
 	}
 	return states * n, edges, nil
 }
 
 // SADFCert certifies the worst-case iteration period of an FSM-SADF
-// model: per-scenario matrix certificates bind each scenario's max-plus
-// matrix to its SDF graph (in the graph's own local token order), the
-// FSM structure is carried verbatim, and the throughput claim about the
-// max-plus automaton is witnessed in the classical double-sided style —
-// node potentials prove no automaton cycle exceeds the period, a
-// critical cycle attains it exactly, and for acyclic automata a
-// topological order proves unboundedness. On top of the witness checks,
-// Check replays the critical scenario sequence through the scenario
-// matrices themselves (exact max-plus vector arithmetic), so the edge
-// arithmetic of the automaton is cross-validated against the matrices
-// it was derived from.
+// model without carrying a matrix. Each scenario contributes the
+// schedule of one iteration: replaying it from global token times x
+// ends the tokens at M ⊗ x, M the scenario's iteration matrix, so one
+// replay of a transition's destination scenario from the source state's
+// values checks every automaton edge of that transition. The FSM is
+// carried verbatim. A bounded claim pairs potentials over the automaton
+// nodes (upper bound) with a closed FSM walk and its entry token (lower
+// bound); an unbounded claim carries a topological order of the nodes.
+// DESIGN.md's scenario-aware dataflow section states the three proofs.
 type SADFCert struct {
-	// ScenarioNames and Matrices pair each scenario with its matrix
-	// certificate; Matrices[k].Matrix uses scenario k's local token
-	// order (the order MatrixCert.Check replays).
+	// ScenarioNames and Schedules pair each scenario with the schedule
+	// of one of its iterations, in the scenario graph's actor IDs.
 	ScenarioNames []string
-	Matrices      []*MatrixCert
+	Schedules     [][]sdf.ActorID
 	// StateNames, StateScenario, Transitions and Initial carry the FSM:
 	// state q is labeled with scenario StateScenario[q], transitions
 	// are (from, to) state-index pairs, Initial is the start state.
@@ -154,14 +165,20 @@ type SADFCert struct {
 	Transitions   [][2]int
 	Initial       int
 	// Unbounded claims the automaton is acyclic (Order is the witness);
-	// otherwise Period is the worst-case iteration period with
-	// Potentials/Cycle as the double-sided witness. Cycle holds indices
-	// into the canonical SADFAutomaton edge enumeration.
-	Unbounded  bool
-	Period     rat.Rat
+	// otherwise Period = num/den is the worst-case iteration period.
+	Unbounded bool
+	Period    rat.Rat
+	// Potentials holds one value per automaton node state·N + token
+	// (global token order), scaled by den; nil when Unbounded.
 	Potentials []int64
-	Cycle      []int
-	Order      []int
+	// Walk is a closed FSM walk of states (Walk[t] → Walk[t+1], the last
+	// back to the first) along which a critical automaton cycle runs,
+	// entering Walk[0] at global token Entry; nil when Unbounded.
+	Walk  []int
+	Entry int
+	// Order is the unboundedness witness, a permutation of the automaton
+	// nodes; nil unless Unbounded.
+	Order []int
 }
 
 // Kind identifies the claim.
@@ -174,20 +191,24 @@ func (c *SADFCert) String() string {
 			len(c.ScenarioNames), len(c.StateNames), len(c.Order))
 	}
 	return fmt.Sprintf("sadf certificate: %d scenarios, %d states, worst-case period %v (potentials over %d nodes, critical cycle of %d edges)",
-		len(c.ScenarioNames), len(c.StateNames), c.Period, len(c.Potentials), len(c.Cycle))
+		len(c.ScenarioNames), len(c.StateNames), c.Period, len(c.Potentials), len(c.Walk))
 }
 
-// NewSADFCert packages an analyzed FSM-SADF model into a certificate,
-// extracting the throughput witnesses for the claimed answer from the
-// automaton. scenarios and mcs run parallel to scenarioNames; the
-// matrices are in local token order and are conjugated into global
-// coordinates here.
-func NewSADFCert(ctx context.Context, scenarios []*sdf.Graph, scenarioNames []string, mcs []*MatrixCert,
+// NewSADFCert packages an analyzed FSM-SADF model into a certificate.
+// nodes and edges are the automaton SADFAutomaton enumerated for the
+// model, schedules the scenarios' iteration schedules, (unbounded,
+// period) the claim and critical the automaton nodes of the cycle
+// Howard's iteration ended on, in cycle order. The potentials come from
+// Bellman–Ford over the automaton, and every step of the critical cycle
+// must be tight under them. Construction fails exactly when the claim
+// is not the automaton's maximum cycle ratio, or critical is not a cycle
+// attaining it.
+func NewSADFCert(ctx context.Context, scenarioNames []string, schedules [][]sdf.ActorID,
 	stateNames []string, stateScenario []int, transitions [][2]int, initial int,
-	unbounded bool, period rat.Rat) (*SADFCert, error) {
+	nodes int, sedges []SADFEdge, unbounded bool, period rat.Rat, critical []int) (*SADFCert, error) {
 	cert := &SADFCert{
 		ScenarioNames: scenarioNames,
-		Matrices:      mcs,
+		Schedules:     schedules,
 		StateNames:    stateNames,
 		StateScenario: stateScenario,
 		Transitions:   transitions,
@@ -195,9 +216,9 @@ func NewSADFCert(ctx context.Context, scenarios []*sdf.Graph, scenarioNames []st
 		Unbounded:     unbounded,
 		Period:        period,
 	}
-	nodes, edges, err := sadfRef(scenarios, mcs, stateScenario, transitions)
-	if err != nil {
-		return nil, err
+	edges := make([]refEdge, len(sedges))
+	for i, e := range sedges {
+		edges[i] = refEdge{from: e.From, to: e.To, w: e.W, d: e.D}
 	}
 	if unbounded {
 		order, err := extractTopoOrder(nodes, edges)
@@ -207,106 +228,152 @@ func NewSADFCert(ctx context.Context, scenarios []*sdf.Graph, scenarioNames []st
 		cert.Order = order
 		return cert, nil
 	}
-	p, cycle, err := extractWitness(ctx, nodes, edges, period)
+	p, scaled, err := extractPotentials(ctx, nodes, edges, period)
 	if err != nil {
 		return nil, err
 	}
-	cert.Potentials, cert.Cycle = p, cycle
+	if len(critical) == 0 {
+		return nil, invalidf("no critical cycle to witness the claimed period %v", period)
+	}
+	// Step t of the cycle leaves critical[t]; Howard's cycle visits each
+	// node once, so one pass over the edges finds every step.
+	step := make([]int, nodes)
+	for v := range step {
+		step[v] = -1
+	}
+	for t, v := range critical {
+		if v < 0 || v >= nodes {
+			return nil, invalidf("critical cycle names node %d outside 0..%d", v, nodes-1)
+		}
+		step[v] = t
+	}
+	tight := 0
+	for i, e := range edges {
+		t := step[e.from]
+		if t < 0 || critical[(t+1)%len(critical)] != e.to {
+			continue
+		}
+		if p[e.from]+scaled[i] != p[e.to] {
+			return nil, invalidf("claimed period %v is above the critical cycle's mean", period)
+		}
+		step[e.from] = -1
+		tight++
+	}
+	if tight != len(critical) {
+		return nil, invalidf("critical cycle steps along no automaton edge")
+	}
+	n := nodes / len(stateScenario)
+	cert.Walk = make([]int, len(critical))
+	for t, v := range critical {
+		cert.Walk[t] = v / n
+	}
+	cert.Potentials, cert.Entry = p, critical[0]%n
 	return cert, nil
 }
 
-// sadfRef derives the reference automaton from the scenario graphs and
-// the carried matrices: permute each local matrix into global token
-// coordinates (the permutations are re-derived from the graphs, never
-// trusted from the certificate) and enumerate the canonical edge list.
-func sadfRef(scenarios []*sdf.Graph, mcs []*MatrixCert, stateScenario []int, transitions [][2]int) (int, []refEdge, error) {
-	mats := make([]*maxplus.Matrix, len(mcs))
-	for k, mc := range mcs {
-		if mc == nil || mc.Matrix == nil {
-			return 0, nil, invalidf("scenario %d carries no matrix certificate", k)
-		}
-		tokens := scenarios[k].TotalInitialTokens()
-		if mc.Matrix.Size() != tokens {
-			return 0, nil, invalidf("scenario %d matrix is %d×%d, the graph has %d tokens",
-				k, mc.Matrix.Size(), mc.Matrix.Size(), tokens)
-		}
-		mats[k] = mc.Matrix.Permute(SADFTokenPerm(scenarios[k]))
-	}
-	nodes, sedges, err := SADFAutomaton(stateScenario, transitions, mats)
-	if err != nil {
-		return 0, nil, fmt.Errorf("%w: %v", ErrInvalid, err)
-	}
-	edges := make([]refEdge, len(sedges))
-	for i, e := range sedges {
-		edges[i] = refEdge{from: e.From, to: e.To, w: e.W, d: e.D}
-	}
-	return nodes, edges, nil
+// scenarioReplay replays one scenario's certified schedule in the
+// model's global token coordinates.
+type scenarioReplay struct {
+	*tokenReplay
+	perm []int // local token → global token
+	inv  []int // global token → local token
 }
+
+func newScenarioReplay(r *tokenReplay, perm []int) *scenarioReplay {
+	inv := make([]int, len(perm))
+	for local, global := range perm {
+		inv[global] = local
+	}
+	return &scenarioReplay{tokenReplay: r, perm: perm, inv: inv}
+}
+
+// apply replays one iteration from global token times x (−∞ as
+// maxplus.NegInf): afterwards finalAt(i) is (M ⊗ x)_i.
+func (s *scenarioReplay) apply(meter *guard.Meter, x []int64) error {
+	return s.walk(meter, 1, func(k, _ int) maxplus.T { return maxplus.T(x[s.perm[k]]) })
+}
+
+// finalAt is the time stamp of global token i after the last apply.
+func (s *scenarioReplay) finalAt(i int) maxplus.T { return s.final(s.inv[i], 0) }
 
 // Check validates the certificate against the original scenario graphs
 // (parallel to ScenarioNames). It re-derives everything the claim
 // depends on — FSM well-formedness and reachability, the shared token
-// signature, the global token order, the automaton edge list — and
-// trusts only the carried witnesses.
+// signature, the global token order, each schedule as a minimal
+// iteration — and trusts only the carried witnesses, which it checks by
+// replaying the schedules, never forming a matrix.
 func (c *SADFCert) Check(ctx context.Context, scenarios []*sdf.Graph) error {
-	if err := c.checkStructure(scenarios); err != nil {
-		return err
-	}
-	// Bind each scenario matrix to its graph: MatrixCert.Check replays
-	// concrete iterations in the graph's local token order.
-	for k, mc := range c.Matrices {
-		if err := mc.Check(ctx, scenarios[k]); err != nil {
-			return invalidf("scenario %q matrix certificate: %v", c.ScenarioNames[k], err)
-		}
-	}
-	nodes, edges, err := sadfRef(scenarios, c.Matrices, c.StateScenario, c.Transitions)
+	adj, err := c.checkStructure(scenarios)
 	if err != nil {
 		return err
 	}
+	den := int64(1)
+	if !c.Unbounded {
+		if c.Period.Sign() < 0 {
+			return invalidf("claimed period %v is negative", c.Period)
+		}
+		if den = c.Period.Den(); den < 1 {
+			return invalidf("claimed period %v has no positive denominator", c.Period)
+		}
+	}
+	reps := make([]*scenarioReplay, len(scenarios))
+	for k, g := range scenarios {
+		if _, err := replayCounts(ctx, g, c.Schedules[k]); err != nil {
+			return invalidf("scenario %q schedule: %v", c.ScenarioNames[k], err)
+		}
+		r, err := newTokenReplay(g, c.Schedules[k], 1)
+		if err != nil {
+			return err
+		}
+		if den != 1 {
+			if err := r.scale(den); err != nil {
+				return err
+			}
+		}
+		reps[k] = newScenarioReplay(r, SADFTokenPerm(g))
+	}
+	meter := guard.NewMeter(ctx, "verify")
+	meter.Phase("token-replay")
+	n := scenarios[0].TotalInitialTokens()
 	if c.Unbounded {
-		return checkTopoOrder(nodes, edges, c.Order)
+		return c.checkOrderReplays(meter, reps, adj, n)
 	}
-	if c.Period.Sign() < 0 {
-		return invalidf("claimed period %v is negative", c.Period)
-	}
-	if err := checkPotentials(nodes, edges, c.Potentials, c.Period); err != nil {
+	if err := c.checkPotentialReplays(meter, reps, adj, n); err != nil {
 		return err
 	}
-	if err := checkCycle(edges, c.Cycle, c.Period); err != nil {
-		return err
-	}
-	return c.replayCriticalCycle(scenarios, edges)
+	return c.checkWalkReplay(meter, reps, adj, n)
 }
 
 // checkStructure re-derives FSM well-formedness and scenario
-// compatibility from the graphs and carried indices.
-func (c *SADFCert) checkStructure(scenarios []*sdf.Graph) error {
-	if len(scenarios) == 0 || len(scenarios) != len(c.ScenarioNames) || len(scenarios) != len(c.Matrices) {
-		return invalidf("certificate covers %d scenarios, %d graphs given", len(c.ScenarioNames), len(scenarios))
+// compatibility from the graphs and carried indices, and returns the
+// FSM's successor lists.
+func (c *SADFCert) checkStructure(scenarios []*sdf.Graph) ([][]int, error) {
+	if len(scenarios) == 0 || len(scenarios) != len(c.ScenarioNames) || len(scenarios) != len(c.Schedules) {
+		return nil, invalidf("certificate covers %d scenarios, %d graphs given", len(c.ScenarioNames), len(scenarios))
 	}
 	states := len(c.StateNames)
 	if states == 0 || len(c.StateScenario) != states {
-		return invalidf("certificate labels %d of %d states", len(c.StateScenario), states)
+		return nil, invalidf("certificate labels %d of %d states", len(c.StateScenario), states)
 	}
 	for q, s := range c.StateScenario {
 		if s < 0 || s >= len(scenarios) {
-			return invalidf("state %q labels unknown scenario %d", c.StateNames[q], s)
+			return nil, invalidf("state %q labels unknown scenario %d", c.StateNames[q], s)
 		}
 	}
 	if c.Initial < 0 || c.Initial >= states {
-		return invalidf("initial state %d outside 0..%d", c.Initial, states-1)
+		return nil, invalidf("initial state %d outside 0..%d", c.Initial, states-1)
 	}
 	adj := make([][]int, states)
 	for _, tr := range c.Transitions {
 		if tr[0] < 0 || tr[0] >= states || tr[1] < 0 || tr[1] >= states {
-			return invalidf("transition %d->%d outside 0..%d", tr[0], tr[1], states-1)
+			return nil, invalidf("transition %d->%d outside 0..%d", tr[0], tr[1], states-1)
 		}
 		adj[tr[0]] = append(adj[tr[0]], tr[1])
 	}
 	// Reachability from the initial state: the analyzer only admits
 	// models whose states are all reachable, so analyzer and checker
-	// enumerate the same automaton. A state the FSM can never reach
-	// would let a forged certificate hide the critical cycle behind it.
+	// see the same automaton. A state the FSM can never reach would let
+	// a forged certificate hide the critical cycle behind it.
 	seen := make([]bool, states)
 	stack := []int{c.Initial}
 	seen[c.Initial] = true
@@ -322,54 +389,187 @@ func (c *SADFCert) checkStructure(scenarios []*sdf.Graph) error {
 	}
 	for q, ok := range seen {
 		if !ok {
-			return invalidf("state %q is unreachable from the initial state", c.StateNames[q])
+			return nil, invalidf("state %q is unreachable from the initial state", c.StateNames[q])
 		}
 	}
 	sig := SADFTokenSignature(scenarios[0])
 	if sig == "" {
-		return invalidf("scenarios carry no initial tokens")
+		return nil, invalidf("scenarios carry no initial tokens")
 	}
 	for k := 1; k < len(scenarios); k++ {
 		if SADFTokenSignature(scenarios[k]) != sig {
-			return invalidf("scenario %q does not share the token signature of %q",
+			return nil, invalidf("scenario %q does not share the token signature of %q",
 				c.ScenarioNames[k], c.ScenarioNames[0])
+		}
+	}
+	return adj, nil
+}
+
+// eachTransition replays, for every transition q1→q2, q2's scenario
+// from start(q1) and hands the replay to check. Transitions leaving one
+// state towards the same scenario share one replay: its final times
+// stay in place until that scenario replays again.
+func (c *SADFCert) eachTransition(meter *guard.Meter, reps []*scenarioReplay, adj [][]int,
+	start func(q int) []int64, check func(q1, q2 int, r *scenarioReplay) error) error {
+	last := make([]int, len(reps)) // state each scenario last replayed from
+	for k := range last {
+		last[k] = -1
+	}
+	for q1, succ := range adj {
+		for _, q2 := range succ {
+			s := c.StateScenario[q2]
+			if last[s] != q1 {
+				if err := reps[s].apply(meter, start(q1)); err != nil {
+					return err
+				}
+				last[s] = q1
+			}
+			if err := check(q1, q2, reps[s]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// replayCriticalCycle replays the witness scenario sequence through the
-// scenario matrices: starting from the unit vector of the cycle's entry
-// token, applying the matrix of each visited state's scenario must
-// reproduce the cycle weight exactly. The replay is a max over all
-// token chains with this scenario sequence, so together with the
-// potential witness (no cycle exceeds the period) equality is forced —
-// any discrepancy means the automaton edges and the matrices disagree.
-func (c *SADFCert) replayCriticalCycle(scenarios []*sdf.Graph, edges []refEdge) error {
-	mats := make([]*maxplus.Matrix, len(c.Matrices))
-	for k, mc := range c.Matrices {
-		mats[k] = mc.Matrix.Permute(SADFTokenPerm(scenarios[k]))
+// checkPotentialReplays proves the upper bound: for every transition
+// q1→q2, the replay of q2's scenario from p(q1,·) ends every token i at
+// or below p(q2,i) + num. That is den·M(i,j) + p(q1,j) ≤ p(q2,i) + num
+// for every automaton edge, so no automaton cycle has a mean above
+// num/den.
+func (c *SADFCert) checkPotentialReplays(meter *guard.Meter, reps []*scenarioReplay, adj [][]int, n int) error {
+	p, num := c.Potentials, c.Period.Num()
+	if len(p) != len(c.StateNames)*n {
+		return invalidf("potential witness covers %d of %d nodes", len(p), len(c.StateNames)*n)
 	}
-	n := mats[0].Size()
-	first := edges[c.Cycle[0]]
-	j0 := first.from % n
-	x := maxplus.UnitVec(n, j0)
-	sumW := int64(0)
-	for _, idx := range c.Cycle {
-		e := edges[idx]
-		s := c.StateScenario[e.to/n]
-		x = mats[s].Apply(x)
-		var ok bool
-		if sumW, ok = rat.AddChecked(sumW, e.w); !ok {
-			return invalidf("critical-cycle replay weight overflows int64")
+	target := make([]int64, len(p)) // p + num
+	for v, x := range p {
+		t, ok := rat.AddChecked(x, num)
+		if !ok || maxplus.FromInt(x).IsNegInf() {
+			return invalidf("potential %d of node %d is not a finite time", x, v)
+		}
+		target[v] = t
+	}
+	return c.eachTransition(meter, reps, adj,
+		func(q int) []int64 { return p[q*n : (q+1)*n] },
+		func(q1, q2 int, r *scenarioReplay) error {
+			for i := 0; i < n; i++ {
+				if f := r.finalAt(i); !f.IsNegInf() && f.Int() > target[q2*n+i] {
+					return invalidf("transition %s -> %s ends token %d at %d, above p+num = %d: some cycle exceeds the claimed period %v",
+						c.StateNames[q1], c.StateNames[q2], i, f.Int(), target[q2*n+i], c.Period)
+				}
+			}
+			return nil
+		})
+}
+
+// checkWalkReplay proves the lower bound: replaying the scenarios of the
+// closed walk's states in turn, from the unit vector of the entry token,
+// returns to that token at or above k·num after k steps. The replay is
+// the maximum over the automaton paths from (Walk[0], Entry) back to
+// itself along the walk, so one of them, a closed walk of the
+// automaton, has a mean of at least num/den.
+func (c *SADFCert) checkWalkReplay(meter *guard.Meter, reps []*scenarioReplay, adj [][]int, n int) error {
+	k := len(c.Walk)
+	if k == 0 {
+		return invalidf("critical walk is empty")
+	}
+	if c.Entry < 0 || c.Entry >= n {
+		return invalidf("critical walk enters at token %d outside 0..%d", c.Entry, n-1)
+	}
+	for t, q := range c.Walk {
+		if q < 0 || q >= len(adj) {
+			return invalidf("critical walk visits state %d outside 0..%d", q, len(adj)-1)
+		}
+		next := c.Walk[(t+1)%k]
+		found := false
+		for _, to := range adj[q] {
+			if to == next {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return invalidf("critical walk steps from %s to %s along no FSM transition", c.StateNames[q], c.StateNames[next])
 		}
 	}
-	got := x[j0]
-	if got.IsNegInf() {
-		return invalidf("critical-cycle replay loses the dependency on token %d", j0)
+	x := make([]int64, n)
+	for i := range x {
+		x[i] = int64(maxplus.NegInf)
 	}
-	if got.Int() != sumW {
-		return invalidf("critical-cycle replay reaches %d, the witness cycle weighs %d", got.Int(), sumW)
+	x[c.Entry] = 0
+	for t := range c.Walk {
+		r := reps[c.StateScenario[c.Walk[(t+1)%k]]]
+		if err := r.apply(meter, x); err != nil {
+			return err
+		}
+		for i := range x {
+			x[i] = int64(r.finalAt(i))
+		}
+	}
+	want, ok := rat.MulChecked(int64(k), c.Period.Num())
+	if !ok {
+		return invalidf("critical walk weight %d·%d overflows int64", k, c.Period.Num())
+	}
+	if got := maxplus.T(x[c.Entry]); got.IsNegInf() || got.Int() < want {
+		return invalidf("critical walk returns to token %d at %v, below %d·%d = %d: no cycle attains the claimed period %v",
+			c.Entry, got, k, c.Period.Num(), want, c.Period)
 	}
 	return nil
+}
+
+// checkOrderReplays proves that the automaton has no cycle. With M0 the
+// largest makespan of the scenarios' zero replays, every finite matrix
+// entry lies in [0, M0]; starting token j at B·σ(q1,j), B = M0 + 1 and
+// σ a node's position in Order, the replay of q2's scenario ends token
+// i below B·σ(q2,i) exactly when every edge into (q2,i) over this
+// transition comes from an earlier node. So Order is a topological order
+// of the automaton, which is acyclic.
+func (c *SADFCert) checkOrderReplays(meter *guard.Meter, reps []*scenarioReplay, adj [][]int, n int) error {
+	nodes := len(c.StateNames) * n
+	if len(c.Order) != nodes {
+		return invalidf("topological order covers %d of %d nodes", len(c.Order), nodes)
+	}
+	pos := make([]int64, nodes)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, v := range c.Order {
+		if v < 0 || v >= nodes || pos[v] >= 0 {
+			return invalidf("topological order is not a permutation of the nodes")
+		}
+		pos[v] = int64(i)
+	}
+	zero := make([]int64, n)
+	m0 := int64(0)
+	for _, r := range reps {
+		if err := r.apply(meter, zero); err != nil {
+			return err
+		}
+		for i := 0; i < n; i++ {
+			if f := r.finalAt(i); !f.IsNegInf() {
+				m0 = max(m0, f.Int())
+			}
+		}
+	}
+	b, ok := rat.AddChecked(m0, 1)
+	for v := range pos {
+		if ok {
+			pos[v], ok = rat.MulChecked(b, pos[v])
+		}
+	}
+	if !ok {
+		return invalidf("order shift (%d+1)·%d overflows int64", m0, nodes)
+	}
+	return c.eachTransition(meter, reps, adj,
+		func(q int) []int64 { return pos[q*n : (q+1)*n] },
+		func(q1, q2 int, r *scenarioReplay) error {
+			for i := 0; i < n; i++ {
+				if f := r.finalAt(i); !f.IsNegInf() && f.Int() >= pos[q2*n+i] {
+					return invalidf("transition %s -> %s: token %d depends on a node at or after it in the order: the automaton has a cycle",
+						c.StateNames[q1], c.StateNames[q2], i)
+				}
+			}
+			return nil
+		})
 }

@@ -463,8 +463,8 @@ func extractPotentials(ctx context.Context, nodes int, edges []refEdge, period r
 	}
 }
 
-// extractWitness derives the (Potentials, Cycle) pair of an HSDF or
-// SADF certificate: the potentials, then a critical cycle among their
+// extractWitness derives the (Potentials, Cycle) pair of an HSDF
+// certificate: the potentials, then a critical cycle among their
 // tight edges. It fails exactly when the claimed period is not the
 // maximum cycle ratio of the reference graph.
 func extractWitness(ctx context.Context, nodes int, edges []refEdge, period rat.Rat) ([]int64, []int, error) {

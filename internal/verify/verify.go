@@ -26,6 +26,9 @@
 //     are a max-plus sub-eigenvector, proving no cycle exceeds the
 //     claimed period); with the matrix anchor both are checked by
 //     replaying one iteration from the witnesses, without the matrix;
+//   - an SADF certificate makes the same two-sided claim about the
+//     max-plus automaton of an FSM-SADF model, checked by replaying each
+//     FSM transition's scenario from the source state's potentials;
 //   - a trace certificate replays a timed simulation event by event;
 //   - an abstraction certificate discharges the Theorem 1 obligation
 //     mechanically through the Proposition 1 machinery of

@@ -29,8 +29,8 @@ type (
 	// replays of the schedule it was derived from.
 	MatrixCert = verify.MatrixCert
 	// ThroughputCert certifies an iteration period with a paired
-	// critical-cycle witness (lower bound) and potential feasibility
-	// witness (upper bound).
+	// critical token set (lower bound) and token potentials (upper
+	// bound), checked by replaying one iteration's schedule.
 	ThroughputCert = verify.ThroughputCert
 	// TraceCert certifies a timed simulation trace by event replay.
 	TraceCert = verify.TraceCert
@@ -40,12 +40,9 @@ type (
 
 	// HedgeOptions configures ComputeThroughputHedgedOpts.
 	HedgeOptions = analysis.HedgeOptions
-	// HedgeReport explains a hedged race: per-engine attempts plus the
-	// certificates of every verified answer.
+	// HedgeReport explains a hedged analysis: per-engine attempts plus
+	// the winner's verified certificate.
 	HedgeReport = analysis.HedgeReport
-	// DisagreementError carries the two conflicting verified answers
-	// and their certificates.
-	DisagreementError = analysis.DisagreementError
 )
 
 // Certificate kinds.
@@ -58,15 +55,9 @@ const (
 	KindAbstraction = verify.KindAbstraction
 )
 
-var (
-	// ErrCertificateInvalid is wrapped by every certificate rejection;
-	// test with errors.Is.
-	ErrCertificateInvalid = verify.ErrInvalid
-	// ErrEngineDisagreement marks two engines whose answers both
-	// verified yet differ; test with errors.Is and unpack with
-	// errors.As into *DisagreementError.
-	ErrEngineDisagreement = analysis.ErrEngineDisagreement
-)
+// ErrCertificateInvalid is wrapped by every certificate rejection; test
+// with errors.Is.
+var ErrCertificateInvalid = verify.ErrInvalid
 
 // CheckCertificate validates any certificate against g with the
 // independent checker; it returns nil exactly when the certified claim
@@ -77,9 +68,10 @@ func CheckCertificate(ctx context.Context, g *Graph, c Certificate) error {
 
 // ComputeThroughputCertified analyses g with the chosen engine and
 // returns the result together with a verified throughput certificate:
-// a critical-cycle witness and feasible node potentials over a
-// reference precedence graph re-derived from g, checked in exact
-// rational arithmetic independently of the engine.
+// one iteration schedule of g with potentials over its initial tokens
+// and the tokens of a critical cycle, checked by replaying the schedule
+// on g in exact arithmetic, independently of the engine. Every engine
+// returns this same certificate.
 func ComputeThroughputCertified(ctx context.Context, g *Graph, m Method) (Throughput, *ThroughputCert, error) {
 	if err := lint.Precheck(g); err != nil {
 		return Throughput{}, nil, err
@@ -90,10 +82,8 @@ func ComputeThroughputCertified(ctx context.Context, g *Graph, m Method) (Throug
 // ComputeThroughputHedged runs the certified engines one at a time
 // under the budget carried by ctx, matrix first: the next engine runs
 // only when the previous one failed or was refused by its budget, and
-// the first independently verified answer wins. With
-// HedgeOptions.CrossCheck every engine runs, and two verified engines
-// that disagree surface as ErrEngineDisagreement carrying both
-// certificates.
+// the first independently verified answer wins; the report carries its
+// certificate.
 func ComputeThroughputHedged(ctx context.Context, g *Graph) (Throughput, *HedgeReport, error) {
 	if err := lint.Precheck(g); err != nil {
 		return Throughput{}, nil, err
@@ -101,8 +91,8 @@ func ComputeThroughputHedged(ctx context.Context, g *Graph) (Throughput, *HedgeR
 	return analysis.ComputeThroughputHedged(ctx, g)
 }
 
-// ComputeThroughputHedgedOpts is ComputeThroughputHedged with an
-// explicit engine list and cross-check mode.
+// ComputeThroughputHedgedOpts is ComputeThroughputHedged with explicit
+// options: a gate that can shed engines before any runs.
 func ComputeThroughputHedgedOpts(ctx context.Context, g *Graph, opts HedgeOptions) (Throughput, *HedgeReport, error) {
 	if err := lint.Precheck(g); err != nil {
 		return Throughput{}, nil, err

@@ -191,6 +191,28 @@ case $dead in
       "severity": "error",'*) ;;
 *) printf 'lint: no deadlock error:\n%s\n' "$dead"; exit 1 ;;
 esac
+
+echo '== sdftool throughput -verify: matrix and hsdf engines over the corpus'
+# Both engines emit the one schedule-anchored certificate: each must
+# print a verified: line, and both must prove the same period.
+period() { # the period line of throughput output $1, engine name cut
+    printf '%s\n' "$1" | sed -n 's/ (engine: [a-z]*)$//; /^iteration period: /p; /^throughput: unbounded/p'
+}
+for g in testdata/graphs/*.sdf; do
+    echo "   $g"
+    m=$("$LINT_DIR/sdftool" throughput -verify -method matrix "$g")
+    h=$("$LINT_DIR/sdftool" throughput -verify -method hsdf "$g")
+    for out in "$m" "$h"; do
+        case $out in
+        *'verified: '*) ;;
+        *) printf 'throughput: %s printed no verified: line:\n%s\n' "$g" "$out"; exit 1 ;;
+        esac
+    done
+    if [ -z "$(period "$m")" ] || [ "$(period "$m")" != "$(period "$h")" ]; then
+        printf 'throughput: %s: matrix and hsdf engines differ:\n%s\n%s\n' "$g" "$m" "$h"
+        exit 1
+    fi
+done
 rm -rf "$LINT_DIR"
 trap - EXIT
 

@@ -67,8 +67,7 @@
 //	2  model precondition failed (lint precheck, inconsistent rates,
 //	   deadlocking cycle, error-level lint diagnostics)
 //	3  work budget exceeded or deadline/cancellation hit
-//	4  internal engine failure (isolated panic, verified-engine
-//	   disagreement)
+//	4  internal engine failure (isolated panic)
 //	5  certificate verification failed: an engine produced an answer
 //	   whose witness did not survive the independent exact-arithmetic
 //	   check
@@ -409,7 +408,7 @@ func cmdThroughputHedged(ctx context.Context, w io.Writer, g *sdfreduce.Graph) e
 		return err
 	}
 	printThroughput(w, g, tp, rep.Winner.String())
-	if cert := rep.Certificates[rep.Winner]; cert != nil {
+	if cert := rep.Certificate; cert != nil {
 		fmt.Fprintf(w, "verified: %s\n", cert)
 	}
 	return nil

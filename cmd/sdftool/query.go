@@ -48,7 +48,7 @@ func (e *remoteError) exitCode() int {
 		return 2
 	case "budget", "deadline", "canceled":
 		return 3
-	case "engine", "disagreement", "internal":
+	case "engine", "internal":
 		return 4
 	case "certificate":
 		return 5

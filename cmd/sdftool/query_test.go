@@ -208,7 +208,6 @@ func TestExitCodeTable(t *testing.T) {
 		{"remote deadline", remote("deadline"), 3},
 		{"remote canceled", remote("canceled"), 3},
 		{"remote engine", remote("engine"), 4},
-		{"remote disagreement", remote("disagreement"), 4},
 		{"remote internal", remote("internal"), 4},
 		{"remote certificate", remote("certificate"), 5},
 		{"remote overloaded", remote("overloaded"), 6},

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -70,7 +71,7 @@ func main() {
 	n := g.TotalInitialTokens()
 	fmt.Printf("novel HSDF conversion: %d actors for N = %d tokens (bound %d)\n",
 		stats.Actors(), n, n*(n+2))
-	res, err := mcm.MaxCycleRatio(h)
+	res, err := mcm.MaxCycleRatio(context.Background(), h)
 	if err != nil {
 		log.Fatal(err)
 	}

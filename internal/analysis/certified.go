@@ -10,22 +10,14 @@ import (
 	"repro/internal/verify"
 )
 
-// testTamperHSDF, when non-nil, rewrites the traditionally converted
-// graph before the HSDF engine analyses it. It exists so tests can
-// inject a verified-but-wrong answer through the documented trust gap
-// of the HSDF anchor (its edge delays are not re-derivable from the
-// original graph) and prove that hedged cross-checking surfaces the
-// disagreement instead of returning the wrong result.
-var testTamperHSDF func(*sdf.Graph) *sdf.Graph
-
 // ComputeThroughputCertified is ComputeThroughputCtx returning a
-// self-verifying certificate alongside the result: the engine's answer
-// is packaged with a critical-cycle witness and a node-potential
-// feasibility witness over the engine's reference precedence graph, and
-// the certificate is validated by the independent checker of
-// internal/verify before it is returned. A wrong engine answer fails
-// witness extraction or the final check and comes back as an error, not
-// as a result.
+// self-verifying certificate alongside the result: every engine's
+// answer is packaged with one iteration schedule of g, potentials over
+// g's initial tokens and a critical token set (or a topological order),
+// and the certificate is validated by the independent checker of
+// internal/verify, which replays the schedule on g, before it is
+// returned. A wrong engine answer fails witness extraction or the final
+// check and comes back as an error, not as a result.
 func ComputeThroughputCertified(ctx context.Context, g *sdf.Graph, method Method) (Throughput, *verify.ThroughputCert, error) {
 	var run engineRun
 	var cert *verify.ThroughputCert
@@ -52,7 +44,8 @@ func certify(ctx context.Context, g *sdf.Graph, method Method, run engineRun) (*
 	var cert *verify.ThroughputCert
 	var err error
 	if run.hsdf != nil {
-		cert, err = verify.NewHSDFThroughputCert(ctx, g, run.hsdf, run.tp.Repetition, run.tp.Unbounded, run.tp.Period)
+		cert, err = verify.NewHSDFThroughputCert(ctx, g, run.hsdf, run.sched, run.tp.Repetition,
+			run.tp.Unbounded, run.tp.Period, run.cycle)
 	} else {
 		cert, err = verify.NewMatrixThroughputCert(ctx, run.sym.Matrix, run.sym.Schedule,
 			run.tp.Repetition, run.tp.Unbounded, run.tp.Period, run.critical)

@@ -13,49 +13,8 @@ import (
 	"repro/internal/verify"
 )
 
-// ErrEngineDisagreement marks two engines that both produced *verified*
-// throughput certificates for the same graph but claim different
-// answers. With the matrix anchor this cannot happen (its replays run
-// on the graph itself); the HSDF anchor trusts the
-// converted graph's edge set and delays, which is the documented gap a
-// disagreement squeezes through.
-var ErrEngineDisagreement = errors.New("analysis: verified engines disagree")
-
-// DisagreementError carries both verified answers and their
-// certificates so a caller (or a human) can adjudicate: each
-// certificate pinpoints the reference precedence graph its engine's
-// claim is provably exact for.
-type DisagreementError struct {
-	MethodA, MethodB Method
-	ResultA, ResultB Throughput
-	CertA, CertB     *verify.ThroughputCert
-}
-
-func (e *DisagreementError) Error() string {
-	return fmt.Sprintf("analysis: verified engines disagree: %s proves %s, %s proves %s",
-		e.MethodA, describeThroughput(e.ResultA), e.MethodB, describeThroughput(e.ResultB))
-}
-
-// Unwrap lets errors.Is(err, ErrEngineDisagreement) classify the error.
-func (e *DisagreementError) Unwrap() error { return ErrEngineDisagreement }
-
-func describeThroughput(tp Throughput) string {
-	if tp.Unbounded {
-		return "unbounded throughput"
-	}
-	return fmt.Sprintf("period %v", tp.Period)
-}
-
 // HedgeOptions configures ComputeThroughputHedgedOpts.
 type HedgeOptions struct {
-	// Engines lists the engines in the order the policy tries them; nil
-	// means DefaultEngines.
-	Engines []Method
-	// CrossCheck runs every engine in turn instead of stopping at the
-	// first verified answer, then compares all verified answers. The
-	// winner is the first verified engine in Engines order; the price is
-	// the summed time of every engine.
-	CrossCheck bool
 	// Gate, when non-nil, is consulted once per engine, in order, before
 	// any engine runs. A non-nil error removes the engine from the
 	// policy entirely — no run, no meter, no budget consumption — and
@@ -107,8 +66,8 @@ func attemptOutcome(a EngineAttempt) string {
 }
 
 // HedgeReport explains a hedged throughput analysis: one attempt per
-// engine, in the order they were considered, and the certificates of
-// every engine that produced a verified answer.
+// engine, in the order they were considered, and the winner's verified
+// certificate.
 type HedgeReport struct {
 	// Attempts lists every engine of the policy in consideration order.
 	Attempts []EngineAttempt
@@ -117,9 +76,9 @@ type HedgeReport struct {
 	Winner Method
 	// Answered is true when some engine produced a verified throughput.
 	Answered bool
-	// Certificates holds the verified certificate of every engine that
-	// finished with an answer (the winner and any cross-checked peers).
-	Certificates map[Method]*verify.ThroughputCert
+	// Certificate is the winner's verified certificate; nil unless
+	// Answered.
+	Certificate *verify.ThroughputCert
 }
 
 // Lines renders the policy for humans, one line per engine attempt. A
@@ -153,8 +112,8 @@ func (r *HedgeReport) String() string {
 }
 
 // DefaultEngines returns the hedged policy's engines in the order it
-// tries them when HedgeOptions.Engines is nil: the matrix engine first,
-// the state-space and HSDF engines as its fallbacks.
+// tries them: the matrix engine first, the state-space and HSDF engines
+// as its fallbacks.
 func DefaultEngines() []Method { return []Method{Matrix, StateSpace, HSDF} }
 
 // ComputeThroughputHedged runs the certified engines under the budget
@@ -171,15 +130,9 @@ func ComputeThroughputHedged(ctx context.Context, g *sdf.Graph) (Throughput, *He
 // isolation, each producing a self-verified certificate
 // (ComputeThroughputCertified), and the next engine runs only when the
 // previous one failed — an unverifiable answer, a budget refusal or an
-// isolated panic. Engines that never run are recorded as skipped. With
-// CrossCheck every engine runs, and if two engines both return
-// *verified* but different answers the result is a *DisagreementError
-// carrying both certificates — never a silent pick.
+// isolated panic. Engines that never run are recorded as skipped.
 func ComputeThroughputHedgedOpts(ctx context.Context, g *sdf.Graph, opts HedgeOptions) (Throughput, *HedgeReport, error) {
-	engines := opts.Engines
-	if len(engines) == 0 {
-		engines = DefaultEngines()
-	}
+	engines := DefaultEngines()
 	// The gate sheds engines before anything is spent on them: a gated
 	// engine gets no run, no meter and no budget charge, only a skipped
 	// line in the report.
@@ -190,8 +143,8 @@ func ComputeThroughputHedgedOpts(ctx context.Context, g *sdf.Graph, opts HedgeOp
 		}
 	}
 	reg := obs.FromContext(ctx)
-	rep := &HedgeReport{Certificates: make(map[Method]*verify.ThroughputCert)}
-	results := make(map[Method]Throughput, len(engines))
+	rep := &HedgeReport{}
+	var win Throughput
 	var errs []error
 	for i, m := range engines {
 		switch {
@@ -201,7 +154,7 @@ func ComputeThroughputHedgedOpts(ctx context.Context, g *sdf.Graph, opts HedgeOp
 			})
 			errs = append(errs, fmt.Errorf("%v: %w", m, gated[i]))
 			continue
-		case rep.Answered && !opts.CrossCheck:
+		case rep.Answered:
 			rep.Attempts = append(rep.Attempts, EngineAttempt{
 				Method: m, Skipped: true, Reason: fmt.Sprintf("the %s engine answered first", rep.Winner),
 			})
@@ -217,17 +170,11 @@ func ComputeThroughputHedgedOpts(ctx context.Context, g *sdf.Graph, opts HedgeOp
 		start := reg.Now()
 		tp, cert, err := ComputeThroughputCertified(ctx, g, m)
 		at := EngineAttempt{Method: m, Wall: reg.Now().Sub(start)}
-		switch {
-		case err != nil:
+		if err != nil {
 			at.Reason, at.Err = err.Error(), err
 			errs = append(errs, fmt.Errorf("%v: %w", m, err))
-		case rep.Answered:
-			at.Reason = fmt.Sprintf("verified, cross-checked against the %s engine", rep.Winner)
-		default:
-			rep.Winner, rep.Answered = m, true
-		}
-		if err == nil {
-			results[m], rep.Certificates[m] = tp, cert
+		} else {
+			win, rep.Winner, rep.Answered, rep.Certificate = tp, m, true, cert
 		}
 		rep.Attempts = append(rep.Attempts, at)
 	}
@@ -242,27 +189,7 @@ func ComputeThroughputHedgedOpts(ctx context.Context, g *sdf.Graph, opts HedgeOp
 		reg.Counter(obs.MetricHedgeRaces, "outcome", "failed").Inc()
 		return Throughput{}, rep, fmt.Errorf("analysis: no engine produced a verified throughput: %w", errors.Join(errs...))
 	}
-	winner := rep.Winner
-
-	// Any second verified answer must agree with the winner's; a
-	// conflict is structured evidence, not a coin flip.
-	win := results[winner]
-	for _, m := range engines {
-		tp, ok := results[m]
-		if m == winner || !ok {
-			continue
-		}
-		if tp.Unbounded != win.Unbounded || (!tp.Unbounded && !tp.Period.Equal(win.Period)) {
-			reg.Counter(obs.MetricHedgeRaces, "outcome", "disagreement").Inc()
-			reg.Emit("hedge.disagreement", "winner", winner.String(), "peer", m.String())
-			return Throughput{}, rep, &DisagreementError{
-				MethodA: winner, MethodB: m,
-				ResultA: win, ResultB: tp,
-				CertA: rep.Certificates[winner], CertB: rep.Certificates[m],
-			}
-		}
-	}
 	reg.Counter(obs.MetricHedgeRaces, "outcome", "answered").Inc()
-	reg.Counter(obs.MetricHedgeWins, "engine", winner.String()).Inc()
+	reg.Counter(obs.MetricHedgeWins, "engine", rep.Winner.String()).Inc()
 	return win, rep, nil
 }

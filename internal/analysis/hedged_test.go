@@ -39,7 +39,7 @@ func TestHedgedFirstVerifiedWins(t *testing.T) {
 	if len(rep.Attempts) != 3 {
 		t.Fatalf("report has %d attempts, want 3:\n%s", len(rep.Attempts), rep)
 	}
-	cert := rep.Certificates[rep.Winner]
+	cert := rep.Certificate
 	if cert == nil {
 		t.Fatalf("winner %v has no certificate", rep.Winner)
 	}
@@ -48,78 +48,41 @@ func TestHedgedFirstVerifiedWins(t *testing.T) {
 	}
 }
 
-func TestHedgedCrossCheckAllEnginesVerify(t *testing.T) {
+// TestHedgedEveryEngineVerifies reaches each engine through the policy
+// by gating the other two: each answers alone, with a certificate
+// anchored in a schedule that re-verifies, and all three agree.
+func TestHedgedEveryEngineVerifies(t *testing.T) {
 	defer noLeaks(t)
 	g := gen.Figure3(4)
-	tp, rep, err := ComputeThroughputHedgedOpts(context.Background(), g, HedgeOptions{CrossCheck: true})
-	if err != nil {
-		t.Fatalf("cross-check: %v\n%s", err, rep)
-	}
-	if rep.Winner != Matrix {
-		t.Errorf("cross-check winner = %v, want the first engine in race order", rep.Winner)
-	}
-	if len(rep.Certificates) != 3 {
-		t.Fatalf("got %d certificates, want one per engine:\n%s", len(rep.Certificates), rep)
-	}
-	for m, cert := range rep.Certificates {
-		if cert.Unbounded || !cert.Period.Equal(tp.Period) {
-			t.Errorf("%v certificate claims %v, result is %v", m, cert.Period, tp.Period)
+	var periods []string
+	for _, m := range DefaultEngines() {
+		only := func(e Method) error {
+			if e != m {
+				return guard.ErrBreakerOpen
+			}
+			return nil
+		}
+		tp, rep, err := ComputeThroughputHedgedOpts(context.Background(), g, HedgeOptions{Gate: only})
+		if err != nil {
+			t.Fatalf("%v alone: %v\n%s", m, err, rep)
+		}
+		if rep.Winner != m {
+			t.Errorf("winner = %v, want the one admitted engine %v", rep.Winner, m)
+		}
+		cert := rep.Certificate
+		if cert == nil || cert.Schedule == nil || cert.Unbounded || !cert.Period.Equal(tp.Period) {
+			t.Fatalf("%v: certificate %v does not claim the result %v", m, cert, tp.Period)
 		}
 		if err := cert.Check(context.Background(), g); err != nil {
 			t.Errorf("%v certificate does not re-verify: %v", m, err)
 		}
-	}
-	s := rep.String()
-	if !strings.Contains(s, "answered") || !strings.Contains(s, "cross-checked") {
-		t.Errorf("report rendering misses the cross-check lines:\n%s", s)
-	}
-}
-
-// A wrong answer injected through the HSDF anchor's documented trust
-// gap (its edge delays are not re-derivable from the original graph)
-// must not win silently: both engines verify, their claims differ, and
-// the race returns a structured disagreement carrying both
-// certificates.
-func TestHedgedSurfacesVerifiedDisagreement(t *testing.T) {
-	defer noLeaks(t)
-	g := gen.Figure3(4)
-	testTamperHSDF = func(h *sdf.Graph) *sdf.Graph {
-		tampered := h.Clone()
-		for i := 0; i < tampered.NumChannels(); i++ {
-			id := sdf.ChannelID(i)
-			if err := tampered.SetInitial(id, tampered.Channel(id).Initial+1); err != nil {
-				t.Fatal(err)
-			}
+		if s := rep.String(); strings.Count(s, "gated") != 2 || !strings.Contains(s, "answered") {
+			t.Errorf("report does not read two gated engines and one answer:\n%s", s)
 		}
-		return tampered
+		periods = append(periods, tp.Period.String())
 	}
-	defer func() { testTamperHSDF = nil }()
-
-	_, rep, err := ComputeThroughputHedgedOpts(context.Background(), g,
-		HedgeOptions{Engines: []Method{Matrix, HSDF}, CrossCheck: true})
-	if !errors.Is(err, ErrEngineDisagreement) {
-		t.Fatalf("err = %v, want ErrEngineDisagreement\n%s", err, rep)
-	}
-	var de *DisagreementError
-	if !errors.As(err, &de) {
-		t.Fatalf("err = %T, want *DisagreementError", err)
-	}
-	if de.MethodA != Matrix || de.MethodB != HSDF {
-		t.Errorf("disagreement between %v and %v, want matrix and hsdf", de.MethodA, de.MethodB)
-	}
-	if de.ResultA.Period.Equal(de.ResultB.Period) {
-		t.Errorf("disagreement carries equal periods %v", de.ResultA.Period)
-	}
-	if de.CertA == nil || de.CertB == nil {
-		t.Fatal("disagreement does not carry both certificates")
-	}
-	// Both certificates individually verify — that is exactly what makes
-	// the disagreement worth surfacing instead of silently picking one.
-	if err := de.CertA.Check(context.Background(), g); err != nil {
-		t.Errorf("matrix certificate does not verify: %v", err)
-	}
-	if err := de.CertB.Check(context.Background(), g); err != nil {
-		t.Errorf("tampered hsdf certificate does not verify (the trust gap closed?): %v", err)
+	if periods[0] != periods[1] || periods[0] != periods[2] {
+		t.Errorf("engines disagree: %v", periods)
 	}
 }
 
@@ -151,15 +114,18 @@ func TestHedgedAllEnginesFail(t *testing.T) {
 // TestHedgedGateShedsTrippedEngine is the breaker-interaction contract
 // of the serving layer: an engine behind an open circuit breaker must
 // be shed before the race starts — no goroutine, no meter, no budget
-// consumption — and the report must say so. The armed injector proves
-// the "no budget consumed" half: had the statespace engine run at all,
-// its very first checkpoint or precheck would have struck the injector.
+// consumption — and the report must say so. The matrix engine fails on
+// an injected error, so the policy reaches the statespace engine's
+// turn; the armed injector proves the "no budget consumed" half: had
+// the statespace engine run at all, its very first checkpoint or
+// precheck would have struck the injector.
 func TestHedgedGateShedsTrippedEngine(t *testing.T) {
 	defer noLeaks(t)
 	g := gen.Figure2()
 	b := guard.Unlimited()
 	b.CheckEvery = 1
 	inj := guard.NewInjector(
+		guard.Fault{Engine: "matrix", Point: guard.PointCheckpoint, Mode: guard.ModeError},
 		guard.Fault{Engine: "statespace", Point: guard.PointPrecheck, Mode: guard.ModePanic, Times: -1},
 		guard.Fault{Engine: "statespace", Point: guard.PointCheckpoint, Mode: guard.ModePanic, Times: -1},
 	)
@@ -173,18 +139,18 @@ func TestHedgedGateShedsTrippedEngine(t *testing.T) {
 		}
 		return nil
 	}
-	tp, rep, err := ComputeThroughputHedgedOpts(ctx, g, HedgeOptions{CrossCheck: true, Gate: gate})
+	tp, rep, err := ComputeThroughputHedgedOpts(ctx, g, HedgeOptions{Gate: gate})
 	if err != nil {
 		t.Fatalf("hedged with tripped statespace: %v\n%s", err, rep)
 	}
 	if tp.Unbounded {
 		t.Error("result unbounded")
 	}
-	if rep.Winner != Matrix {
-		t.Errorf("winner = %v, want matrix", rep.Winner)
+	if rep.Winner != HSDF {
+		t.Errorf("winner = %v, want hsdf after the matrix failure and the gated statespace", rep.Winner)
 	}
-	if inj.Fired() != 0 {
-		t.Errorf("gated engine consumed budget: injector fired %d times, want 0", inj.Fired())
+	if inj.Fired() != 1 {
+		t.Errorf("injector fired %d times, want once for the matrix engine: the gated engine consumed budget", inj.Fired())
 	}
 	var ss *EngineAttempt
 	for i := range rep.Attempts {
@@ -204,8 +170,8 @@ func TestHedgedGateShedsTrippedEngine(t *testing.T) {
 	if !strings.Contains(rep.String(), "gated") {
 		t.Errorf("report does not say the engine was gated:\n%s", rep)
 	}
-	if _, ok := rep.Certificates[StateSpace]; ok {
-		t.Error("gated engine produced a certificate")
+	if rep.Certificate == nil || rep.Certificate.Check(ctx, g) != nil {
+		t.Error("the winner's certificate does not re-verify")
 	}
 }
 
@@ -231,9 +197,9 @@ func TestHedgedAllEnginesGated(t *testing.T) {
 	}
 }
 
-// A deterministically injected budget refusal makes the HSDF racer lose
-// while the others proceed: degradation under fault injection, with no
-// timing dependence because cross-check mode waits for every racer.
+// A deterministically injected budget refusal makes the HSDF engine
+// lose: with the other two engines gated it is the one engine that
+// runs, and the refusal lands in its attempt and in the policy's error.
 func TestHedgedInjectedRefusalLosesRace(t *testing.T) {
 	defer noLeaks(t)
 	g := gen.Figure2()
@@ -243,30 +209,22 @@ func TestHedgedInjectedRefusalLosesRace(t *testing.T) {
 		guard.Fault{Engine: "traditional", Point: guard.PointPrecheck, Mode: guard.ModeRefuse},
 	)
 	ctx := guard.WithInjector(guard.WithBudget(context.Background(), b), inj)
-	tp, rep, err := ComputeThroughputHedgedOpts(ctx, g, HedgeOptions{CrossCheck: true})
-	if err != nil {
-		t.Fatalf("hedged with injected hsdf refusal: %v\n%s", err, rep)
+	onlyHSDF := func(m Method) error {
+		if m != HSDF {
+			return guard.ErrBreakerOpen
+		}
+		return nil
 	}
-	if rep.Winner != Matrix {
-		t.Errorf("winner = %v, want matrix", rep.Winner)
-	}
-	if tp.Unbounded {
-		t.Error("result unbounded")
+	_, rep, err := ComputeThroughputHedgedOpts(ctx, g, HedgeOptions{Gate: onlyHSDF})
+	if !errors.Is(err, guard.ErrBudgetExceeded) || rep.Answered {
+		t.Fatalf("hedged with injected hsdf refusal: %v, want the refusal\n%s", err, rep)
 	}
 	if inj.Fired() != 1 {
 		t.Errorf("injector fired %d times, want 1", inj.Fired())
 	}
-	var hsdfAttempt *EngineAttempt
-	for i := range rep.Attempts {
-		if rep.Attempts[i].Method == HSDF {
-			hsdfAttempt = &rep.Attempts[i]
-		}
-	}
-	if hsdfAttempt == nil || hsdfAttempt.Err == nil {
-		t.Fatalf("hsdf attempt not recorded as failed:\n%s", rep)
-	}
-	if !errors.Is(hsdfAttempt.Err, guard.ErrBudgetExceeded) {
-		t.Errorf("hsdf failure = %v, want the injected ErrBudgetExceeded", hsdfAttempt.Err)
+	hsdfAttempt := rep.Attempts[2]
+	if hsdfAttempt.Method != HSDF || hsdfAttempt.Skipped || !errors.Is(hsdfAttempt.Err, guard.ErrBudgetExceeded) {
+		t.Errorf("hsdf attempt = %+v, want the injected ErrBudgetExceeded", hsdfAttempt)
 	}
 }
 
@@ -291,16 +249,15 @@ func TestHedgedContextDoneSkipsEngines(t *testing.T) {
 	}
 }
 
-// The renderer covers every attempt shape: a failure, the winner, a
-// skip and a cross-checked peer, and cuts a multi-line reason (an
-// isolated panic's stack trace) at its first newline.
+// The renderer covers every attempt shape: a failure, the winner and a
+// skip, and cuts a multi-line reason (an isolated panic's stack trace)
+// at its first newline.
 func TestResilientReportStringBranches(t *testing.T) {
 	rep := &HedgeReport{
 		Attempts: []EngineAttempt{
 			{Method: Matrix, Reason: "boom\ngoroutine 1 [running]:", Err: errors.New("boom")},
 			{Method: StateSpace},
 			{Method: HSDF, Skipped: true, Reason: "gated: open"},
-			{Method: HSDF, Reason: "verified, cross-checked against the statespace engine"},
 		},
 		Winner:   StateSpace,
 		Answered: true,
@@ -308,8 +265,7 @@ func TestResilientReportStringBranches(t *testing.T) {
 	got := rep.String()
 	want := "matrix      failed: boom\n" +
 		"statespace  answered\n" +
-		"hsdf        skipped: gated: open\n" +
-		"hsdf        verified, cross-checked against the statespace engine\n"
+		"hsdf        skipped: gated: open\n"
 	if got != want {
 		t.Errorf("String() =\n%q\nwant\n%q", got, want)
 	}

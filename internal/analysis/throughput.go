@@ -29,6 +29,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/passes"
 	"repro/internal/rat"
+	"repro/internal/schedule"
 	"repro/internal/sdf"
 	"repro/internal/transform"
 )
@@ -158,12 +159,15 @@ func ComputeThroughputDirectCtx(ctx context.Context, g *sdf.Graph, method Method
 // engineRun is one engine's answer together with what its certificate
 // is built from: the symbolic iteration of the matrix engines (with the
 // critical cycle, when Howard found it), or the traditionally converted
-// graph of the HSDF engine.
+// graph of the HSDF engine with one iteration schedule of g and the
+// cycle Howard ended on.
 type engineRun struct {
 	tp       Throughput
 	sym      *core.SymbolicResult
 	critical []int
 	hsdf     *sdf.Graph
+	sched    []sdf.ActorID
+	cycle    []sdf.ActorID
 }
 
 // runEngine is the one front end of the three engines. Each pipeline
@@ -201,18 +205,18 @@ func runEngine(ctx context.Context, g *sdf.Graph, method Method) (engineRun, err
 	case HSDF:
 		sp := reg.StartSpan("analysis.conversion", "engine", eng)
 		run.hsdf, _, err = transform.TraditionalCtx(ctx, g)
+		if err == nil {
+			run.sched, err = schedule.SequentialCtx(ctx, g)
+		}
 		sp.Finish()
 		if err != nil {
 			return engineRun{}, err
 		}
-		if testTamperHSDF != nil {
-			run.hsdf = testTamperHSDF(run.hsdf)
-		}
 		sp = reg.StartSpan("analysis.mcm", "engine", eng)
 		var res mcm.Result
-		res, err = mcm.MaxCycleRatio(run.hsdf)
+		res, err = mcm.MaxCycleRatio(ctx, run.hsdf)
 		sp.Finish()
-		run.tp.Period, hasCycle = res.CycleMean, res.HasCycle
+		run.tp.Period, hasCycle, run.cycle = res.CycleMean, res.HasCycle, res.Critical
 
 	default:
 		return engineRun{}, fmt.Errorf("unknown method %v", method)

@@ -1,6 +1,7 @@
 package benchmarks
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -155,7 +156,7 @@ func TestConversionsPreserveThroughput(t *testing.T) {
 }
 
 func mcmOf(g *sdf.Graph) (rat.Rat, error) {
-	res, err := mcm.MaxCycleRatio(g)
+	res, err := mcm.MaxCycleRatio(context.Background(), g)
 	if err != nil {
 		return rat.Rat{}, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -72,7 +73,7 @@ func TestFigure1Abstraction(t *testing.T) {
 	}
 
 	// The abstract graph's iteration period is 5 (throughput 1/5).
-	r, err := mcm.MaxCycleRatio(abstract)
+	r, err := mcm.MaxCycleRatio(context.Background(), abstract)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestFigure1AbstractionLargerN(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		r, err := mcm.MaxCycleRatio(abstract)
+		r, err := mcm.MaxCycleRatio(context.Background(), abstract)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -124,7 +125,7 @@ func TestFigure1AbstractionLargerN(t *testing.T) {
 		if !bound.Equal(rat.MustNew(1, int64(5*n))) {
 			t.Errorf("n=%d: bound = %v, want 1/%d", n, bound, 5*n)
 		}
-		orig, err := mcm.MaxCycleRatio(g)
+		orig, err := mcm.MaxCycleRatio(context.Background(), g)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -175,11 +176,11 @@ func TestFigure2Abstraction(t *testing.T) {
 	}
 	// Empirical conservativity: abstract period / N >= original period /
 	// iteration... both homogeneous: τ_bound = 1/(N·Λ') <= 1/Λ.
-	or, err := mcm.MaxCycleRatio(g)
+	or, err := mcm.MaxCycleRatio(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar, err := mcm.MaxCycleRatio(abstract)
+	ar, err := mcm.MaxCycleRatio(context.Background(), abstract)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,11 +213,11 @@ func TestFigure5PrefetchExact(t *testing.T) {
 	if res.N != blocks {
 		t.Errorf("N = %d, want %d", res.N, blocks)
 	}
-	orig, err := mcm.MaxCycleRatio(g)
+	orig, err := mcm.MaxCycleRatio(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	abs, err := mcm.MaxCycleRatio(abstract)
+	abs, err := mcm.MaxCycleRatio(context.Background(), abstract)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,11 +301,11 @@ func TestAbstractIdentity(t *testing.T) {
 	if res.N != 1 {
 		t.Errorf("N = %d, want 1", res.N)
 	}
-	or, err := mcm.MaxCycleRatio(g)
+	or, err := mcm.MaxCycleRatio(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ar, err := mcm.MaxCycleRatio(abstract)
+	ar, err := mcm.MaxCycleRatio(context.Background(), abstract)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,11 +340,11 @@ func TestQuickRegularAbstractionConservative(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		orig, err := mcm.MaxCycleRatio(g)
+		orig, err := mcm.MaxCycleRatio(context.Background(), g)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		abs, err := mcm.MaxCycleRatio(abstract)
+		abs, err := mcm.MaxCycleRatio(context.Background(), abstract)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -49,7 +50,7 @@ func TestBuildHSDFThroughputMatchesEigenvalue(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("eigenvalue: ok=%v err=%v", ok, err)
 	}
-	res, err := mcm.MaxCycleRatio(h)
+	res, err := mcm.MaxCycleRatio(context.Background(), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +77,11 @@ func TestBuildHSDFNoElision(t *testing.T) {
 		t.Errorf("full structure (%d actors) smaller than elided (%d)", sf.Actors(), se.Actors())
 	}
 	// Both variants must have the same timing.
-	re, err := mcm.MaxCycleRatio(elided)
+	re, err := mcm.MaxCycleRatio(context.Background(), elided)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rf, err := mcm.MaxCycleRatio(full)
+	rf, err := mcm.MaxCycleRatio(context.Background(), full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestBuildHSDFSingleSelfLoop(t *testing.T) {
 	if stats.Actors() != 1 || stats.Edges != 1 || stats.Tokens != 1 {
 		t.Errorf("stats = %+v, want 1 actor, 1 edge, 1 token", stats)
 	}
-	res, err := mcm.MaxCycleRatio(h)
+	res, err := mcm.MaxCycleRatio(context.Background(), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +131,7 @@ func TestBuildHSDFDropsDeadTokens(t *testing.T) {
 	if stats.DroppedEntries != 0 {
 		t.Errorf("DroppedEntries = %d, want 0", stats.DroppedEntries)
 	}
-	res, err := mcm.MaxCycleRatio(h)
+	res, err := mcm.MaxCycleRatio(context.Background(), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestBuildHSDFFigure1(t *testing.T) {
 		// Figure1(6): one token on A6->A1, none elsewhere.
 		t.Logf("figure1 tokens = %d", n)
 	}
-	res, err := mcm.MaxCycleRatio(h)
+	res, err := mcm.MaxCycleRatio(context.Background(), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +190,7 @@ func TestBuildHSDFTrimsSinkCoefficients(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The throughput is A's self-loop: 3. (The sink never constrains.)
-	res, err := mcm.MaxCycleRatio(h)
+	res, err := mcm.MaxCycleRatio(context.Background(), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestBuildHSDFSourceChainTrimmed(t *testing.T) {
 	if stats.DroppedEntries == 0 {
 		t.Error("expected unconstrained source coefficients to be trimmed")
 	}
-	res, err := mcm.MaxCycleRatio(h)
+	res, err := mcm.MaxCycleRatio(context.Background(), h)
 	if err != nil {
 		t.Fatal(err)
 	}

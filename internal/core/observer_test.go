@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -40,7 +41,7 @@ func TestObserverTracksOutputActor(t *testing.T) {
 	}
 
 	// The observer is a sink: it must not change the throughput.
-	resBase, err := mcm.MaxCycleRatio(h)
+	resBase, err := mcm.MaxCycleRatio(context.Background(), h)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -70,7 +71,7 @@ func TestUnfoldStructure(t *testing.T) {
 // iteration period is N times the original's.
 func TestUnfoldProposition2(t *testing.T) {
 	g := gen.Figure2()
-	orig, err := mcm.MaxCycleRatio(g)
+	orig, err := mcm.MaxCycleRatio(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestUnfoldProposition2(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mcm.MaxCycleRatio(h)
+		res, err := mcm.MaxCycleRatio(context.Background(), h)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}

@@ -1,6 +1,7 @@
 package csdf
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -191,7 +192,7 @@ func TestConvertToHSDFPreservesThroughput(t *testing.T) {
 	if stats.Actors() > n*(n+2) {
 		t.Errorf("size bound violated: %d > %d", stats.Actors(), n*(n+2))
 	}
-	res, err := mcm.MaxCycleRatio(h)
+	res, err := mcm.MaxCycleRatio(context.Background(), h)
 	if err != nil {
 		t.Fatal(err)
 	}

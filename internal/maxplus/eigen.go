@@ -66,5 +66,5 @@ func (m *Matrix) howard(ctx context.Context) (mcm.EdgeResult, error) {
 	if err := meter.Canceled(); err != nil {
 		return mcm.EdgeResult{}, err
 	}
-	return mcm.MaxCycleRatioEdges(m.n, edges)
+	return mcm.MaxCycleRatioEdges(ctx, m.n, edges)
 }

@@ -114,7 +114,7 @@ func BenchmarkMaxCycleRatioEdges(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := mcm.MaxCycleRatioEdges(nodes, edges)
+				res, err := mcm.MaxCycleRatioEdges(context.Background(), nodes, edges)
 				if err != nil || !res.HasCycle {
 					b.Fatalf("%d nodes, %d edges: cycle %v, err %v", nodes, len(edges), res.HasCycle, err)
 				}

@@ -1,6 +1,7 @@
 package mcm
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/rat"
@@ -33,7 +34,8 @@ type EdgeResult struct {
 // directed cycles of an explicit n-node edge list, using the same Howard
 // policy iteration as MaxCycleRatio. Delays must be non-negative; a cycle
 // of zero total delay yields ErrDeadlock (its ratio would be infinite).
-func MaxCycleRatioEdges(n int, edges []Edge) (EdgeResult, error) {
+// A done ctx stops Howard's iteration at its next round.
+func MaxCycleRatioEdges(ctx context.Context, n int, edges []Edge) (EdgeResult, error) {
 	if n < 0 {
 		return EdgeResult{}, fmt.Errorf("mcm: negative node count %d", n)
 	}
@@ -74,5 +76,5 @@ func MaxCycleRatioEdges(n int, edges []Edge) (EdgeResult, error) {
 	if !anyAlive {
 		return EdgeResult{HasCycle: false}, nil
 	}
-	return howard(n, adj, alive)
+	return howard(ctx, n, adj, alive)
 }

@@ -1,6 +1,7 @@
 package mcm
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func TestMaxCycleRatioEdges(t *testing.T) {
 	t.Run("two-node cycle", func(t *testing.T) {
-		res, err := MaxCycleRatioEdges(2, []Edge{
+		res, err := MaxCycleRatioEdges(context.Background(), 2, []Edge{
 			{From: 0, To: 1, W: 3, D: 1},
 			{From: 1, To: 0, W: 1, D: 1},
 		})
@@ -24,7 +25,7 @@ func TestMaxCycleRatioEdges(t *testing.T) {
 		}
 	})
 	t.Run("self-loop dominates", func(t *testing.T) {
-		res, err := MaxCycleRatioEdges(2, []Edge{
+		res, err := MaxCycleRatioEdges(context.Background(), 2, []Edge{
 			{From: 0, To: 1, W: 3, D: 1},
 			{From: 1, To: 0, W: 1, D: 1},
 			{From: 1, To: 1, W: 5, D: 1},
@@ -37,7 +38,7 @@ func TestMaxCycleRatioEdges(t *testing.T) {
 		}
 	})
 	t.Run("acyclic", func(t *testing.T) {
-		res, err := MaxCycleRatioEdges(3, []Edge{
+		res, err := MaxCycleRatioEdges(context.Background(), 3, []Edge{
 			{From: 0, To: 1, W: 7, D: 1},
 			{From: 1, To: 2, W: 7, D: 1},
 		})
@@ -49,7 +50,7 @@ func TestMaxCycleRatioEdges(t *testing.T) {
 		}
 	})
 	t.Run("zero-delay cycle", func(t *testing.T) {
-		_, err := MaxCycleRatioEdges(2, []Edge{
+		_, err := MaxCycleRatioEdges(context.Background(), 2, []Edge{
 			{From: 0, To: 1, W: 1, D: 0},
 			{From: 1, To: 0, W: 1, D: 0},
 		})
@@ -58,17 +59,17 @@ func TestMaxCycleRatioEdges(t *testing.T) {
 		}
 	})
 	t.Run("rejects out-of-range and negative delay", func(t *testing.T) {
-		if _, err := MaxCycleRatioEdges(1, []Edge{{From: 0, To: 1, W: 1, D: 1}}); err == nil {
+		if _, err := MaxCycleRatioEdges(context.Background(), 1, []Edge{{From: 0, To: 1, W: 1, D: 1}}); err == nil {
 			t.Fatalf("out-of-range edge accepted")
 		}
-		if _, err := MaxCycleRatioEdges(1, []Edge{{From: 0, To: 0, W: 1, D: -1}}); err == nil {
+		if _, err := MaxCycleRatioEdges(context.Background(), 1, []Edge{{From: 0, To: 0, W: 1, D: -1}}); err == nil {
 			t.Fatalf("negative delay accepted")
 		}
 	})
 	t.Run("agrees with graph path", func(t *testing.T) {
 		// The ratio of mixed cycles: 0->1->0 mean 2, triangle
 		// 0->1->2->0 mean (3+1+8)/3 = 4.
-		res, err := MaxCycleRatioEdges(3, []Edge{
+		res, err := MaxCycleRatioEdges(context.Background(), 3, []Edge{
 			{From: 0, To: 1, W: 3, D: 1},
 			{From: 1, To: 0, W: 1, D: 1},
 			{From: 1, To: 2, W: 1, D: 1},

@@ -1,6 +1,7 @@
 package mcm
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -129,7 +130,7 @@ func TestKarpMatchesHoward(t *testing.T) {
 		if !anyAlive {
 			continue
 		}
-		want, err := howard(n, adj, alive)
+		want, err := howard(context.Background(), n, adj, alive)
 		if err != nil {
 			t.Fatalf("trial %d: howard: %v", trial, err)
 		}

@@ -11,9 +11,11 @@
 package mcm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
+	"repro/internal/guard"
 	"repro/internal/rat"
 	"repro/internal/sdf"
 )
@@ -50,8 +52,9 @@ type edge struct {
 
 // MaxCycleRatio computes the maximum cycle mean of an HSDF graph. It
 // returns ErrDeadlock if some cycle carries no initial tokens and
-// ErrNotHSDF if any rate differs from 1.
-func MaxCycleRatio(g *sdf.Graph) (Result, error) {
+// ErrNotHSDF if any rate differs from 1. Howard's iteration polls ctx
+// once per policy round.
+func MaxCycleRatio(ctx context.Context, g *sdf.Graph) (Result, error) {
 	if !g.IsHSDF() {
 		return Result{}, ErrNotHSDF
 	}
@@ -59,7 +62,7 @@ func MaxCycleRatio(g *sdf.Graph) (Result, error) {
 	for _, c := range g.Channels() {
 		edges = append(edges, Edge{From: int(c.Src), To: int(c.Dst), W: g.Actor(c.Src).Exec, D: int64(c.Initial)})
 	}
-	res, err := MaxCycleRatioEdges(g.NumActors(), edges)
+	res, err := MaxCycleRatioEdges(ctx, g.NumActors(), edges)
 	if err != nil || !res.HasCycle {
 		return Result{}, err
 	}
@@ -172,8 +175,9 @@ func trimToCyclic(n int, adj [][]edge) []bool {
 // a cycle of ratio η = p/q (normalised once per cycle) holds η and its
 // bias x scaled by q, X = q·x. Evaluation and the η-tie improvement test
 // are then integer arithmetic with overflow checks; an overflow is an
-// error wrapping rat.ErrOverflow.
-func howard(n int, adj [][]edge, alive []bool) (EdgeResult, error) {
+// error wrapping rat.ErrOverflow. A done ctx, polled once per round,
+// stops the iteration with guard.ErrCanceled and the context's cause.
+func howard(ctx context.Context, n int, adj [][]edge, alive []bool) (EdgeResult, error) {
 	policy := make([]int, n) // index into adj[v] of the chosen edge
 	for v := 0; v < n; v++ {
 		policy[v] = -1
@@ -199,6 +203,10 @@ func howard(n int, adj [][]edge, alive []bool) (EdgeResult, error) {
 
 	const maxIters = 10000
 	for iter := 0; iter < maxIters; iter++ {
+		if ctx.Err() != nil {
+			return EdgeResult{}, fmt.Errorf("mcm: Howard's iteration stopped after %d rounds: %w: %w",
+				iter, guard.ErrCanceled, context.Cause(ctx))
+		}
 		if err := evaluatePolicy(adj, alive, policy, eta, bias, state, chain); err != nil {
 			return EdgeResult{}, err
 		}

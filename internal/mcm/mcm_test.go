@@ -1,6 +1,7 @@
 package mcm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -17,7 +18,7 @@ func TestSimpleCycle(t *testing.T) {
 	b := g.MustAddActor("B", 5)
 	g.MustAddChannel(a, b, 1, 1, 1)
 	g.MustAddChannel(b, a, 1, 1, 1)
-	res, err := MaxCycleRatio(g)
+	res, err := MaxCycleRatio(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestSelfLoop(t *testing.T) {
 	g := sdf.NewGraph("t")
 	a := g.MustAddActor("A", 7)
 	g.MustAddChannel(a, a, 1, 1, 2)
-	res, err := MaxCycleRatio(g)
+	res, err := MaxCycleRatio(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func TestTwoCyclesMaxWins(t *testing.T) {
 	g.MustAddChannel(b, a, 1, 1, 1)
 	g.MustAddChannel(a, c, 1, 1, 0)
 	g.MustAddChannel(c, a, 1, 1, 1)
-	res, err := MaxCycleRatio(g)
+	res, err := MaxCycleRatio(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestAcyclic(t *testing.T) {
 	a := g.MustAddActor("A", 2)
 	b := g.MustAddActor("B", 2)
 	g.MustAddChannel(a, b, 1, 1, 0)
-	res, err := MaxCycleRatio(g)
+	res, err := MaxCycleRatio(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestDeadlock(t *testing.T) {
 	b := g.MustAddActor("B", 2)
 	g.MustAddChannel(a, b, 1, 1, 0)
 	g.MustAddChannel(b, a, 1, 1, 0)
-	if _, err := MaxCycleRatio(g); !errors.Is(err, ErrDeadlock) {
+	if _, err := MaxCycleRatio(context.Background(), g); !errors.Is(err, ErrDeadlock) {
 		t.Errorf("err = %v, want ErrDeadlock", err)
 	}
 }
@@ -91,7 +92,7 @@ func TestNotHSDF(t *testing.T) {
 	a := g.MustAddActor("A", 2)
 	b := g.MustAddActor("B", 2)
 	g.MustAddChannel(a, b, 2, 1, 0)
-	if _, err := MaxCycleRatio(g); !errors.Is(err, ErrNotHSDF) {
+	if _, err := MaxCycleRatio(context.Background(), g); !errors.Is(err, ErrNotHSDF) {
 		t.Errorf("err = %v, want ErrNotHSDF", err)
 	}
 	if _, err := LambdaFeasible(g, rat.One()); !errors.Is(err, ErrNotHSDF) {
@@ -108,7 +109,7 @@ func TestCycleThroughAcyclicTail(t *testing.T) {
 	g.MustAddChannel(a, b, 1, 1, 1)
 	g.MustAddChannel(b, a, 1, 1, 0)
 	g.MustAddChannel(b, tail, 1, 1, 0)
-	res, err := MaxCycleRatio(g)
+	res, err := MaxCycleRatio(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestLongCriticalCycle(t *testing.T) {
 		}
 		g.MustAddChannel(ids[i], ids[(i+1)%5], 1, 1, tokens)
 	}
-	res, err := MaxCycleRatio(g)
+	res, err := MaxCycleRatio(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestZeroExecTimes(t *testing.T) {
 	g := sdf.NewGraph("t")
 	a := g.MustAddActor("A", 0)
 	g.MustAddChannel(a, a, 1, 1, 1)
-	res, err := MaxCycleRatio(g)
+	res, err := MaxCycleRatio(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestHowardAgainstBellmanFord(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {
 		g := randomStronglyConnectedHSDF(rng, 3+rng.Intn(8))
-		res, err := MaxCycleRatio(g)
+		res, err := MaxCycleRatio(context.Background(), g)
 		if err != nil {
 			t.Fatalf("trial %d: %v\n%s", trial, err, g)
 		}

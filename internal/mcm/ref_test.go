@@ -1,6 +1,7 @@
 package mcm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -297,7 +298,7 @@ func checkOptimal(t *testing.T, label string, n int, edges []Edge, ratio rat.Rat
 // the reference and reports whether the list has a cycle.
 func compareWithReference(t *testing.T, label string, n int, edges []Edge) bool {
 	t.Helper()
-	got, err := MaxCycleRatioEdges(n, edges)
+	got, err := MaxCycleRatioEdges(context.Background(), n, edges)
 	want, ok, werr := refEdges(n, edges)
 	if errors.Is(werr, ErrDeadlock) || errors.Is(err, ErrDeadlock) {
 		if !errors.Is(werr, ErrDeadlock) || !errors.Is(err, ErrDeadlock) {
@@ -366,7 +367,7 @@ func TestHowardMatchesRatReference(t *testing.T) {
 		if !compareWithReference(t, label, g.NumActors(), edges) {
 			t.Fatalf("%s: strongly connected graph reported acyclic", label)
 		}
-		res, err := MaxCycleRatio(g)
+		res, err := MaxCycleRatio(context.Background(), g)
 		if err != nil {
 			t.Fatalf("%s: MaxCycleRatio: %v", label, err)
 		}
@@ -397,7 +398,7 @@ func TestHowardOverflowIsAnError(t *testing.T) {
 		{"scaled improvement", 2, []Edge{
 			{From: 0, To: 0, W: 1, D: 2}, {From: 0, To: 1, W: big, D: 1}, {From: 1, To: 1, W: 1, D: 2}}},
 	} {
-		res, err := MaxCycleRatioEdges(c.n, c.edges)
+		res, err := MaxCycleRatioEdges(context.Background(), c.n, c.edges)
 		if !errors.Is(err, rat.ErrOverflow) {
 			t.Errorf("%s: got %v (ratio %v), want an error wrapping rat.ErrOverflow", c.name, err, res.CycleRatio)
 		}
@@ -407,7 +408,7 @@ func TestHowardOverflowIsAnError(t *testing.T) {
 	b := g.MustAddActor("B", big)
 	g.MustAddChannel(a, b, 1, 1, 1)
 	g.MustAddChannel(b, a, 1, 1, 2)
-	if res, err := MaxCycleRatio(g); !errors.Is(err, rat.ErrOverflow) {
+	if res, err := MaxCycleRatio(context.Background(), g); !errors.Is(err, rat.ErrOverflow) {
 		t.Errorf("HSDF graph: got %v (mean %v), want an error wrapping rat.ErrOverflow", err, res.CycleMean)
 	}
 }

@@ -49,7 +49,7 @@ const (
 	// gated, skipped).
 	MetricEngineAttempts = "sdf_engine_attempts_total"
 	// MetricHedgeRaces counts hedged races by outcome (label outcome:
-	// answered, failed, disagreement).
+	// answered, failed).
 	MetricHedgeRaces = "sdf_hedge_races_total"
 	// MetricHedgeWins counts race wins per engine (label engine).
 	MetricHedgeWins = "sdf_hedge_wins_total"

@@ -62,7 +62,7 @@ func Analyze(ctx context.Context, m *Model) (*Result, *verify.SADFCert, error) {
 	for i, e := range sedges {
 		edges[i] = mcm.Edge(e)
 	}
-	ratio, err := mcm.MaxCycleRatioEdges(nodes, edges)
+	ratio, err := mcm.MaxCycleRatioEdges(ctx, nodes, edges)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sadf: automaton cycle ratio: %w", err)
 	}

@@ -1,5 +1,5 @@
-// Package schedule constructs and validates periodic admissible sequential
-// schedules (PASS) for consistent SDF graphs, following the class-S
+// Package schedule constructs periodic admissible sequential schedules
+// (PASS) for consistent SDF graphs, following the class-S
 // demand-driven algorithm of Lee and Messerschmitt. The DAC'09 paper's
 // Algorithm 1 (the novel SDF→HSDF conversion) executes one such schedule
 // symbolically; failing to find a schedule means the graph deadlocks.
@@ -134,51 +134,4 @@ func SequentialCtx(ctx context.Context, g *sdf.Graph) ([]sdf.ActorID, error) {
 func IsLive(g *sdf.Graph) bool {
 	_, err := Sequential(g)
 	return err == nil
-}
-
-// Validate checks that sched is a correct single-iteration schedule for g:
-// token counts stay non-negative throughout, each actor fires exactly its
-// repetition count, and the final distribution equals the initial one.
-func Validate(g *sdf.Graph, sched []sdf.ActorID) error {
-	q, err := g.RepetitionVector()
-	if err != nil {
-		return err
-	}
-	tokens := make([]int64, g.NumChannels())
-	for i, c := range g.Channels() {
-		tokens[i] = int64(c.Initial)
-	}
-	fired := make([]int64, g.NumActors())
-	for pos, a := range sched {
-		if int(a) < 0 || int(a) >= g.NumActors() {
-			return fmt.Errorf("schedule: position %d: actor id %d out of range", pos, a)
-		}
-		for i, c := range g.Channels() {
-			if c.Dst == a {
-				tokens[i] -= int64(c.Cons)
-				if tokens[i] < 0 {
-					return fmt.Errorf("schedule: position %d: channel %s -> %s underflows",
-						pos, g.Actor(c.Src).Name, g.Actor(c.Dst).Name)
-				}
-			}
-		}
-		for i, c := range g.Channels() {
-			if c.Src == a {
-				tokens[i] += int64(c.Prod)
-			}
-		}
-		fired[a]++
-	}
-	for a, f := range fired {
-		if f != q[a] {
-			return fmt.Errorf("schedule: actor %s fired %d times, want %d", g.Actor(sdf.ActorID(a)).Name, f, q[a])
-		}
-	}
-	for i, c := range g.Channels() {
-		if tokens[i] != int64(c.Initial) {
-			return fmt.Errorf("schedule: channel %s -> %s ends with %d tokens, want %d",
-				g.Actor(c.Src).Name, g.Actor(c.Dst).Name, tokens[i], c.Initial)
-		}
-	}
-	return nil
 }

@@ -1,11 +1,22 @@
-package schedule
+package schedule_test
 
 import (
+	"context"
 	"errors"
 	"testing"
 
+	"repro/internal/schedule"
 	"repro/internal/sdf"
+	"repro/internal/verify"
 )
+
+// validate checks sched through the independent schedule certificate:
+// no buffer underflow, the initial marking restored and minimal firing
+// counts. The test package is external because verify depends on this
+// package through core.
+func validate(g *sdf.Graph, sched []sdf.ActorID) error {
+	return (&verify.ScheduleCert{Schedule: sched}).Check(context.Background(), g)
+}
 
 func chainGraph() *sdf.Graph {
 	g := sdf.NewGraph("chain")
@@ -19,7 +30,7 @@ func chainGraph() *sdf.Graph {
 
 func TestSequentialChain(t *testing.T) {
 	g := chainGraph()
-	sched, err := Sequential(g)
+	sched, err := schedule.Sequential(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,8 +38,8 @@ func TestSequentialChain(t *testing.T) {
 	if len(sched) != 6 {
 		t.Fatalf("schedule length %d, want 6", len(sched))
 	}
-	if err := Validate(g, sched); err != nil {
-		t.Errorf("Validate: %v", err)
+	if err := validate(g, sched); err != nil {
+		t.Errorf("validate: %v", err)
 	}
 }
 
@@ -38,12 +49,12 @@ func TestSequentialCycle(t *testing.T) {
 	b := g.MustAddActor("B", 1)
 	g.MustAddChannel(a, b, 1, 1, 0)
 	g.MustAddChannel(b, a, 1, 1, 1)
-	sched, err := Sequential(g)
+	sched, err := schedule.Sequential(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Validate(g, sched); err != nil {
-		t.Errorf("Validate: %v", err)
+	if err := validate(g, sched); err != nil {
+		t.Errorf("validate: %v", err)
 	}
 	if sched[0] != a {
 		t.Errorf("schedule starts with %v, want A (only A is initially enabled)", sched[0])
@@ -56,11 +67,11 @@ func TestSequentialDeadlock(t *testing.T) {
 	b := g.MustAddActor("B", 1)
 	g.MustAddChannel(a, b, 1, 1, 0)
 	g.MustAddChannel(b, a, 1, 1, 0) // no tokens anywhere on the cycle
-	_, err := Sequential(g)
-	if !errors.Is(err, ErrDeadlock) {
-		t.Errorf("err = %v, want ErrDeadlock", err)
+	_, err := schedule.Sequential(g)
+	if !errors.Is(err, schedule.ErrDeadlock) {
+		t.Errorf("err = %v, want schedule.ErrDeadlock", err)
 	}
-	if IsLive(g) {
+	if schedule.IsLive(g) {
 		t.Error("IsLive true for deadlocked graph")
 	}
 }
@@ -72,13 +83,13 @@ func TestSequentialMultirateDeadlock(t *testing.T) {
 	b := g.MustAddActor("B", 1)
 	g.MustAddChannel(a, b, 1, 3, 0)
 	g.MustAddChannel(b, a, 3, 1, 2)
-	if IsLive(g) {
+	if schedule.IsLive(g) {
 		t.Error("IsLive true for under-tokened cycle")
 	}
 	if err := g.SetInitial(sdf.ChannelID(1), 3); err != nil {
 		t.Fatal(err)
 	}
-	if !IsLive(g) {
+	if !schedule.IsLive(g) {
 		t.Error("IsLive false once cycle has enough tokens")
 	}
 }
@@ -89,7 +100,7 @@ func TestSequentialInconsistent(t *testing.T) {
 	b := g.MustAddActor("B", 1)
 	g.MustAddChannel(a, b, 1, 1, 0)
 	g.MustAddChannel(a, b, 2, 1, 0)
-	if _, err := Sequential(g); !errors.Is(err, sdf.ErrInconsistent) {
+	if _, err := schedule.Sequential(g); !errors.Is(err, sdf.ErrInconsistent) {
 		t.Errorf("err = %v, want ErrInconsistent", err)
 	}
 }
@@ -98,14 +109,14 @@ func TestSequentialSelfLoop(t *testing.T) {
 	g := sdf.NewGraph("self")
 	a := g.MustAddActor("A", 1)
 	g.MustAddChannel(a, a, 1, 1, 1)
-	sched, err := Sequential(g)
+	sched, err := schedule.Sequential(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sched) != 1 || sched[0] != a {
 		t.Errorf("schedule = %v", sched)
 	}
-	if err := Validate(g, sched); err != nil {
+	if err := validate(g, sched); err != nil {
 		t.Error(err)
 	}
 }
@@ -114,15 +125,15 @@ func TestSequentialSelfLoopNoToken(t *testing.T) {
 	g := sdf.NewGraph("self0")
 	a := g.MustAddActor("A", 1)
 	g.MustAddChannel(a, a, 1, 1, 0)
-	if _, err := Sequential(g); !errors.Is(err, ErrDeadlock) {
-		t.Errorf("err = %v, want ErrDeadlock", err)
+	if _, err := schedule.Sequential(g); !errors.Is(err, schedule.ErrDeadlock) {
+		t.Errorf("err = %v, want schedule.ErrDeadlock", err)
 	}
 }
 
 func TestSequentialEmpty(t *testing.T) {
-	sched, err := Sequential(sdf.NewGraph("e"))
+	sched, err := schedule.Sequential(sdf.NewGraph("e"))
 	if err != nil || sched != nil {
-		t.Errorf("Sequential(empty) = %v, %v", sched, err)
+		t.Errorf("schedule.Sequential(empty) = %v, %v", sched, err)
 	}
 }
 
@@ -139,15 +150,15 @@ func TestSequentialCD2DAT(t *testing.T) {
 	g.MustAddChannel(c, d, 2, 7, 0)
 	g.MustAddChannel(d, e, 8, 7, 0)
 	g.MustAddChannel(e, f, 5, 1, 0)
-	sched, err := Sequential(g)
+	sched, err := schedule.Sequential(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sched) != 612 {
 		t.Errorf("schedule length %d, want 612", len(sched))
 	}
-	if err := Validate(g, sched); err != nil {
-		t.Errorf("Validate: %v", err)
+	if err := validate(g, sched); err != nil {
+		t.Errorf("validate: %v", err)
 	}
 }
 
@@ -159,22 +170,22 @@ func TestValidateRejectsBadSchedules(t *testing.T) {
 	g.MustAddChannel(b, a, 1, 1, 1)
 
 	// Wrong order: B has no token to consume first.
-	if err := Validate(g, []sdf.ActorID{b, a}); err == nil {
-		t.Error("Validate accepted schedule that underflows")
+	if err := validate(g, []sdf.ActorID{b, a}); err == nil {
+		t.Error("validate accepted schedule that underflows")
 	}
 	// Wrong counts.
-	if err := Validate(g, []sdf.ActorID{a}); err == nil {
-		t.Error("Validate accepted incomplete schedule")
+	if err := validate(g, []sdf.ActorID{a}); err == nil {
+		t.Error("validate accepted incomplete schedule")
 	}
-	if err := Validate(g, []sdf.ActorID{a, b, a, b}); err == nil {
-		t.Error("Validate accepted doubled schedule")
+	if err := validate(g, []sdf.ActorID{a, b, a, b}); err == nil {
+		t.Error("validate accepted doubled schedule")
 	}
 	// Out-of-range actor.
-	if err := Validate(g, []sdf.ActorID{a, sdf.ActorID(7)}); err == nil {
-		t.Error("Validate accepted out-of-range actor")
+	if err := validate(g, []sdf.ActorID{a, sdf.ActorID(7)}); err == nil {
+		t.Error("validate accepted out-of-range actor")
 	}
 	// Correct.
-	if err := Validate(g, []sdf.ActorID{a, b}); err != nil {
-		t.Errorf("Validate rejected correct schedule: %v", err)
+	if err := validate(g, []sdf.ActorID{a, b}); err != nil {
+		t.Errorf("validate rejected correct schedule: %v", err)
 	}
 }

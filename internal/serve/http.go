@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/guard"
 	"repro/internal/lint"
 	"repro/internal/obs"
@@ -98,8 +97,6 @@ func KindOf(err error) string {
 		return "breaker-open"
 	case errors.Is(err, verify.ErrInvalid):
 		return "certificate"
-	case errors.Is(err, analysis.ErrEngineDisagreement):
-		return "disagreement"
 	case errors.Is(err, guard.ErrEngineFailed):
 		return "engine"
 	default:
@@ -124,7 +121,7 @@ func StatusOf(kind string) int {
 		return http.StatusUnprocessableEntity
 	case "deadline", "canceled":
 		return http.StatusGatewayTimeout
-	default: // certificate, disagreement, engine, internal
+	default: // certificate, engine, internal
 		return http.StatusInternalServerError
 	}
 }

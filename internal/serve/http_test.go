@@ -267,7 +267,6 @@ func TestStatusOfRetryable(t *testing.T) {
 		"deadline":           504,
 		"canceled":           504,
 		"certificate":        500,
-		"disagreement":       500,
 		"engine":             500,
 		"internal":           500,
 	}

@@ -44,10 +44,15 @@ func TestAnalyzeReducedPath(t *testing.T) {
 	}
 	s := New(Options{})
 	defer s.Close()
-	for _, method := range []string{"hedged", "matrix"} {
+	// Every engine's answer on the reduced graph is lifted and re-checked
+	// through the reduction certificate.
+	for _, method := range []string{"hedged", "matrix", "statespace", "hsdf"} {
 		res, err := s.Analyze(context.Background(), &Request{Graph: g, Method: method})
 		if err != nil {
 			t.Fatalf("%s: Analyze: %v", method, err)
+		}
+		if method != "hedged" && res.Engine != method {
+			t.Errorf("%s: answered by the %s engine", method, res.Engine)
 		}
 		if len(res.Reduction) == 0 {
 			t.Fatalf("%s: payload carries no reduction trace: %+v", method, res)

@@ -717,7 +717,7 @@ func (s *Server) runHedged(ctx context.Context, g *sdf.Graph) (*answer, error) {
 	return &answer{
 		engine: rep.Winner.String(),
 		tp:     tp,
-		cert:   rep.Certificates[rep.Winner],
+		cert:   rep.Certificate,
 		report: rep.Lines(),
 	}, nil
 }

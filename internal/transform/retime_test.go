@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -65,7 +66,7 @@ func TestQuickRetimingPreservesMCM(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before, err := mcm.MaxCycleRatio(g)
+		before, err := mcm.MaxCycleRatio(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +84,7 @@ func TestQuickRetimingPreservesMCM(t *testing.T) {
 		if h == nil {
 			continue // no legal non-trivial retiming found; rare
 		}
-		after, err := mcm.MaxCycleRatio(h)
+		after, err := mcm.MaxCycleRatio(context.Background(), h)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -105,11 +106,11 @@ func TestCanonicalRetiming(t *testing.T) {
 		t.Errorf("anchor lag = %d, want 0", lag[a])
 	}
 	// Invariance of the period.
-	before, err := mcm.MaxCycleRatio(g)
+	before, err := mcm.MaxCycleRatio(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := mcm.MaxCycleRatio(h)
+	after, err := mcm.MaxCycleRatio(context.Background(), h)
 	if err != nil {
 		t.Fatal(err)
 	}

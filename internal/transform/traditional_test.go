@@ -1,6 +1,7 @@
 package transform
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -93,7 +94,7 @@ func TestTraditionalSelfLoopDelayOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mcm.MaxCycleRatio(h)
+	res, err := mcm.MaxCycleRatio(context.Background(), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +116,11 @@ func TestTraditionalPreservesThroughputVsMCM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ro, err := mcm.MaxCycleRatio(g)
+	ro, err := mcm.MaxCycleRatio(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rh, err := mcm.MaxCycleRatio(h)
+	rh, err := mcm.MaxCycleRatio(context.Background(), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestBufferCapacityLimitsThroughput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mcm.MaxCycleRatio(bounded)
+	res, err := mcm.MaxCycleRatio(context.Background(), bounded)
 	if err != nil {
 		t.Fatal(err)
 	}

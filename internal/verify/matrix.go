@@ -2,6 +2,7 @@ package verify
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/guard"
 	"repro/internal/maxplus"
@@ -65,14 +66,11 @@ func (c *MatrixCert) Check(ctx context.Context, g *sdf.Graph) error {
 	if c.Matrix.Size() != n {
 		return invalidf("matrix dimension %d, graph has %d initial tokens", c.Matrix.Size(), n)
 	}
-	if _, err := replayCounts(ctx, g, c.Schedule); err != nil {
-		return err
-	}
-	r, err := newTokenReplay(g, c.Schedule, maxReplayLanes)
+	meter := guard.NewMeter(ctx, "verify")
+	r, err := newTokenReplay(meter, g, c.Schedule, maxReplayLanes)
 	if err != nil {
 		return err
 	}
-	meter := guard.NewMeter(ctx, "verify")
 	meter.Phase("token-replay")
 
 	// One concrete simulated iteration from the zero vector: final token
@@ -153,13 +151,14 @@ const laneSlotCap = 1 << 20
 
 // tokenReplay executes concrete iterations of one certified schedule
 // without allocating per firing. Everything that does not depend on the
-// token time stamps is computed once, in newTokenReplay: channel
-// adjacency, each channel's peak occupancy over the schedule (its ring
-// length), the token counts — and with them the underflow and final
-// marking checks, which hold for every lane at once. A walk then runs up
-// to lanes independent replays in lockstep: a ring slot holds one time
-// stamp per lane, and lane l is exactly the replay from its own start
-// vector, with every addition overflow-checked per lane.
+// token time stamps is computed once, in newTokenReplay's count walk:
+// channel adjacency, each channel's peak occupancy over the schedule
+// (its ring length), the token counts — and with them the underflow and
+// final marking checks, which hold for every lane at once — and the
+// firing counts. A walk then runs up to lanes independent replays in
+// lockstep: a ring slot holds one time stamp per lane, and lane l is
+// exactly the replay from its own start vector, with every addition
+// overflow-checked per lane.
 type tokenReplay struct {
 	sched   []sdf.ActorID
 	in, out [][]sdf.ChannelID
@@ -167,6 +166,7 @@ type tokenReplay struct {
 	prod    []int   // per channel
 	initial []int   // per channel
 	exec    []int64 // per actor
+	counts  []int64 // firings per actor: the certified repetition vector
 	base    []int   // first ring slot of each channel
 	size    []int   // ring length of each channel: its peak occupancy, at least 1
 	head    []int   // ring index of each channel's front token
@@ -177,16 +177,21 @@ type tokenReplay struct {
 	at, end []maxplus.T // per-firing scratch, one entry per lane
 }
 
-// newTokenReplay prepares the replays of sched on g, up to maxLanes per
-// walk. The schedule must already be certified by replayCounts; token
-// underflow and an unrestored marking are still rejected defensively.
-func newTokenReplay(g *sdf.Graph, sched []sdf.ActorID, maxLanes int) (*tokenReplay, error) {
+// newTokenReplay certifies sched as a minimal single iteration of g and
+// prepares its replays, up to maxLanes per walk. Its one count walk
+// rejects an unknown actor, buffer underflow, a token count overflowing
+// int64 and a marking that does not return to the initial one; the
+// restored marking forces the firing counts to solve the balance
+// equations, and checkRepetition adds positivity and minimality. It
+// ticks meter once per firing.
+func newTokenReplay(meter *guard.Meter, g *sdf.Graph, sched []sdf.ActorID, maxLanes int) (*tokenReplay, error) {
+	meter.Phase("schedule-replay")
 	nc, na := g.NumChannels(), g.NumActors()
 	r := &tokenReplay{
 		sched: sched,
 		in:    make([][]sdf.ChannelID, na), out: make([][]sdf.ChannelID, na),
 		cons: make([]int, nc), prod: make([]int, nc), initial: make([]int, nc),
-		exec: make([]int64, na),
+		exec: make([]int64, na), counts: make([]int64, na),
 		base: make([]int, nc), size: make([]int, nc), head: make([]int, nc), count: make([]int, nc),
 	}
 	for a := range r.exec {
@@ -199,33 +204,42 @@ func newTokenReplay(g *sdf.Graph, sched []sdf.ActorID, maxLanes int) (*tokenRepl
 		r.cons[i], r.prod[i], r.initial[i] = ch.Cons, ch.Prod, ch.Initial
 		r.count[i], r.size[i] = ch.Initial, max(ch.Initial, 1)
 	}
-	// Token counts do not depend on the time stamps: one count walk
-	// sizes every ring and checks every lane of every later walk.
 	for pos, a := range sched {
+		if err := meter.Tick(1); err != nil {
+			return nil, err
+		}
 		if a < 0 || int(a) >= na {
-			return nil, invalidf("token replay step %d fires unknown actor %d", pos, a)
+			return nil, invalidf("schedule step %d fires unknown actor %d", pos, a)
 		}
 		for _, id := range r.in[a] {
 			if r.count[id] < r.cons[id] {
 				ch := g.Channel(id)
-				return nil, invalidf("token replay step %d underflows channel %s -> %s",
+				return nil, invalidf("schedule step %d underflows channel %s -> %s",
 					pos, g.Actor(ch.Src).Name, g.Actor(ch.Dst).Name)
 			}
 			r.count[id] -= r.cons[id]
 		}
 		for _, id := range r.out[a] {
-			r.count[id] += r.prod[id]
+			next, ok := rat.AddChecked(int64(r.count[id]), int64(r.prod[id]))
+			if !ok {
+				return nil, invalidf("schedule step %d overflows a token count", pos)
+			}
+			r.count[id] = int(next)
 			r.size[id] = max(r.size[id], r.count[id])
 		}
+		r.counts[a]++
 	}
 	slots := 0
 	for i, ch := range g.Channels() {
 		if r.count[i] != ch.Initial {
-			return nil, invalidf("channel %s -> %s ends the replay with %d tokens, want %d",
+			return nil, invalidf("channel %s -> %s ends with %d tokens, want the initial %d",
 				g.Actor(ch.Src).Name, g.Actor(ch.Dst).Name, r.count[i], ch.Initial)
 		}
 		r.base[i] = slots
 		slots += r.size[i]
+	}
+	if err := checkRepetition(g, r.counts); err != nil {
+		return nil, fmt.Errorf("firing counts of the schedule: %w", err)
 	}
 	r.lanes = max(1, min(maxLanes, g.TotalInitialTokens(), laneSlotCap/max(slots, 1)))
 	r.buf = make([]maxplus.T, slots*r.lanes)

@@ -28,7 +28,7 @@ func refMatrixCheck(ctx context.Context, c *MatrixCert, g *sdf.Graph) error {
 	if c.Matrix.Size() != n {
 		return invalidf("matrix dimension %d, graph has %d initial tokens", c.Matrix.Size(), n)
 	}
-	if _, err := replayCounts(ctx, g, c.Schedule); err != nil {
+	if err := (&ScheduleCert{Schedule: c.Schedule}).Check(ctx, g); err != nil {
 		return err
 	}
 	zero := make([]maxplus.T, n)
@@ -202,6 +202,115 @@ func refThroughputCheck(ctx context.Context, c *refThroughputCert, g *sdf.Graph)
 		return err
 	}
 	return checkCycle(edges, c.Cycle, c.Period)
+}
+
+// The node-graph checks and the witness extraction below are the
+// references' own: the matrix and SADF references check potentials,
+// cycles and orders over explicit edge lists.
+
+// checkPotentials verifies the feasibility witness: for every edge,
+// p[from] + w·den − num·d ≤ p[to], in overflow-checked arithmetic.
+func checkPotentials(nodes int, edges []refEdge, p []int64, period rat.Rat) error {
+	if len(p) != nodes {
+		return invalidf("potential witness covers %d of %d nodes", len(p), nodes)
+	}
+	num, den := period.Num(), period.Den()
+	for i, e := range edges {
+		s, err := scaledWeight(e, num, den)
+		if err != nil {
+			return err
+		}
+		lhs, ok := rat.AddChecked(p[e.from], s)
+		if !ok {
+			return invalidf("potential inequality of edge %d overflows int64", i)
+		}
+		if lhs > p[e.to] {
+			return invalidf("edge %d (%d->%d, w=%d, d=%d) violates feasibility: p[%d]=%d + %d > p[%d]=%d — some cycle exceeds the claimed period %v",
+				i, e.from, e.to, e.w, e.d, e.from, p[e.from], s, e.to, p[e.to], period)
+		}
+	}
+	return nil
+}
+
+// checkCycle verifies the critical-cycle witness: the edge indices form
+// a closed walk with at least one unit of delay whose ratio Σw/Σd
+// equals the claimed period exactly.
+func checkCycle(edges []refEdge, cycle []int, period rat.Rat) error {
+	if len(cycle) == 0 {
+		return invalidf("critical-cycle witness is empty")
+	}
+	sumW, sumD := int64(0), int64(0)
+	for k, idx := range cycle {
+		if idx < 0 || idx >= len(edges) {
+			return invalidf("critical-cycle witness references unknown edge %d", idx)
+		}
+		e := edges[idx]
+		next := edges[cycle[(k+1)%len(cycle)]]
+		if e.to != next.from {
+			return invalidf("critical-cycle witness is not a closed walk: edge %d ends at node %d, next starts at %d",
+				idx, e.to, next.from)
+		}
+		var ok bool
+		if sumW, ok = rat.AddChecked(sumW, e.w); !ok {
+			return invalidf("critical-cycle weight overflows int64")
+		}
+		if sumD, ok = rat.AddChecked(sumD, e.d); !ok {
+			return invalidf("critical-cycle delay overflows int64")
+		}
+	}
+	if sumD < 1 {
+		return invalidf("critical-cycle witness carries no delay (Σd = %d)", sumD)
+	}
+	mean, err := rat.New(sumW, sumD)
+	if err != nil {
+		return invalidf("critical-cycle ratio %d/%d: %v", sumW, sumD, err)
+	}
+	if !mean.Equal(period) {
+		return invalidf("critical cycle attains %v, claimed period is %v", mean, period)
+	}
+	return nil
+}
+
+// checkTopoOrder verifies the unboundedness witness: order is a
+// permutation of the nodes and every edge goes strictly forward, so the
+// reference graph is acyclic and no cycle constrains the steady state.
+func checkTopoOrder(nodes int, edges []refEdge, order []int) error {
+	if len(order) != nodes {
+		return invalidf("topological order covers %d of %d nodes", len(order), nodes)
+	}
+	seen := make([]bool, nodes)
+	for _, v := range order {
+		if v < 0 || v >= nodes || seen[v] {
+			return invalidf("topological order is not a permutation of the nodes")
+		}
+		seen[v] = true
+	}
+	pos := make([]int, nodes)
+	for i, v := range order {
+		pos[v] = i
+	}
+	for _, e := range edges {
+		if pos[e.from] >= pos[e.to] {
+			return invalidf("edge %d->%d violates the topological order: the reference graph has a cycle", e.from, e.to)
+		}
+	}
+	return nil
+}
+
+// extractWitness derives the (Potentials, Cycle) pair of an HSDF
+// certificate: the potentials, then a critical cycle among their
+// tight edges. It fails exactly when the claimed period is not the
+// maximum cycle ratio of the reference graph.
+func extractWitness(ctx context.Context, nodes int, edges []refEdge, period rat.Rat) ([]int64, []int, error) {
+	p, scaled, err := extractPotentials(ctx, nodes, edges, period)
+	if err != nil {
+		return nil, nil, err
+	}
+	cycle, err := tightCycle(nodes, edges, p, scaled, period)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p, cycle, nil
 }
 
 // engineCerts runs Algorithm 1 and Howard on g and certifies the answer
@@ -469,7 +578,7 @@ func TestTokenReplayLaneCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := newTokenReplay(g, r.Schedule, maxReplayLanes)
+	tr, err := newTokenReplay(guard.NewMeter(context.Background(), "verify"), g, r.Schedule, maxReplayLanes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,3 +617,7 @@ func BenchmarkMatrixCertCheck(b *testing.B) {
 		})
 	}
 }
+
+// AcyclicGraphs exports acyclicGraphs to the differential tests of
+// package verify_test.
+var AcyclicGraphs = acyclicGraphs

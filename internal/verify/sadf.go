@@ -316,14 +316,12 @@ func (c *SADFCert) Check(ctx context.Context, scenarios []*sdf.Graph) error {
 			return invalidf("claimed period %v has no positive denominator", c.Period)
 		}
 	}
+	meter := guard.NewMeter(ctx, "verify")
 	reps := make([]*scenarioReplay, len(scenarios))
 	for k, g := range scenarios {
-		if _, err := replayCounts(ctx, g, c.Schedules[k]); err != nil {
-			return invalidf("scenario %q schedule: %v", c.ScenarioNames[k], err)
-		}
-		r, err := newTokenReplay(g, c.Schedules[k], 1)
+		r, err := newTokenReplay(meter, g, c.Schedules[k], 1)
 		if err != nil {
-			return err
+			return fmt.Errorf("scenario %q schedule: %w", c.ScenarioNames[k], err)
 		}
 		if den != 1 {
 			if err := r.scale(den); err != nil {
@@ -332,7 +330,6 @@ func (c *SADFCert) Check(ctx context.Context, scenarios []*sdf.Graph) error {
 		}
 		reps[k] = newScenarioReplay(r, SADFTokenPerm(g))
 	}
-	meter := guard.NewMeter(ctx, "verify")
 	meter.Phase("token-replay")
 	n := scenarios[0].TotalInitialTokens()
 	if c.Unbounded {

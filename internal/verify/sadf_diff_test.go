@@ -231,7 +231,7 @@ func analyzeReference(ctx context.Context, m *sadf.Model) (*reference, error) {
 	for i, e := range sedges {
 		edges[i] = mcm.Edge(e)
 	}
-	ratio, err := mcm.MaxCycleRatioEdges(nodes, edges)
+	ratio, err := mcm.MaxCycleRatioEdges(context.Background(), nodes, edges)
 	if err != nil {
 		return nil, err
 	}
@@ -511,7 +511,7 @@ func TestSADFN2001ForgedMatrixRejected(t *testing.T) {
 	for i, e := range sedges {
 		edges[i] = mcm.Edge(e)
 	}
-	ratio, err := mcm.MaxCycleRatioEdges(nodes, edges)
+	ratio, err := mcm.MaxCycleRatioEdges(context.Background(), nodes, edges)
 	if err != nil || !ratio.HasCycle || !ratio.CycleRatio.Equal(rat.FromInt(5)) {
 		t.Fatalf("forged period = %v (cycle %v, err %v), want 5", ratio.CycleRatio, ratio.HasCycle, err)
 	}

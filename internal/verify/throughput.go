@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -21,32 +22,22 @@ type refEdge struct {
 }
 
 // ThroughputCert certifies an iteration period Λ = num/den (or
-// unboundedness) of a timed SDF graph. The claim is anchored in exactly
-// one of two places:
+// unboundedness) of a timed SDF graph. The claim is anchored in the
+// iteration matrix M of Algorithm 1, which the certificate does not
+// carry: it carries the Schedule of one iteration instead. Replaying
+// that schedule from initial token times x ends the tokens at M ⊗ x, so
+// single-lane replays from the witnesses check the claim against g
+// itself, at every size. Every engine emits this one certificate; the
+// HSDF engine maps its witnesses over the classical conversion onto g's
+// initial tokens (NewHSDFThroughputCert).
 //
-//   - Matrix anchor: the iteration matrix M of Algorithm 1, which the
-//     certificate does not carry. It carries the Schedule of one
-//     iteration instead: replaying that schedule from initial token
-//     times x ends the tokens at M ⊗ x, so single-lane replays from
-//     the witnesses check the claim against g itself, at every size.
-//   - HSDF anchor: the classical converted graph (one node per firing,
-//     edge delay = initial tokens). The checker pins the node count to
-//     Σq and every edge weight to the execution time of the original
-//     actor the node maps back to (the conversion lays firings out
-//     actor by actor), but trusts the anchor's edge set and delays —
-//     a narrower binding than the matrix anchor's, and the documented
-//     reason two *verified* engines can still disagree.
-//
-// A bounded claim pairs two witnesses. The upper bound is Potentials:
-// integers p, scaled by den, with no dependency gaining on them faster
-// than the period — for the matrix anchor den·M_ij + p_j ≤ p_i + num
-// for every finite entry, for the HSDF anchor
-// p[from] + w·den − num·d ≤ p[to] for every edge. Summing around any
-// cycle bounds its ratio by Λ. The lower bound exhibits a cycle that
-// attains Λ: for the matrix anchor the token set Critical of one, for
-// the HSDF anchor the closed walk Cycle of reference edges. An
-// unbounded claim instead carries Order, a topological order proving
-// the dependencies have no cycle at all.
+// A bounded claim pairs two witnesses over the initial tokens. The
+// upper bound is Potentials: integers p, scaled by den, with
+// den·M_ij + p_j ≤ p_i + num for every finite entry, so no cycle of M
+// has a mean above Λ. The lower bound is Critical, the token set of a
+// cycle that attains Λ. An unbounded claim instead carries Order, a
+// topological order proving the token dependencies have no cycle at
+// all.
 type ThroughputCert struct {
 	// Unbounded claims no dependency cycle constrains the steady state.
 	Unbounded bool
@@ -58,22 +49,15 @@ type ThroughputCert struct {
 
 	// Schedule anchors the claim in the iteration matrix it replays.
 	Schedule []sdf.ActorID
-	// HSDF anchors the claim in a classical converted graph.
-	HSDF *sdf.Graph
 
-	// Potentials is the upper-bound witness: one entry per initial token
-	// (matrix anchor) or reference node (HSDF anchor); nil when
-	// Unbounded.
+	// Potentials is the upper-bound witness, one entry per initial
+	// token; nil when Unbounded.
 	Potentials []int64
-	// Critical is the matrix anchor's lower-bound witness: the initial
-	// tokens of a critical cycle; nil when Unbounded.
+	// Critical is the lower-bound witness: the initial tokens of a
+	// critical cycle; nil when Unbounded.
 	Critical []int
-	// Cycle is the HSDF anchor's lower-bound witness: indices into the
-	// canonical reference edge enumeration forming a closed walk; nil
-	// when Unbounded.
-	Cycle []int
 	// Order is the unboundedness witness, a permutation of the initial
-	// tokens or reference nodes; nil unless Unbounded.
+	// tokens; nil unless Unbounded.
 	Order []int
 }
 
@@ -82,63 +66,28 @@ func (c *ThroughputCert) Kind() Kind { return KindThroughput }
 
 // Engine-facing description, used by the CLI's -verify output.
 func (c *ThroughputCert) String() string {
-	switch {
-	case c.HSDF != nil && c.Unbounded:
-		return fmt.Sprintf("throughput certificate [hsdf anchor]: unbounded (topological order over %d nodes)", len(c.Order))
-	case c.HSDF != nil:
-		return fmt.Sprintf("throughput certificate [hsdf anchor]: period %v (critical cycle of %d edges, %d potentials)",
-			c.Period, len(c.Cycle), len(c.Potentials))
-	case c.Unbounded:
+	if c.Unbounded {
 		return fmt.Sprintf("throughput certificate [matrix anchor]: unbounded (topological order over %d tokens)", len(c.Order))
-	default:
-		return fmt.Sprintf("throughput certificate [matrix anchor]: period %v (critical cycle over %d tokens, %d potentials)",
-			c.Period, len(c.Critical), len(c.Potentials))
 	}
+	return fmt.Sprintf("throughput certificate [matrix anchor]: period %v (critical cycle over %d tokens, %d potentials)",
+		c.Period, len(c.Critical), len(c.Potentials))
 }
 
-// Check validates the anchor and the witnesses against g.
+// Check validates the witnesses against g with single-lane replays of
+// the certified schedule, never forming M: an iteration replayed from
+// token times x ends token i at (M ⊗ x)_i = max_j (M_ij + x_j).
 func (c *ThroughputCert) Check(ctx context.Context, g *sdf.Graph) error {
-	switch {
-	case c.HSDF == nil:
-		return c.checkReplays(ctx, g)
-	case c.Schedule == nil:
-		if err := checkRepetition(g, c.Q); err != nil {
-			return err
-		}
-		nodes, edges, err := hsdfRef(g, c.HSDF, c.Q)
-		if err != nil {
-			return err
-		}
-		if c.Unbounded {
-			return checkTopoOrder(nodes, edges, c.Order)
-		}
-		if err := checkPotentials(nodes, edges, c.Potentials, c.Period); err != nil {
-			return err
-		}
-		return checkCycle(edges, c.Cycle, c.Period)
-	default:
-		return invalidf("throughput certificate must carry exactly one anchor")
-	}
-}
-
-// checkReplays checks a matrix-anchored claim with single-lane replays
-// of the certified schedule, never forming M: an iteration replayed
-// from token times x ends token i at (M ⊗ x)_i = max_j (M_ij + x_j).
-func (c *ThroughputCert) checkReplays(ctx context.Context, g *sdf.Graph) error {
-	// replayCounts certifies the firing counts as the minimal repetition
-	// vector, which is unique: Q is certified by equality with them.
-	counts, err := replayCounts(ctx, g, c.Schedule)
+	meter := guard.NewMeter(ctx, "verify")
+	// The count walk certifies the firing counts as the minimal
+	// repetition vector, which is unique: Q is certified by equality
+	// with them.
+	r, err := newTokenReplay(meter, g, c.Schedule, 1)
 	if err != nil {
 		return err
 	}
-	if !slices.Equal(counts, c.Q) {
+	if !slices.Equal(r.counts, c.Q) {
 		return invalidf("repetition vector %v differs from the schedule's firing counts", c.Q)
 	}
-	r, err := newTokenReplay(g, c.Schedule, 1)
-	if err != nil {
-		return err
-	}
-	meter := guard.NewMeter(ctx, "verify")
 	meter.Phase("token-replay")
 	if c.Unbounded {
 		return c.checkOrderReplay(meter, r, g.TotalInitialTokens())
@@ -281,65 +230,6 @@ func matrixRef(m *maxplus.Matrix) (int, []refEdge) {
 	return n, edges
 }
 
-// hsdfRef enumerates the precedence graph of a classical conversion,
-// pinning what can be re-derived from g: the graph must be homogeneous,
-// its node count must equal Σq, and each node maps back to the original
-// actor whose block of q consecutive copies contains it (the layout of
-// the traditional conversion), which pins every edge weight to that
-// actor's execution time in g.
-func hsdfRef(g *sdf.Graph, h *sdf.Graph, q []int64) (int, []refEdge, error) {
-	if !h.IsHSDF() {
-		return 0, nil, invalidf("hsdf anchor has a rate different from 1")
-	}
-	total := int64(0)
-	for _, copies := range q {
-		next, ok := rat.AddChecked(total, copies)
-		if !ok {
-			return 0, nil, invalidf("iteration length Σq overflows int64")
-		}
-		total = next
-	}
-	if int64(h.NumActors()) != total {
-		return 0, nil, invalidf("hsdf anchor has %d nodes, the iteration length is %d", h.NumActors(), total)
-	}
-	actorOf := make([]sdf.ActorID, 0, h.NumActors())
-	for a, copies := range q {
-		for i := int64(0); i < copies; i++ {
-			actorOf = append(actorOf, sdf.ActorID(a))
-		}
-	}
-	edges := make([]refEdge, 0, h.NumChannels())
-	for _, ch := range h.Channels() {
-		w := g.Actor(actorOf[ch.Src]).Exec
-		edges = append(edges, refEdge{from: int(ch.Src), to: int(ch.Dst), w: w, d: int64(ch.Initial)})
-	}
-	return h.NumActors(), edges, nil
-}
-
-// checkPotentials verifies the feasibility witness: for every edge,
-// p[from] + w·den − num·d ≤ p[to], in overflow-checked arithmetic.
-func checkPotentials(nodes int, edges []refEdge, p []int64, period rat.Rat) error {
-	if len(p) != nodes {
-		return invalidf("potential witness covers %d of %d nodes", len(p), nodes)
-	}
-	num, den := period.Num(), period.Den()
-	for i, e := range edges {
-		s, err := scaledWeight(e, num, den)
-		if err != nil {
-			return err
-		}
-		lhs, ok := rat.AddChecked(p[e.from], s)
-		if !ok {
-			return invalidf("potential inequality of edge %d overflows int64", i)
-		}
-		if lhs > p[e.to] {
-			return invalidf("edge %d (%d->%d, w=%d, d=%d) violates feasibility: p[%d]=%d + %d > p[%d]=%d — some cycle exceeds the claimed period %v",
-				i, e.from, e.to, e.w, e.d, e.from, p[e.from], s, e.to, p[e.to], period)
-		}
-	}
-	return nil
-}
-
 // scaledWeight returns w·den − num·d, the edge weight of the reference
 // graph rescaled so that a cycle meets the claimed period exactly when
 // its scaled weight sums to zero.
@@ -354,71 +244,6 @@ func scaledWeight(e refEdge, num, den int64) (int64, error) {
 		return 0, invalidf("scaled weight of edge %d->%d overflows int64", e.from, e.to)
 	}
 	return s, nil
-}
-
-// checkCycle verifies the critical-cycle witness: the edge indices form
-// a closed walk with at least one unit of delay whose ratio Σw/Σd
-// equals the claimed period exactly.
-func checkCycle(edges []refEdge, cycle []int, period rat.Rat) error {
-	if len(cycle) == 0 {
-		return invalidf("critical-cycle witness is empty")
-	}
-	sumW, sumD := int64(0), int64(0)
-	for k, idx := range cycle {
-		if idx < 0 || idx >= len(edges) {
-			return invalidf("critical-cycle witness references unknown edge %d", idx)
-		}
-		e := edges[idx]
-		next := edges[cycle[(k+1)%len(cycle)]]
-		if e.to != next.from {
-			return invalidf("critical-cycle witness is not a closed walk: edge %d ends at node %d, next starts at %d",
-				idx, e.to, next.from)
-		}
-		var ok bool
-		if sumW, ok = rat.AddChecked(sumW, e.w); !ok {
-			return invalidf("critical-cycle weight overflows int64")
-		}
-		if sumD, ok = rat.AddChecked(sumD, e.d); !ok {
-			return invalidf("critical-cycle delay overflows int64")
-		}
-	}
-	if sumD < 1 {
-		return invalidf("critical-cycle witness carries no delay (Σd = %d)", sumD)
-	}
-	mean, err := rat.New(sumW, sumD)
-	if err != nil {
-		return invalidf("critical-cycle ratio %d/%d: %v", sumW, sumD, err)
-	}
-	if !mean.Equal(period) {
-		return invalidf("critical cycle attains %v, claimed period is %v", mean, period)
-	}
-	return nil
-}
-
-// checkTopoOrder verifies the unboundedness witness: order is a
-// permutation of the nodes and every edge goes strictly forward, so the
-// reference graph is acyclic and no cycle constrains the steady state.
-func checkTopoOrder(nodes int, edges []refEdge, order []int) error {
-	if len(order) != nodes {
-		return invalidf("topological order covers %d of %d nodes", len(order), nodes)
-	}
-	seen := make([]bool, nodes)
-	for _, v := range order {
-		if v < 0 || v >= nodes || seen[v] {
-			return invalidf("topological order is not a permutation of the nodes")
-		}
-		seen[v] = true
-	}
-	pos := make([]int, nodes)
-	for i, v := range order {
-		pos[v] = i
-	}
-	for _, e := range edges {
-		if pos[e.from] >= pos[e.to] {
-			return invalidf("edge %d->%d violates the topological order: the reference graph has a cycle", e.from, e.to)
-		}
-	}
-	return nil
 }
 
 // extractPotentials derives the upper-bound witness by Bellman–Ford
@@ -461,22 +286,6 @@ func extractPotentials(ctx context.Context, nodes int, edges []refEdge, period r
 			return nil, nil, invalidf("claimed period %v is below some cycle ratio of the reference graph", period)
 		}
 	}
-}
-
-// extractWitness derives the (Potentials, Cycle) pair of an HSDF
-// certificate: the potentials, then a critical cycle among their
-// tight edges. It fails exactly when the claimed period is not the
-// maximum cycle ratio of the reference graph.
-func extractWitness(ctx context.Context, nodes int, edges []refEdge, period rat.Rat) ([]int64, []int, error) {
-	p, scaled, err := extractPotentials(ctx, nodes, edges, period)
-	if err != nil {
-		return nil, nil, err
-	}
-	cycle, err := tightCycle(nodes, edges, p, scaled, period)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, cycle, nil
 }
 
 // tightCycle finds a critical cycle among the edges that are tight
@@ -619,26 +428,167 @@ func NewMatrixThroughputCert(ctx context.Context, m *maxplus.Matrix, sched []sdf
 	return cert, nil
 }
 
-// NewHSDFThroughputCert assembles and proves an HSDF-anchored
-// throughput certificate over the classical conversion h of g.
-func NewHSDFThroughputCert(ctx context.Context, g *sdf.Graph, h *sdf.Graph, q []int64, unbounded bool, period rat.Rat) (*ThroughputCert, error) {
-	cert := &ThroughputCert{Unbounded: unbounded, Period: period, Q: q, HSDF: h}
-	nodes, edges, err := hsdfRef(g, h, q)
-	if err != nil {
-		return nil, err
+// NewHSDFThroughputCert assembles the HSDF engine's certificate: h must
+// be g's classical conversion, with the q(a) copies of each actor laid
+// out actor by actor as transform.Traditional builds it, sched one
+// iteration schedule of g, q its repetition vector, (unbounded, period)
+// the claim Howard's iteration made on h and critical the nodes of the
+// cycle it ended on, in cycle order. The node potentials p over h come
+// from Bellman–Ford; every witness is then mapped onto g's initial
+// tokens, so the certificate is the one the matrix engines emit and
+// Check never sees h:
+//
+//   - the token at FIFO position j of channel c is consumed by firing
+//     ⌊j/cons⌋ of c's destination, that is by copy f of it in
+//     iteration k (firing k·q(dst) + f), and its potential is
+//     p(f) + k·num;
+//   - Critical holds the tokens the critical cycle carries across
+//     iteration boundaries: a step u→v of delay d holds its token at d
+//     consecutive boundaries, at FIFO positions j, j + q(dst)·cons, …;
+//   - Order sorts the tokens by the position of their consumer in a
+//     topological order of h, later iteration first.
+//
+// DESIGN.md gives the argument why the mapped witnesses pass Check. An
+// h that does not match g fails here with ErrInvalid or fails Check.
+func NewHSDFThroughputCert(ctx context.Context, g, h *sdf.Graph, sched []sdf.ActorID, q []int64,
+	unbounded bool, period rat.Rat, critical []sdf.ActorID) (*ThroughputCert, error) {
+	if !h.IsHSDF() {
+		return nil, invalidf("hsdf conversion has a rate different from 1")
 	}
-	if cert.Unbounded {
+	if len(q) != g.NumActors() {
+		return nil, invalidf("repetition vector covers %d of %d actors", len(q), g.NumActors())
+	}
+	// first[a] is the node of actor a's copy 0; first[len(q)] = Σq.
+	first := make([]int64, len(q)+1)
+	for a, copies := range q {
+		next, ok := rat.AddChecked(first[a], copies)
+		if copies < 1 || !ok {
+			return nil, invalidf("repetition count %d of actor %d does not lay out a conversion", copies, a)
+		}
+		first[a+1] = next
+	}
+	nodes := h.NumActors()
+	if int64(nodes) != first[len(q)] {
+		return nil, invalidf("hsdf conversion has %d nodes, the iteration length is %d", nodes, first[len(q)])
+	}
+	edges := make([]refEdge, 0, h.NumChannels())
+	for _, ch := range h.Channels() {
+		edges = append(edges, refEdge{from: int(ch.Src), to: int(ch.Dst), w: h.Actor(ch.Src).Exec, d: int64(ch.Initial)})
+	}
+	// consumer[k] is token k's consuming node and iter[k] the iteration
+	// of that firing, in the global channel-order token numbering that
+	// numbers channel c's tokens from tokBase[c].
+	n := g.TotalInitialTokens()
+	consumer, iter := make([]int, 0, n), make([]int64, 0, n)
+	tokBase := make([]int, g.NumChannels())
+	for id, c := range g.Channels() {
+		tokBase[id] = len(consumer)
+		for j := 0; j < c.Initial; j++ {
+			f := int64(j / c.Cons)
+			consumer = append(consumer, int(first[c.Dst]+f%q[c.Dst]))
+			iter = append(iter, f/q[c.Dst])
+		}
+	}
+	cert := &ThroughputCert{Unbounded: unbounded, Period: period, Q: q, Schedule: sched}
+	if unbounded {
 		order, err := extractTopoOrder(nodes, edges)
 		if err != nil {
 			return nil, err
 		}
-		cert.Order = order
+		pos := make([]int, nodes)
+		for i, v := range order {
+			pos[v] = i
+		}
+		cert.Order = make([]int, n)
+		for k := range cert.Order {
+			cert.Order[k] = k
+		}
+		slices.SortStableFunc(cert.Order, func(a, b int) int {
+			if c := cmp.Compare(pos[consumer[a]], pos[consumer[b]]); c != 0 {
+				return c
+			}
+			return cmp.Compare(iter[b], iter[a])
+		})
 		return cert, nil
 	}
-	pot, cycle, err := extractWitness(ctx, nodes, edges, cert.Period)
+	p, _, err := extractPotentials(ctx, nodes, edges, period)
 	if err != nil {
 		return nil, err
 	}
-	cert.Potentials, cert.Cycle = pot, cycle
+	cert.Potentials = make([]int64, n)
+	for k, v := range consumer {
+		shift, ok1 := rat.MulChecked(iter[k], period.Num())
+		pot, ok2 := rat.AddChecked(p[v], shift)
+		if !ok1 || !ok2 {
+			return nil, invalidf("potential of token %d overflows int64", k)
+		}
+		cert.Potentials[k] = pot
+	}
+	cert.Critical, err = criticalTokens(g, q, first, tokBase, critical)
+	if err != nil {
+		return nil, err
+	}
 	return cert, nil
+}
+
+// criticalTokens maps a cycle of conversion nodes onto the initial
+// tokens of g it carries across iteration boundaries. Each step u→v
+// takes the dependency of g from u's firing to v's with the fewest
+// delays d — the one edge the conversion keeps — and contributes the d
+// positions that dependency's token takes on at the boundaries it
+// crosses.
+func criticalTokens(g *sdf.Graph, q, first []int64, tokBase []int, cycle []sdf.ActorID) ([]int, error) {
+	copyOf := func(v sdf.ActorID) (sdf.ActorID, int64, error) {
+		if v < 0 || int64(v) >= first[len(q)] {
+			return 0, 0, invalidf("critical cycle names node %d outside the conversion", v)
+		}
+		a, _ := slices.BinarySearch(first, int64(v)+1)
+		return sdf.ActorID(a - 1), int64(v) - first[a-1], nil
+	}
+	var tokens []int
+	for i, u := range cycle {
+		au, cu, err := copyOf(u)
+		if err != nil {
+			return nil, err
+		}
+		av, cv, err := copyOf(cycle[(i+1)%len(cycle)])
+		if err != nil {
+			return nil, err
+		}
+		best, bestC, bestJ := int64(-1), -1, 0
+		for id, c := range g.Channels() {
+			if c.Src != au || c.Dst != av {
+				continue
+			}
+			// Firing cv consumes FIFO positions lo … hi. A position j
+			// below Initial is a token at the boundary, produced by
+			// firing m = ⌊(j − Initial)/prod⌋ < 0 of an earlier
+			// iteration; the others are produced in this iteration.
+			lo, ok1 := rat.MulChecked(cv, int64(c.Cons))
+			hi, ok2 := rat.AddChecked(lo, int64(c.Cons)-1)
+			if !ok1 || !ok2 {
+				return nil, invalidf("token position of channel %d overflows int64", id)
+			}
+			initial, prod := int64(c.Initial), int64(c.Prod)
+			if hi >= initial && (max(lo, initial)-initial)/prod <= cu && cu <= (hi-initial)/prod {
+				best, bestC = 0, id
+				break
+			}
+			for j := lo; j <= min(hi, initial-1); j++ {
+				m := rat.FloorDiv(j-initial, prod)
+				if d := -rat.FloorDiv(m, q[au]); rat.Mod(m, q[au]) == cu && (best < 0 || d < best) {
+					best, bestC, bestJ = d, id, int(j)
+				}
+			}
+		}
+		if best < 0 {
+			return nil, invalidf("critical cycle steps from node %d to node %d along no token of the graph", u, cycle[(i+1)%len(cycle)])
+		}
+		c := g.Channel(sdf.ChannelID(bestC))
+		stride := q[av] * int64(c.Cons)
+		for t := int64(0); t < best; t++ {
+			tokens = append(tokens, tokBase[bestC]+bestJ+int(t*stride))
+		}
+	}
+	return tokens, nil
 }

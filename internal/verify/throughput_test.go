@@ -12,6 +12,7 @@ import (
 	"repro/internal/rat"
 	"repro/internal/sdf"
 	"repro/internal/testutil"
+	"repro/internal/transform"
 )
 
 // tightEdges lists the edges of m's precedence graph that are tight
@@ -100,9 +101,10 @@ func dependentPair(m *maxplus.Matrix) (u, v int, ok bool) {
 }
 
 // TestThroughputCertTamperTable rejects, on seeded random graphs, the
-// Table-1 graphs and the N = 2001 graph: a doubled repetition vector,
-// the period off by 1/den in either direction, a critical token swapped
-// for one off every critical cycle, and, on unbounded certificates, two
+// Table-1 graphs and the N = 2001 graph, and for the matrix and the
+// HSDF engine's certificate alike: a doubled repetition vector, the
+// period off by 1/den in either direction, a critical token swapped for
+// one off every critical cycle, and, on unbounded certificates, two
 // dependent tokens of the order swapped.
 func TestThroughputCertTamperTable(t *testing.T) {
 	ctx := context.Background()
@@ -130,58 +132,84 @@ func TestThroughputCertTamperTable(t *testing.T) {
 			t.Errorf("%s: %s accepted: %v", g.Name(), what, err)
 		}
 	}
-	swaps, orders := 0, 0
+	// Each graph is tampered twice: through the matrix engine's
+	// certificate and through the HSDF engine's.
+	swaps, orders := map[string]int{}, map[string]int{}
 	for _, g := range graphs {
-		r, cert, _ := engineCerts(t, g)
-		if cert.Unbounded {
-			if u, v, ok := dependentPair(r.Matrix); ok {
-				pos := make([]int, len(cert.Order))
-				for i, k := range cert.Order {
-					pos[k] = i
-				}
-				tampered := *cert
-				tampered.Order = append([]int(nil), cert.Order...)
-				tampered.Order[pos[u]], tampered.Order[pos[v]] = v, u
-				reject(g, "order with a dependent pair swapped", &tampered)
-				orders++
+		r, mcert, _ := engineCerts(t, g)
+		h, _, err := transform.Traditional(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hcert, _, err := hsdfCertFor(t, g, h)
+		if err != nil {
+			t.Fatalf("%s: hsdf certificate: %v", g.Name(), err)
+		}
+		for engine, cert := range map[string]*ThroughputCert{"matrix": mcert, "hsdf": hcert} {
+			s, o := tamperCert(r.Matrix, cert, func(what string, c *ThroughputCert) { reject(g, engine+": "+what, c) })
+			swaps[engine] += s
+			orders[engine] += o
+		}
+	}
+	t.Logf("critical-token swaps rejected %v, order swaps rejected %v", swaps, orders)
+	for _, engine := range []string{"matrix", "hsdf"} {
+		if swaps[engine] < 10 || orders[engine] < 4 {
+			t.Errorf("%s: only %d critical-token swaps and %d order swaps were applicable", engine, swaps[engine], orders[engine])
+		}
+	}
+}
+
+// tamperCert hands reject the tampered copies of cert, a certificate
+// over g's iteration matrix m: a doubled repetition vector, the period
+// off by 1/den either way and a critical token swapped for one off
+// every critical cycle, or, unbounded, two dependent tokens of the
+// order swapped. It returns how many swaps of each kind it made.
+func tamperCert(m *maxplus.Matrix, cert *ThroughputCert, reject func(what string, c *ThroughputCert)) (swaps, orders int) {
+	if cert.Unbounded {
+		if u, v, ok := dependentPair(m); ok {
+			pos := make([]int, len(cert.Order))
+			for i, k := range cert.Order {
+				pos[k] = i
 			}
+			tampered := *cert
+			tampered.Order = append([]int(nil), cert.Order...)
+			tampered.Order[pos[u]], tampered.Order[pos[v]] = v, u
+			reject("order with a dependent pair swapped", &tampered)
+			orders++
+		}
+		return swaps, orders
+	}
+	double := *cert
+	double.Q = make([]int64, len(cert.Q))
+	for a, v := range cert.Q {
+		double.Q[a] = 2 * v
+	}
+	reject("doubled repetition vector", &double)
+	num, den := cert.Period.Num(), cert.Period.Den()
+	for _, d := range []int64{-1, 1} {
+		tampered := *cert
+		tampered.Period = rat.MustNew(num+d, den)
+		reject("period off by 1/den", &tampered)
+	}
+	succ := tightEdges(m, cert)
+	for off := 0; off < m.Size(); off++ {
+		if onTightCycle(succ, off) {
 			continue
 		}
-		double := *cert
-		double.Q = make([]int64, len(cert.Q))
-		for a, v := range cert.Q {
-			double.Q[a] = 2 * v
-		}
-		reject(g, "doubled repetition vector", &double)
-		num, den := cert.Period.Num(), cert.Period.Den()
-		for _, d := range []int64{-1, 1} {
+		for k := range cert.Critical {
+			rest := append(append([]int(nil), cert.Critical[:k]...), cert.Critical[k+1:]...)
+			if tightCycleWithin(succ, rest) {
+				continue // the rest still closes a critical cycle
+			}
 			tampered := *cert
-			tampered.Period = rat.MustNew(num+d, den)
-			reject(g, "period off by 1/den", &tampered)
-		}
-		succ := tightEdges(r.Matrix, cert)
-		for off := 0; off < r.Matrix.Size(); off++ {
-			if onTightCycle(succ, off) {
-				continue
-			}
-			for k := range cert.Critical {
-				rest := append(append([]int(nil), cert.Critical[:k]...), cert.Critical[k+1:]...)
-				if tightCycleWithin(succ, rest) {
-					continue // the rest still closes a critical cycle
-				}
-				tampered := *cert
-				tampered.Critical = append(rest, off)
-				reject(g, "a critical token swapped for one off every critical cycle", &tampered)
-				swaps++
-				break
-			}
+			tampered.Critical = append(rest, off)
+			reject("a critical token swapped for one off every critical cycle", &tampered)
+			swaps++
 			break
 		}
+		break
 	}
-	t.Logf("%d critical-token swaps, %d order swaps rejected", swaps, orders)
-	if swaps < 10 || orders < 4 {
-		t.Errorf("only %d critical-token swaps and %d order swaps were applicable", swaps, orders)
-	}
+	return swaps, orders
 }
 
 // TestN2001ForgedMatrixRejected forges the iteration matrix of the

@@ -24,8 +24,8 @@
 //     bound: the cycle attains the claimed period) with a
 //     potential feasibility witness (upper bound: feasible potentials
 //     are a max-plus sub-eigenvector, proving no cycle exceeds the
-//     claimed period); with the matrix anchor both are checked by
-//     replaying one iteration from the witnesses, without the matrix;
+//     claimed period), both checked by replaying one iteration from the
+//     witnesses, without the matrix, whichever engine produced them;
 //   - an SADF certificate makes the same two-sided claim about the
 //     max-plus automaton of an FSM-SADF model, checked by replaying each
 //     FSM transition's scenario from the source state's potentials;
@@ -221,66 +221,6 @@ func (c *ScheduleCert) Kind() Kind { return KindSchedule }
 
 // Check replays the schedule against g's token counts.
 func (c *ScheduleCert) Check(ctx context.Context, g *sdf.Graph) error {
-	_, err := replayCounts(ctx, g, c.Schedule)
+	_, err := newTokenReplay(guard.NewMeter(ctx, "verify"), g, c.Schedule, 1)
 	return err
-}
-
-// replayCounts replays sched against g's channel token counts and
-// returns the per-actor firing counts. It rejects buffer underflow, a
-// marking that does not return to the initial one, actors that never
-// fire and non-minimal firing counts — together these certify a
-// complete minimal iteration, because a restored marking forces the
-// counts to solve the balance equations.
-func replayCounts(ctx context.Context, g *sdf.Graph, sched []sdf.ActorID) ([]int64, error) {
-	meter := guard.NewMeter(ctx, "verify")
-	meter.Phase("schedule-replay")
-	n := g.NumActors()
-	inCh := make([][]sdf.ChannelID, n)
-	outCh := make([][]sdf.ChannelID, n)
-	for i := range g.Channels() {
-		id := sdf.ChannelID(i)
-		inCh[g.Channel(id).Dst] = append(inCh[g.Channel(id).Dst], id)
-		outCh[g.Channel(id).Src] = append(outCh[g.Channel(id).Src], id)
-	}
-	tokens := make([]int64, g.NumChannels())
-	for i, ch := range g.Channels() {
-		tokens[i] = int64(ch.Initial)
-	}
-	counts := make([]int64, n)
-	for pos, a := range sched {
-		if err := meter.Tick(1); err != nil {
-			return nil, err
-		}
-		if a < 0 || int(a) >= n {
-			return nil, invalidf("schedule step %d fires unknown actor %d", pos, a)
-		}
-		for _, id := range inCh[a] {
-			tokens[id] -= int64(g.Channel(id).Cons)
-			if tokens[id] < 0 {
-				ch := g.Channel(id)
-				return nil, invalidf("schedule step %d underflows channel %s -> %s",
-					pos, g.Actor(ch.Src).Name, g.Actor(ch.Dst).Name)
-			}
-		}
-		for _, id := range outCh[a] {
-			next, ok := rat.AddChecked(tokens[id], int64(g.Channel(id).Prod))
-			if !ok {
-				return nil, invalidf("schedule step %d overflows a token count", pos)
-			}
-			tokens[id] = next
-		}
-		counts[a]++
-	}
-	for i, ch := range g.Channels() {
-		if tokens[i] != int64(ch.Initial) {
-			return nil, invalidf("channel %s -> %s ends with %d tokens, want the initial %d",
-				g.Actor(ch.Src).Name, g.Actor(ch.Dst).Name, tokens[i], ch.Initial)
-		}
-	}
-	// A restored marking means the counts solve the balance equations;
-	// checkRepetition additionally enforces positivity and minimality.
-	if err := checkRepetition(g, counts); err != nil {
-		return nil, fmt.Errorf("firing counts of the schedule: %w", err)
-	}
-	return counts, nil
 }

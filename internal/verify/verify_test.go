@@ -261,13 +261,6 @@ func TestThroughputCertRejectsTamperedWitnesses(t *testing.T) {
 	if err := tampered.Check(ctxT(t), g); !errors.Is(err, ErrInvalid) {
 		t.Errorf("missing cycle accepted: %v", err)
 	}
-
-	// Carrying both anchors is ill-formed.
-	tampered = *cert
-	tampered.HSDF = gen.Figure2()
-	if err := tampered.Check(ctxT(t), g); !errors.Is(err, ErrInvalid) {
-		t.Errorf("double-anchored certificate accepted: %v", err)
-	}
 }
 
 func TestThroughputCertUnbounded(t *testing.T) {
@@ -294,7 +287,23 @@ func TestThroughputCertUnbounded(t *testing.T) {
 	}
 }
 
-// --- throughput certificate, HSDF anchor ---
+// --- throughput certificate, HSDF engine ---
+
+// hsdfCertFor runs the HSDF engine's pipeline on g — Howard's iteration
+// on the conversion h, one schedule of g — and certifies the answer.
+func hsdfCertFor(t *testing.T, g, h *sdf.Graph) (*ThroughputCert, mcm.Result, error) {
+	t.Helper()
+	res, err := mcm.MaxCycleRatio(context.Background(), h)
+	if err != nil {
+		t.Fatalf("%s: mcm: %v", g.Name(), err)
+	}
+	sched, err := schedule.Sequential(g)
+	if err != nil {
+		t.Fatalf("%s: schedule: %v", g.Name(), err)
+	}
+	cert, err := NewHSDFThroughputCert(ctxT(t), g, h, sched, repetitionOf(t, g), !res.HasCycle, res.CycleMean, res.Critical)
+	return cert, res, err
+}
 
 func TestHSDFThroughputCertRoundTrip(t *testing.T) {
 	for _, g := range []*sdf.Graph{gen.Figure2(), gen.Figure3(4)} {
@@ -302,16 +311,12 @@ func TestHSDFThroughputCertRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: traditional conversion: %v", g.Name(), err)
 		}
-		res, err := mcm.MaxCycleRatio(h)
-		if err != nil {
-			t.Fatalf("%s: mcm: %v", g.Name(), err)
-		}
-		if !res.HasCycle {
-			t.Fatalf("%s: unexpected acyclic HSDF graph", g.Name())
-		}
-		cert, err := NewHSDFThroughputCert(ctxT(t), g, h, repetitionOf(t, g), false, res.CycleMean)
+		cert, res, err := hsdfCertFor(t, g, h)
 		if err != nil {
 			t.Fatalf("%s: certificate construction: %v", g.Name(), err)
+		}
+		if !res.HasCycle || cert.Unbounded || !cert.Period.Equal(res.CycleMean) || cert.Schedule == nil {
+			t.Fatalf("%s: certificate %v does not claim Howard's %v", g.Name(), cert, res.CycleMean)
 		}
 		if err := cert.Check(ctxT(t), g); err != nil {
 			t.Errorf("%s: genuine hsdf certificate rejected: %v", g.Name(), err)
@@ -325,59 +330,29 @@ func TestHSDFThroughputCertPinsStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mcm.MaxCycleRatio(h)
+	res, err := mcm.MaxCycleRatio(context.Background(), h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := schedule.Sequential(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := repetitionOf(t, g)
-	// A multirate anchor is rejected.
-	if _, err := NewHSDFThroughputCert(ctxT(t), g, g, q, false, res.CycleMean); !errors.Is(err, ErrInvalid) {
-		t.Errorf("multirate anchor accepted: %v", err)
+	// A multirate conversion is rejected.
+	if _, err := NewHSDFThroughputCert(ctxT(t), g, g, sched, q, false, res.CycleMean, res.Critical); !errors.Is(err, ErrInvalid) {
+		t.Errorf("multirate conversion accepted: %v", err)
 	}
 	// A node count different from Σq is rejected.
 	wrong := h.Clone()
 	wrong.MustAddActor("extra", 0)
-	if _, err := NewHSDFThroughputCert(ctxT(t), g, wrong, q, false, res.CycleMean); !errors.Is(err, ErrInvalid) {
-		t.Errorf("wrong-size anchor accepted: %v", err)
+	if _, err := NewHSDFThroughputCert(ctxT(t), g, wrong, sched, q, false, res.CycleMean, res.Critical); !errors.Is(err, ErrInvalid) {
+		t.Errorf("wrong-size conversion accepted: %v", err)
 	}
-}
-
-// TestHSDFAnchorTrustGap documents the verification gap of the HSDF
-// anchor: edge delays of the anchor are trusted, so a tampered
-// conversion certifies a *different* period against the same graph.
-// Catching this is the job of cross-engine disagreement detection, not
-// of a single certificate.
-func TestHSDFAnchorTrustGap(t *testing.T) {
-	g := gen.Figure2()
-	h, _, err := transform.Traditional(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	genuine, err := mcm.MaxCycleRatio(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Add a delay token on every channel: every cycle ratio drops.
-	tampered := h.Clone()
-	for i := range tampered.Channels() {
-		id := sdf.ChannelID(i)
-		if err := tampered.SetInitial(id, tampered.Channel(id).Initial+1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	res, err := mcm.MaxCycleRatio(tampered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CycleMean.Equal(genuine.CycleMean) {
-		t.Fatal("tampering did not change the cycle mean; test graph unsuitable")
-	}
-	cert, err := NewHSDFThroughputCert(ctxT(t), g, tampered, repetitionOf(t, g), false, res.CycleMean)
-	if err != nil {
-		t.Fatalf("tampered anchor failed construction: %v", err)
-	}
-	if err := cert.Check(ctxT(t), g); err != nil {
-		t.Fatalf("expected the documented trust gap (tampered delays verify): %v", err)
+	// A critical node outside the conversion is rejected.
+	outside := []sdf.ActorID{sdf.ActorID(h.NumActors())}
+	if _, err := NewHSDFThroughputCert(ctxT(t), g, h, sched, q, false, res.CycleMean, outside); !errors.Is(err, ErrInvalid) {
+		t.Errorf("critical node outside the conversion accepted: %v", err)
 	}
 }
 
@@ -484,7 +459,7 @@ func TestCertifiedPeriodsAgreeAcrossAnchors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := mcm.MaxCycleRatio(h)
+		res, err := mcm.MaxCycleRatio(context.Background(), h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -497,7 +472,7 @@ func TestCertifiedPeriodsAgreeAcrossAnchors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := NewHSDFThroughputCert(ctxT(t), g, h, q, false, res.CycleMean)
+		b, _, err := hsdfCertFor(t, g, h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -505,7 +480,7 @@ func TestCertifiedPeriodsAgreeAcrossAnchors(t *testing.T) {
 			t.Errorf("%s: matrix-anchored certificate rejected: %v", g.Name(), err)
 		}
 		if err := b.Check(ctxT(t), g); err != nil {
-			t.Errorf("%s: hsdf-anchored certificate rejected: %v", g.Name(), err)
+			t.Errorf("%s: hsdf engine's certificate rejected: %v", g.Name(), err)
 		}
 	}
 }

@@ -73,7 +73,7 @@ func TestExplosiveGraphFastFailure(t *testing.T) {
 	if tp.Period.Num() != want || tp.Period.Den() != 1 {
 		t.Errorf("hedged period = %v, want %d", tp.Period, want)
 	}
-	if err := CheckCertificate(context.Background(), g, rep.Certificates[MethodMatrix]); err != nil {
+	if err := CheckCertificate(context.Background(), g, rep.Certificate); err != nil {
 		t.Errorf("matrix certificate does not re-check: %v", err)
 	}
 	// The direct matrix engine agrees.

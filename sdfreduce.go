@@ -236,7 +236,7 @@ func MakespanAfter(g *Graph, k int) (int64, bool, error) { return analysis.Makes
 
 // MaxCycleMean computes the maximum cycle mean of a homogeneous graph —
 // the iteration period of self-timed execution.
-func MaxCycleMean(g *Graph) (mcm.Result, error) { return mcm.MaxCycleRatio(g) }
+func MaxCycleMean(g *Graph) (mcm.Result, error) { return mcm.MaxCycleRatio(context.Background(), g) }
 
 // RepetitionVector solves the balance equations of g.
 func RepetitionVector(g *Graph) ([]int64, error) { return g.RepetitionVector() }

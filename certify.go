@@ -71,7 +71,9 @@ func CheckCertificate(ctx context.Context, g *Graph, c Certificate) error {
 // one iteration schedule of g with potentials over its initial tokens
 // and the tokens of a critical cycle, checked by replaying the schedule
 // on g in exact arithmetic, independently of the engine. Every engine
-// returns this same certificate.
+// returns this same certificate. Its size is linear in the initial
+// tokens, which the HSDF engine charges against the budget's MaxStates
+// (ErrBudgetExceeded past it).
 func ComputeThroughputCertified(ctx context.Context, g *Graph, m Method) (Throughput, *ThroughputCert, error) {
 	if err := lint.Precheck(g); err != nil {
 		return Throughput{}, nil, err

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/guard"
 	"repro/internal/obs"
+	"repro/internal/schedule"
 	"repro/internal/sdf"
 	"repro/internal/verify"
 )
@@ -43,9 +44,12 @@ func certify(ctx context.Context, g *sdf.Graph, method Method, run engineRun) (*
 	sp := obs.FromContext(ctx).StartSpan("analysis.certify", "engine", method.String())
 	var cert *verify.ThroughputCert
 	var err error
-	if run.hsdf != nil {
-		cert, err = verify.NewHSDFThroughputCert(ctx, g, run.hsdf, run.sched, run.tp.Repetition,
-			run.tp.Unbounded, run.tp.Period, run.cycle)
+	if run.conv != nil {
+		var sched []sdf.ActorID
+		if sched, err = schedule.SequentialCtx(ctx, g); err == nil {
+			cert, err = verify.NewHSDFThroughputCert(ctx, g, run.conv, sched, run.tp.Repetition,
+				run.tp.Unbounded, run.tp.Period, run.cycle)
+		}
 	} else {
 		cert, err = verify.NewMatrixThroughputCert(ctx, run.sym.Matrix, run.sym.Schedule,
 			run.tp.Repetition, run.tp.Unbounded, run.tp.Period, run.critical)

@@ -29,7 +29,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/passes"
 	"repro/internal/rat"
-	"repro/internal/schedule"
 	"repro/internal/sdf"
 	"repro/internal/transform"
 )
@@ -158,15 +157,13 @@ func ComputeThroughputDirectCtx(ctx context.Context, g *sdf.Graph, method Method
 
 // engineRun is one engine's answer together with what its certificate
 // is built from: the symbolic iteration of the matrix engines (with the
-// critical cycle, when Howard found it), or the traditionally converted
-// graph of the HSDF engine with one iteration schedule of g and the
-// cycle Howard ended on.
+// critical cycle, when Howard found it), or the traditional conversion
+// of the HSDF engine with the cycle Howard ended on.
 type engineRun struct {
 	tp       Throughput
 	sym      *core.SymbolicResult
 	critical []int
-	hsdf     *sdf.Graph
-	sched    []sdf.ActorID
+	conv     *transform.Conversion
 	cycle    []sdf.ActorID
 }
 
@@ -204,17 +201,14 @@ func runEngine(ctx context.Context, g *sdf.Graph, method Method) (engineRun, err
 
 	case HSDF:
 		sp := reg.StartSpan("analysis.conversion", "engine", eng)
-		run.hsdf, _, err = transform.TraditionalCtx(ctx, g)
-		if err == nil {
-			run.sched, err = schedule.SequentialCtx(ctx, g)
-		}
+		run.conv, _, err = transform.Convert(ctx, g)
 		sp.Finish()
 		if err != nil {
 			return engineRun{}, err
 		}
 		sp = reg.StartSpan("analysis.mcm", "engine", eng)
 		var res mcm.Result
-		res, err = mcm.MaxCycleRatio(ctx, run.hsdf)
+		res, err = mcm.MaxCycleRatio(ctx, run.conv.HSDF)
 		sp.Finish()
 		run.tp.Period, hasCycle, run.cycle = res.CycleMean, res.HasCycle, res.Critical
 

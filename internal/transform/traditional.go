@@ -46,7 +46,39 @@ func Traditional(g *sdf.Graph) (*sdf.Graph, TraditionalStats, error) {
 // arithmetic is overflow-checked: adversarial rates produce an error
 // instead of silently wrapped channel structure.
 func TraditionalCtx(ctx context.Context, g *sdf.Graph) (*sdf.Graph, TraditionalStats, error) {
-	fail := func(err error) (*sdf.Graph, TraditionalStats, error) {
+	c, stats, err := Convert(ctx, g)
+	if err != nil {
+		return nil, TraditionalStats{}, err
+	}
+	return c.HSDF, stats, nil
+}
+
+// Conversion is a traditional conversion together with the provenance
+// of its nodes and channels, which the HSDF engine's throughput
+// certificate maps its witnesses back through.
+type Conversion struct {
+	// HSDF is the converted graph.
+	HSDF *sdf.Graph
+	// Copies[a][i] is the node of firing i of actor a in one iteration.
+	Copies [][]sdf.ActorID
+	// Origins[e] is the dependency of g that channel e of HSDF keeps.
+	Origins []Origin
+}
+
+// Origin is the dependency of g one channel of a conversion keeps: the
+// token of Channel that the destination copy consumes at FIFO position
+// Pos, counted from the channel's front at the start of that firing's
+// iteration. A channel with d initial tokens keeps a token produced d
+// iterations earlier: it crosses d iteration boundaries, at positions
+// Pos, Pos + q(dst)·cons, …, all below the channel's initial tokens.
+type Origin struct {
+	Channel sdf.ChannelID
+	Pos     int
+}
+
+// Convert is TraditionalCtx returning the conversion's provenance too.
+func Convert(ctx context.Context, g *sdf.Graph) (*Conversion, TraditionalStats, error) {
+	fail := func(err error) (*Conversion, TraditionalStats, error) {
 		return nil, TraditionalStats{}, fmt.Errorf("transform: traditional conversion: %w", err)
 	}
 	q, err := g.RepetitionVector()
@@ -96,17 +128,22 @@ func TraditionalCtx(ctx context.Context, g *sdf.Graph) (*sdf.Graph, TraditionalS
 	}
 
 	meter.Phase("channels")
-	// best[{src,dst}] = fewest initial tokens among parallel channels.
+	// best[{src,dst}] = the dependency with the fewest initial tokens
+	// among parallel channels.
 	type pair struct{ src, dst sdf.ActorID }
-	best := make(map[pair]int)
-	note := func(src, dst sdf.ActorID, tokens int) {
+	type kept struct {
+		tokens int
+		origin Origin
+	}
+	best := make(map[pair]kept)
+	note := func(src, dst sdf.ActorID, tokens int, origin Origin) {
 		key := pair{src, dst}
-		if cur, ok := best[key]; !ok || tokens < cur {
-			best[key] = tokens
+		if cur, ok := best[key]; !ok || tokens < cur.tokens {
+			best[key] = kept{tokens, origin}
 		}
 	}
 
-	for _, c := range g.Channels() {
+	for id, c := range g.Channels() {
 		for k := int64(0); k < q[c.Dst]; k++ {
 			// Position, counted from the start of iteration 0, of the
 			// first token consumed by firing k of the destination:
@@ -138,7 +175,7 @@ func TraditionalCtx(ctx context.Context, g *sdf.Graph) (*sdf.Graph, TraditionalS
 				m := rat.FloorDiv(t, int64(c.Prod))
 				srcCopy := copies[c.Src][rat.Mod(m, q[c.Src])]
 				iter := rat.FloorDiv(m, q[c.Src]) // <= 0 for earlier iterations
-				note(srcCopy, copies[c.Dst][k], int(-iter))
+				note(srcCopy, copies[c.Dst][k], int(-iter), Origin{sdf.ChannelID(id), int(t) + c.Initial})
 			}
 		}
 	}
@@ -158,13 +195,15 @@ func TraditionalCtx(ctx context.Context, g *sdf.Graph) (*sdf.Graph, TraditionalS
 		}
 		return pairs[i].dst < pairs[j].dst
 	})
+	origins := make([]Origin, 0, len(pairs))
 	for _, k := range pairs {
-		tokens := best[k]
-		if _, err := h.AddChannel(k.src, k.dst, 1, 1, tokens); err != nil {
+		e := best[k]
+		if _, err := h.AddChannel(k.src, k.dst, 1, 1, e.tokens); err != nil {
 			return fail(err)
 		}
+		origins = append(origins, e.origin)
 		stats.Edges++
-		stats.Tokens += tokens
+		stats.Tokens += e.tokens
 	}
-	return h, stats, nil
+	return &Conversion{HSDF: h, Copies: copies, Origins: origins}, stats, nil
 }

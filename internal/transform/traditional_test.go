@@ -224,3 +224,56 @@ func TestBufferCapacityLimitsThroughput(t *testing.T) {
 		t.Errorf("bounded period = %v, want 11", res.CycleMean)
 	}
 }
+
+// TestConvertRecordsOrigins pins the provenance the HSDF engine's
+// certificate maps its witnesses through: every channel u→v of the
+// conversion keeps a token of a channel of g from u's actor to v's,
+// consumed by v's firing at its recorded FIFO position, and a channel
+// with d delays keeps a token that sits among the initial tokens at d
+// consecutive iteration boundaries.
+func TestConvertRecordsOrigins(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 30; trial++ {
+		g, err := gen.RandomGraph(rng, gen.RandomOptions{
+			Actors: 2 + rng.Intn(5), MaxRep: 4, MaxExec: 9, Chords: rng.Intn(4), SelfLoop: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conv, _, err := Convert(context.Background(), g)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		q, err := g.RepetitionVector()
+		if err != nil {
+			t.Fatal(err)
+		}
+		type firing struct {
+			actor sdf.ActorID
+			copy  int
+		}
+		of := make(map[sdf.ActorID]firing)
+		for a, cs := range conv.Copies {
+			if int64(len(cs)) != q[a] {
+				t.Fatalf("trial %d: %d copies of actor %d, q = %d", trial, len(cs), a, q[a])
+			}
+			for i, v := range cs {
+				of[v] = firing{sdf.ActorID(a), i}
+			}
+		}
+		if len(conv.Origins) != conv.HSDF.NumChannels() {
+			t.Fatalf("trial %d: %d origins for %d channels", trial, len(conv.Origins), conv.HSDF.NumChannels())
+		}
+		for e, ch := range conv.HSDF.Channels() {
+			o := conv.Origins[e]
+			c := g.Channel(o.Channel)
+			u, v := of[ch.Src], of[ch.Dst]
+			if c.Src != u.actor || c.Dst != v.actor || o.Pos/c.Cons != v.copy {
+				t.Fatalf("trial %d: channel %d (%v -> %v) keeps position %d of channel %d", trial, e, u, v, o.Pos, o.Channel)
+			}
+			if last := o.Pos + (ch.Initial-1)*int(q[c.Dst])*c.Cons; ch.Initial > 0 && last >= c.Initial {
+				t.Errorf("trial %d: channel %d with %d delays keeps a token past the %d initial tokens", trial, e, ch.Initial, c.Initial)
+			}
+		}
+	}
+}

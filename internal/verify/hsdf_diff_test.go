@@ -87,17 +87,17 @@ func tokenHeavyGraph(rng *rand.Rand, i int) *sdf.Graph {
 // hsdfAnswer is the HSDF engine's answer computed the classical way,
 // outside the certified path: Howard's cycle mean of the traditional
 // conversion.
-func hsdfAnswer(t *testing.T, g *sdf.Graph) (*sdf.Graph, mcm.Result) {
+func hsdfAnswer(t *testing.T, g *sdf.Graph) (*transform.Conversion, mcm.Result) {
 	t.Helper()
-	h, _, err := transform.Traditional(g)
+	conv, _, err := transform.Convert(context.Background(), g)
 	if err != nil {
 		t.Fatalf("%s: traditional conversion: %v", g.Name(), err)
 	}
-	res, err := mcm.MaxCycleRatio(context.Background(), h)
+	res, err := mcm.MaxCycleRatio(context.Background(), conv.HSDF)
 	if err != nil {
 		t.Fatalf("%s: mcm: %v", g.Name(), err)
 	}
-	return h, res
+	return conv, res
 }
 
 // TestHSDFCertMatchesEngines pins the HSDF engine's certificate: on
@@ -158,8 +158,8 @@ func TestHSDFAnchorTrustGap(t *testing.T) {
 	ctx := context.Background()
 	moved, byConstruction := 0, 0
 	for _, g := range hsdfDiffGraphs(t) {
-		h, genuine := hsdfAnswer(t, g)
-		tampered := h.Clone()
+		conv, genuine := hsdfAnswer(t, g)
+		tampered := conv.HSDF.Clone()
 		for i := range tampered.Channels() {
 			id := sdf.ChannelID(i)
 			if err := tampered.SetInitial(id, tampered.Channel(id).Initial+1); err != nil {
@@ -182,7 +182,8 @@ func TestHSDFAnchorTrustGap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cert, err := verify.NewHSDFThroughputCert(ctx, g, tampered, sched, q, false, res.CycleMean, res.Critical)
+		forged := &transform.Conversion{HSDF: tampered, Copies: conv.Copies, Origins: conv.Origins}
+		cert, err := verify.NewHSDFThroughputCert(ctx, g, forged, sched, q, false, res.CycleMean, res.Critical)
 		if err == nil {
 			err = cert.Check(ctx, g)
 		} else {

@@ -158,7 +158,9 @@ const laneSlotCap = 1 << 20
 // firing counts. A walk then runs up to lanes independent replays in
 // lockstep: a ring slot holds one time stamp per lane, and lane l is
 // exactly the replay from its own start vector, with every addition
-// overflow-checked per lane.
+// overflow-checked per lane. The ring buffer, at least one slot per
+// initial token, is allocated by the first walk, so a caller that only
+// needs the count walk (ScheduleCert) stays O(|A|+|C|) in memory.
 type tokenReplay struct {
 	sched   []sdf.ActorID
 	in, out [][]sdf.ChannelID
@@ -172,6 +174,8 @@ type tokenReplay struct {
 	head    []int   // ring index of each channel's front token
 	count   []int   // tokens each channel holds
 	tokSlot []int   // ring slot of each token (global channel-order numbering) after a walk
+	slots   int     // ring slots of all channels
+	tokens  int     // initial tokens of all channels
 	lanes   int     // lanes per walk
 	buf     []maxplus.T
 	at, end []maxplus.T // per-firing scratch, one entry per lane
@@ -229,22 +233,19 @@ func newTokenReplay(meter *guard.Meter, g *sdf.Graph, sched []sdf.ActorID, maxLa
 		}
 		r.counts[a]++
 	}
-	slots := 0
 	for i, ch := range g.Channels() {
 		if r.count[i] != ch.Initial {
 			return nil, invalidf("channel %s -> %s ends with %d tokens, want the initial %d",
 				g.Actor(ch.Src).Name, g.Actor(ch.Dst).Name, r.count[i], ch.Initial)
 		}
-		r.base[i] = slots
-		slots += r.size[i]
+		r.base[i] = r.slots
+		r.slots += r.size[i]
+		r.tokens += ch.Initial
 	}
 	if err := checkRepetition(g, r.counts); err != nil {
 		return nil, fmt.Errorf("firing counts of the schedule: %w", err)
 	}
-	r.lanes = max(1, min(maxLanes, g.TotalInitialTokens(), laneSlotCap/max(slots, 1)))
-	r.buf = make([]maxplus.T, slots*r.lanes)
-	r.at, r.end = make([]maxplus.T, r.lanes), make([]maxplus.T, r.lanes)
-	r.tokSlot = make([]int, g.TotalInitialTokens())
+	r.lanes = max(1, min(maxLanes, r.tokens, laneSlotCap/max(r.slots, 1)))
 	return r, nil
 }
 
@@ -266,14 +267,22 @@ func (r *tokenReplay) scale(den int64) error {
 
 // walk replays one iteration in lanes lockstep lanes (lanes ≤ r.lanes):
 // lane l starts initial token k (global channel-order numbering) at
-// start(k, l). One meter tick per lane per firing keeps the
-// cancellation cadence of separate replays.
+// start(k, l). One meter tick per lane per initial token and per
+// firing keeps the cancellation cadence of separate replays.
 func (r *tokenReplay) walk(meter *guard.Meter, lanes int, start func(k, l int) maxplus.T) error {
+	if r.buf == nil {
+		r.buf = make([]maxplus.T, r.slots*r.lanes)
+		r.at, r.end = make([]maxplus.T, r.lanes), make([]maxplus.T, r.lanes)
+		r.tokSlot = make([]int, r.tokens)
+	}
 	buf := r.buf[:len(r.buf)/r.lanes*lanes]
 	tok := 0
 	for c, init := range r.initial {
 		r.head[c], r.count[c] = 0, init
 		for t := 0; t < init; t++ {
+			if err := meter.Tick(int64(lanes)); err != nil {
+				return err
+			}
 			lane := buf[(r.base[c]+t)*lanes:][:lanes]
 			for l := range lane {
 				lane[l] = start(tok, l)

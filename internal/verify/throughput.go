@@ -10,6 +10,7 @@ import (
 	"repro/internal/maxplus"
 	"repro/internal/rat"
 	"repro/internal/sdf"
+	"repro/internal/transform"
 )
 
 // refEdge is one dependency of a reference precedence graph: the value
@@ -115,13 +116,11 @@ func (c *ThroughputCert) checkPeriodReplays(meter *guard.Meter, r *tokenReplay, 
 	if len(p) != n {
 		return invalidf("potential witness covers %d of %d tokens", len(p), n)
 	}
-	target := make([]int64, n) // p_i + num
 	for i, v := range p {
-		t, ok := rat.AddChecked(v, num)
-		if !ok || maxplus.FromInt(v).IsNegInf() {
+		// Every p_i + num below is then exact.
+		if _, ok := rat.AddChecked(v, num); !ok || maxplus.FromInt(v).IsNegInf() {
 			return invalidf("potential %d of token %d is not a finite time", v, i)
 		}
-		target[i] = t
 	}
 	inS := make([]bool, n)
 	for _, k := range c.Critical {
@@ -140,9 +139,9 @@ func (c *ThroughputCert) checkPeriodReplays(meter *guard.Meter, r *tokenReplay, 
 		return err
 	}
 	for i := 0; i < n; i++ {
-		if f := r.final(i, 0); !f.IsNegInf() && f.Int() > target[i] {
+		if f := r.final(i, 0); !f.IsNegInf() && f.Int() > p[i]+num {
 			return invalidf("token %d ends the replay from its potential at %d, above p+num = %d: some cycle exceeds the claimed period %v",
-				i, f.Int(), target[i], c.Period)
+				i, f.Int(), p[i]+num, c.Period)
 		}
 	}
 	onS := func(k, _ int) maxplus.T {
@@ -155,9 +154,9 @@ func (c *ThroughputCert) checkPeriodReplays(meter *guard.Meter, r *tokenReplay, 
 		return err
 	}
 	for _, i := range c.Critical {
-		if f := r.final(i, 0); f.IsNegInf() || f.Int() < target[i] {
+		if f := r.final(i, 0); f.IsNegInf() || f.Int() < p[i]+num {
 			return invalidf("critical token %d ends the replay from the critical set at %v, below p+num = %d: no cycle attains the claimed period %v",
-				i, f, target[i], c.Period)
+				i, f, p[i]+num, c.Period)
 		}
 	}
 	return nil
@@ -428,66 +427,89 @@ func NewMatrixThroughputCert(ctx context.Context, m *maxplus.Matrix, sched []sdf
 	return cert, nil
 }
 
-// NewHSDFThroughputCert assembles the HSDF engine's certificate: h must
-// be g's classical conversion, with the q(a) copies of each actor laid
-// out actor by actor as transform.Traditional builds it, sched one
+// NewHSDFThroughputCert assembles the HSDF engine's certificate: conv
+// must be g's classical conversion (transform.Convert), sched one
 // iteration schedule of g, q its repetition vector, (unbounded, period)
-// the claim Howard's iteration made on h and critical the nodes of the
-// cycle it ended on, in cycle order. The node potentials p over h come
-// from Bellman–Ford; every witness is then mapped onto g's initial
-// tokens, so the certificate is the one the matrix engines emit and
-// Check never sees h:
+// the claim Howard's iteration made on conv.HSDF and critical the nodes
+// of the cycle it ended on, in cycle order. The node potentials p over
+// the conversion come from Bellman–Ford; every witness is then mapped
+// onto g's initial tokens through the conversion's provenance, so the
+// certificate is the one the matrix engines emit and Check never sees
+// the conversion:
 //
 //   - the token at FIFO position j of channel c is consumed by firing
-//     ⌊j/cons⌋ of c's destination, that is by copy f of it in
-//     iteration k (firing k·q(dst) + f), and its potential is
-//     p(f) + k·num;
+//     f = ⌊j/cons⌋ of c's destination, that is by its copy f mod q(dst)
+//     in iteration k = ⌊f/q(dst)⌋, and its potential is p(copy) + k·num;
 //   - Critical holds the tokens the critical cycle carries across
-//     iteration boundaries: a step u→v of delay d holds its token at d
-//     consecutive boundaries, at FIFO positions j, j + q(dst)·cons, …;
+//     iteration boundaries: each step keeps one dependency of g, whose
+//     token with d delays sits at d consecutive boundaries;
 //   - Order sorts the tokens by the position of their consumer in a
-//     topological order of h, later iteration first.
+//     topological order of the conversion, later iteration first.
 //
-// DESIGN.md gives the argument why the mapped witnesses pass Check. An
-// h that does not match g fails here with ErrInvalid or fails Check.
-func NewHSDFThroughputCert(ctx context.Context, g, h *sdf.Graph, sched []sdf.ActorID, q []int64,
+// The certificate holds one witness entry per initial token, and its
+// check one ring slot per token, so the token count N is charged
+// against the budget's MaxStates before anything is sized by it: under
+// guard.Default the HSDF engine certifies at most 2^22 tokens, and a
+// larger graph is refused with guard.ErrBudgetExceeded. DESIGN.md gives
+// the argument why the mapped witnesses pass Check. A conversion that
+// does not match g fails here with ErrInvalid or fails Check.
+func NewHSDFThroughputCert(ctx context.Context, g *sdf.Graph, conv *transform.Conversion, sched []sdf.ActorID, q []int64,
 	unbounded bool, period rat.Rat, critical []sdf.ActorID) (*ThroughputCert, error) {
+	h := conv.HSDF
 	if !h.IsHSDF() {
 		return nil, invalidf("hsdf conversion has a rate different from 1")
 	}
-	if len(q) != g.NumActors() {
-		return nil, invalidf("repetition vector covers %d of %d actors", len(q), g.NumActors())
+	if len(q) != g.NumActors() || len(conv.Copies) != len(q) {
+		return nil, invalidf("repetition vector covers %d and the conversion %d of %d actors", len(q), len(conv.Copies), g.NumActors())
 	}
-	// first[a] is the node of actor a's copy 0; first[len(q)] = Σq.
-	first := make([]int64, len(q)+1)
-	for a, copies := range q {
-		next, ok := rat.AddChecked(first[a], copies)
-		if copies < 1 || !ok {
-			return nil, invalidf("repetition count %d of actor %d does not lay out a conversion", copies, a)
+	nodes, copies := h.NumActors(), 0
+	for a, cs := range conv.Copies {
+		if int64(len(cs)) != q[a] {
+			return nil, invalidf("conversion has %d copies of actor %d, its repetition count is %d", len(cs), a, q[a])
 		}
-		first[a+1] = next
+		for _, v := range cs {
+			if v < 0 || int(v) >= nodes {
+				return nil, invalidf("copy node %d lies outside the conversion", v)
+			}
+		}
+		copies += len(cs)
 	}
-	nodes := h.NumActors()
-	if int64(nodes) != first[len(q)] {
-		return nil, invalidf("hsdf conversion has %d nodes, the iteration length is %d", nodes, first[len(q)])
+	if nodes != copies {
+		return nil, invalidf("hsdf conversion has %d nodes, the iteration length is %d", nodes, copies)
+	}
+	if len(conv.Origins) != h.NumChannels() {
+		return nil, invalidf("conversion records %d origins for %d channels", len(conv.Origins), h.NumChannels())
+	}
+	meter := guard.NewMeter(ctx, "verify")
+	meter.Phase("witness-extraction")
+	n := g.TotalInitialTokens()
+	if err := meter.States(int64(n)); err != nil {
+		return nil, fmt.Errorf("hsdf certificate over %d initial tokens: %w", n, err)
+	}
+	capacity, err := meter.Alloc(int64(n))
+	if err != nil {
+		return nil, err
+	}
+	// tokens visits the initial tokens in the global channel-order
+	// numbering with the node that consumes each and the iteration of
+	// that firing.
+	tokens := func(visit func(v sdf.ActorID, k int64) error) error {
+		for _, c := range g.Channels() {
+			for j := 0; j < c.Initial; j++ {
+				if err := meter.Tick(1); err != nil {
+					return err
+				}
+				f := int64(j / c.Cons)
+				if err := visit(conv.Copies[c.Dst][f%q[c.Dst]], f/q[c.Dst]); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
 	}
 	edges := make([]refEdge, 0, h.NumChannels())
 	for _, ch := range h.Channels() {
 		edges = append(edges, refEdge{from: int(ch.Src), to: int(ch.Dst), w: h.Actor(ch.Src).Exec, d: int64(ch.Initial)})
-	}
-	// consumer[k] is token k's consuming node and iter[k] the iteration
-	// of that firing, in the global channel-order token numbering that
-	// numbers channel c's tokens from tokBase[c].
-	n := g.TotalInitialTokens()
-	consumer, iter := make([]int, 0, n), make([]int64, 0, n)
-	tokBase := make([]int, g.NumChannels())
-	for id, c := range g.Channels() {
-		tokBase[id] = len(consumer)
-		for j := 0; j < c.Initial; j++ {
-			f := int64(j / c.Cons)
-			consumer = append(consumer, int(first[c.Dst]+f%q[c.Dst]))
-			iter = append(iter, f/q[c.Dst])
-		}
 	}
 	cert := &ThroughputCert{Unbounded: unbounded, Period: period, Q: q, Schedule: sched}
 	if unbounded {
@@ -499,15 +521,27 @@ func NewHSDFThroughputCert(ctx context.Context, g, h *sdf.Graph, sched []sdf.Act
 		for i, v := range order {
 			pos[v] = i
 		}
-		cert.Order = make([]int, n)
-		for k := range cert.Order {
-			cert.Order[k] = k
+		type key struct {
+			pos  int
+			iter int64
 		}
-		slices.SortStableFunc(cert.Order, func(a, b int) int {
-			if c := cmp.Compare(pos[consumer[a]], pos[consumer[b]]); c != 0 {
+		keys := make([]key, 0, capacity)
+		cert.Order = make([]int, 0, capacity)
+		if err := tokens(func(v sdf.ActorID, k int64) error {
+			cert.Order = append(cert.Order, len(keys))
+			keys = append(keys, key{pos[v], k})
+			return nil
+		}); err != nil {
+			return nil, err
+		}
+		slices.SortFunc(cert.Order, func(a, b int) int {
+			if c := cmp.Compare(keys[a].pos, keys[b].pos); c != 0 {
 				return c
 			}
-			return cmp.Compare(iter[b], iter[a])
+			if c := cmp.Compare(keys[b].iter, keys[a].iter); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
 		})
 		return cert, nil
 	}
@@ -515,79 +549,65 @@ func NewHSDFThroughputCert(ctx context.Context, g, h *sdf.Graph, sched []sdf.Act
 	if err != nil {
 		return nil, err
 	}
-	cert.Potentials = make([]int64, n)
-	for k, v := range consumer {
-		shift, ok1 := rat.MulChecked(iter[k], period.Num())
+	cert.Potentials = make([]int64, 0, capacity)
+	if err := tokens(func(v sdf.ActorID, k int64) error {
+		shift, ok1 := rat.MulChecked(k, period.Num())
 		pot, ok2 := rat.AddChecked(p[v], shift)
 		if !ok1 || !ok2 {
-			return nil, invalidf("potential of token %d overflows int64", k)
+			return invalidf("potential of token %d overflows int64", len(cert.Potentials))
 		}
-		cert.Potentials[k] = pot
+		cert.Potentials = append(cert.Potentials, pot)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	cert.Critical, err = criticalTokens(g, q, first, tokBase, critical)
-	if err != nil {
+	if cert.Critical, err = criticalTokens(g, conv, q, critical); err != nil {
 		return nil, err
 	}
 	return cert, nil
 }
 
 // criticalTokens maps a cycle of conversion nodes onto the initial
-// tokens of g it carries across iteration boundaries. Each step u→v
-// takes the dependency of g from u's firing to v's with the fewest
-// delays d — the one edge the conversion keeps — and contributes the d
-// positions that dependency's token takes on at the boundaries it
-// crosses.
-func criticalTokens(g *sdf.Graph, q, first []int64, tokBase []int, cycle []sdf.ActorID) ([]int, error) {
-	copyOf := func(v sdf.ActorID) (sdf.ActorID, int64, error) {
-		if v < 0 || int64(v) >= first[len(q)] {
-			return 0, 0, invalidf("critical cycle names node %d outside the conversion", v)
+// tokens of g it carries across iteration boundaries. Each step u→v is
+// the conversion's one channel from u to v; its origin is the token of
+// g it keeps, which with d delays sits at d consecutive boundaries, at
+// FIFO positions Pos, Pos + q(dst)·cons, ….
+func criticalTokens(g *sdf.Graph, conv *transform.Conversion, q []int64, cycle []sdf.ActorID) ([]int, error) {
+	type step struct{ u, v sdf.ActorID }
+	channel := make(map[step]int, len(cycle))
+	for i, u := range cycle {
+		channel[step{u, cycle[(i+1)%len(cycle)]}] = -1
+	}
+	for e, ch := range conv.HSDF.Channels() {
+		if _, ok := channel[step{ch.Src, ch.Dst}]; ok {
+			channel[step{ch.Src, ch.Dst}] = e
 		}
-		a, _ := slices.BinarySearch(first, int64(v)+1)
-		return sdf.ActorID(a - 1), int64(v) - first[a-1], nil
+	}
+	tokBase := make([]int, g.NumChannels())
+	for id, n := 1, 0; id < len(tokBase); id++ {
+		n += g.Channel(sdf.ChannelID(id - 1)).Initial
+		tokBase[id] = n
 	}
 	var tokens []int
 	for i, u := range cycle {
-		au, cu, err := copyOf(u)
-		if err != nil {
-			return nil, err
+		v := cycle[(i+1)%len(cycle)]
+		e := channel[step{u, v}]
+		if e < 0 {
+			return nil, invalidf("critical cycle steps from node %d to node %d along no channel of the conversion", u, v)
 		}
-		av, cv, err := copyOf(cycle[(i+1)%len(cycle)])
-		if err != nil {
-			return nil, err
+		o := conv.Origins[e]
+		if o.Channel < 0 || int(o.Channel) >= g.NumChannels() {
+			return nil, invalidf("conversion channel %d keeps a dependency of unknown channel %d", e, o.Channel)
 		}
-		best, bestC, bestJ := int64(-1), -1, 0
-		for id, c := range g.Channels() {
-			if c.Src != au || c.Dst != av {
-				continue
+		c := g.Channel(o.Channel)
+		stride, ok := rat.MulChecked(q[c.Dst], int64(c.Cons))
+		j := int64(o.Pos)
+		for t := 0; t < conv.HSDF.Channel(sdf.ChannelID(e)).Initial; t++ {
+			if (!ok && t > 0) || j < 0 || j >= int64(c.Initial) {
+				return nil, invalidf("critical cycle step %d->%d carries a token outside the initial tokens of its channel", u, v)
 			}
-			// Firing cv consumes FIFO positions lo … hi. A position j
-			// below Initial is a token at the boundary, produced by
-			// firing m = ⌊(j − Initial)/prod⌋ < 0 of an earlier
-			// iteration; the others are produced in this iteration.
-			lo, ok1 := rat.MulChecked(cv, int64(c.Cons))
-			hi, ok2 := rat.AddChecked(lo, int64(c.Cons)-1)
-			if !ok1 || !ok2 {
-				return nil, invalidf("token position of channel %d overflows int64", id)
-			}
-			initial, prod := int64(c.Initial), int64(c.Prod)
-			if hi >= initial && (max(lo, initial)-initial)/prod <= cu && cu <= (hi-initial)/prod {
-				best, bestC = 0, id
-				break
-			}
-			for j := lo; j <= min(hi, initial-1); j++ {
-				m := rat.FloorDiv(j-initial, prod)
-				if d := -rat.FloorDiv(m, q[au]); rat.Mod(m, q[au]) == cu && (best < 0 || d < best) {
-					best, bestC, bestJ = d, id, int(j)
-				}
-			}
-		}
-		if best < 0 {
-			return nil, invalidf("critical cycle steps from node %d to node %d along no token of the graph", u, cycle[(i+1)%len(cycle)])
-		}
-		c := g.Channel(sdf.ChannelID(bestC))
-		stride := q[av] * int64(c.Cons)
-		for t := int64(0); t < best; t++ {
-			tokens = append(tokens, tokBase[bestC]+bestJ+int(t*stride))
+			tokens = append(tokens, tokBase[o.Channel]+int(j))
+			j += stride
 		}
 	}
 	return tokens, nil

@@ -12,7 +12,6 @@ import (
 	"repro/internal/rat"
 	"repro/internal/sdf"
 	"repro/internal/testutil"
-	"repro/internal/transform"
 )
 
 // tightEdges lists the edges of m's precedence graph that are tight
@@ -137,11 +136,7 @@ func TestThroughputCertTamperTable(t *testing.T) {
 	swaps, orders := map[string]int{}, map[string]int{}
 	for _, g := range graphs {
 		r, mcert, _ := engineCerts(t, g)
-		h, _, err := transform.Traditional(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hcert, _, err := hsdfCertFor(t, g, h)
+		hcert, _, err := hsdfCertFor(t, g)
 		if err != nil {
 			t.Fatalf("%s: hsdf certificate: %v", g.Name(), err)
 		}

@@ -3,6 +3,8 @@ package verify
 import (
 	"context"
 	"errors"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -117,6 +119,32 @@ func TestScheduleCertRejectsUnderflow(t *testing.T) {
 	// R needs 2 tokens from L's channel which start empty.
 	if err := (&ScheduleCert{Schedule: []sdf.ActorID{r, l, l}}).Check(ctxT(t), g); !errors.Is(err, ErrInvalid) {
 		t.Errorf("underflowing schedule accepted: %v", err)
+	}
+}
+
+// TestReplayMemoryFollowsClaim pins that only a replay allocates the
+// ring buffer of one slot per initial token: on a graph of 10^8 tokens
+// the schedule certificate's count walk and a throughput certificate
+// whose witness is too short are answered without it.
+func TestReplayMemoryFollowsClaim(t *testing.T) {
+	g := sdf.NewGraph("token-heavy")
+	a := g.MustAddActor("A", 3)
+	b := g.MustAddActor("B", 5)
+	g.MustAddChannel(a, b, 2, 1, 0)
+	g.MustAddChannel(b, a, 1, 2, 100_000_000)
+	sched := []sdf.ActorID{a, b, b}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := (&ScheduleCert{Schedule: sched}).Check(ctxT(t), g); err != nil {
+		t.Errorf("valid schedule rejected: %v", err)
+	}
+	short := &ThroughputCert{Period: rat.FromInt(10), Q: []int64{1, 2}, Schedule: sched, Potentials: []int64{0}, Critical: []int{0}}
+	if err := short.Check(ctxT(t), g); !errors.Is(err, ErrInvalid) {
+		t.Errorf("one potential for 10^8 tokens accepted: %v", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<16 {
+		t.Errorf("checks that need no replay allocated %d bytes", grew)
 	}
 }
 
@@ -290,10 +318,15 @@ func TestThroughputCertUnbounded(t *testing.T) {
 // --- throughput certificate, HSDF engine ---
 
 // hsdfCertFor runs the HSDF engine's pipeline on g — Howard's iteration
-// on the conversion h, one schedule of g — and certifies the answer.
-func hsdfCertFor(t *testing.T, g, h *sdf.Graph) (*ThroughputCert, mcm.Result, error) {
+// on the traditional conversion, one schedule of g — and certifies the
+// answer.
+func hsdfCertFor(t *testing.T, g *sdf.Graph) (*ThroughputCert, mcm.Result, error) {
 	t.Helper()
-	res, err := mcm.MaxCycleRatio(context.Background(), h)
+	conv, _, err := transform.Convert(context.Background(), g)
+	if err != nil {
+		t.Fatalf("%s: traditional conversion: %v", g.Name(), err)
+	}
+	res, err := mcm.MaxCycleRatio(context.Background(), conv.HSDF)
 	if err != nil {
 		t.Fatalf("%s: mcm: %v", g.Name(), err)
 	}
@@ -301,17 +334,13 @@ func hsdfCertFor(t *testing.T, g, h *sdf.Graph) (*ThroughputCert, mcm.Result, er
 	if err != nil {
 		t.Fatalf("%s: schedule: %v", g.Name(), err)
 	}
-	cert, err := NewHSDFThroughputCert(ctxT(t), g, h, sched, repetitionOf(t, g), !res.HasCycle, res.CycleMean, res.Critical)
+	cert, err := NewHSDFThroughputCert(ctxT(t), g, conv, sched, repetitionOf(t, g), !res.HasCycle, res.CycleMean, res.Critical)
 	return cert, res, err
 }
 
 func TestHSDFThroughputCertRoundTrip(t *testing.T) {
 	for _, g := range []*sdf.Graph{gen.Figure2(), gen.Figure3(4)} {
-		h, _, err := transform.Traditional(g)
-		if err != nil {
-			t.Fatalf("%s: traditional conversion: %v", g.Name(), err)
-		}
-		cert, res, err := hsdfCertFor(t, g, h)
+		cert, res, err := hsdfCertFor(t, g)
 		if err != nil {
 			t.Fatalf("%s: certificate construction: %v", g.Name(), err)
 		}
@@ -326,10 +355,11 @@ func TestHSDFThroughputCertRoundTrip(t *testing.T) {
 
 func TestHSDFThroughputCertPinsStructure(t *testing.T) {
 	g := gen.Figure3(4)
-	h, _, err := transform.Traditional(g)
+	conv, _, err := transform.Convert(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := conv.HSDF
 	res, err := mcm.MaxCycleRatio(context.Background(), h)
 	if err != nil {
 		t.Fatal(err)
@@ -339,21 +369,27 @@ func TestHSDFThroughputCertPinsStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := repetitionOf(t, g)
-	// A multirate conversion is rejected.
-	if _, err := NewHSDFThroughputCert(ctxT(t), g, g, sched, q, false, res.CycleMean, res.Critical); !errors.Is(err, ErrInvalid) {
-		t.Errorf("multirate conversion accepted: %v", err)
+	reject := func(what string, c *transform.Conversion, critical []sdf.ActorID) {
+		t.Helper()
+		if _, err := NewHSDFThroughputCert(ctxT(t), g, c, sched, q, false, res.CycleMean, critical); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s accepted: %v", what, err)
+		}
 	}
-	// A node count different from Σq is rejected.
+	reject("multirate conversion", &transform.Conversion{HSDF: g, Copies: conv.Copies, Origins: conv.Origins}, res.Critical)
 	wrong := h.Clone()
 	wrong.MustAddActor("extra", 0)
-	if _, err := NewHSDFThroughputCert(ctxT(t), g, wrong, sched, q, false, res.CycleMean, res.Critical); !errors.Is(err, ErrInvalid) {
-		t.Errorf("wrong-size conversion accepted: %v", err)
+	reject("node count different from Σq", &transform.Conversion{HSDF: wrong, Copies: conv.Copies, Origins: conv.Origins}, res.Critical)
+	reject("copy count different from q", &transform.Conversion{HSDF: h, Copies: conv.Copies[1:], Origins: conv.Origins}, res.Critical)
+	copies := slices.Clone(conv.Copies)
+	copies[0] = []sdf.ActorID{sdf.ActorID(h.NumActors())}
+	reject("copy node outside the conversion", &transform.Conversion{HSDF: h, Copies: copies, Origins: conv.Origins}, res.Critical)
+	reject("origins missing", &transform.Conversion{HSDF: h, Copies: conv.Copies}, res.Critical)
+	origins := slices.Clone(conv.Origins)
+	for i := range origins {
+		origins[i].Channel = sdf.ChannelID(g.NumChannels())
 	}
-	// A critical node outside the conversion is rejected.
-	outside := []sdf.ActorID{sdf.ActorID(h.NumActors())}
-	if _, err := NewHSDFThroughputCert(ctxT(t), g, h, sched, q, false, res.CycleMean, outside); !errors.Is(err, ErrInvalid) {
-		t.Errorf("critical node outside the conversion accepted: %v", err)
-	}
+	reject("origin on an unknown channel", &transform.Conversion{HSDF: h, Copies: conv.Copies, Origins: origins}, res.Critical)
+	reject("critical node outside the conversion", conv, []sdf.ActorID{sdf.ActorID(h.NumActors())})
 }
 
 // --- trace certificate ---
@@ -455,11 +491,7 @@ func TestCertifiedPeriodsAgreeAcrossAnchors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, _, err := transform.Traditional(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := mcm.MaxCycleRatio(context.Background(), h)
+		b, res, err := hsdfCertFor(t, g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -469,10 +501,6 @@ func TestCertifiedPeriodsAgreeAcrossAnchors(t *testing.T) {
 			t.Fatalf("%s: hsdf cycle mean %v != matrix eigenvalue %v", g.Name(), res.CycleMean, lam)
 		}
 		a, err := NewMatrixThroughputCert(ctxT(t), mc.Matrix, mc.Schedule, q, false, lam, cyc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _, err := hsdfCertFor(t, g, h)
 		if err != nil {
 			t.Fatal(err)
 		}

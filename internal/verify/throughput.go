@@ -583,10 +583,10 @@ func criticalTokens(g *sdf.Graph, conv *transform.Conversion, q []int64, cycle [
 			channel[step{ch.Src, ch.Dst}] = e
 		}
 	}
-	tokBase := make([]int, g.NumChannels())
-	for id, n := 1, 0; id < len(tokBase); id++ {
-		n += g.Channel(sdf.ChannelID(id - 1)).Initial
+	tokBase, n := make([]int, g.NumChannels()), 0
+	for id, c := range g.Channels() {
 		tokBase[id] = n
+		n += c.Initial
 	}
 	var tokens []int
 	for i, u := range cycle {
